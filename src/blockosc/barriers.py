@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Optional, Union
 
@@ -160,11 +160,31 @@ def _relabel_out(base: BarrierDescriptor, positions: FiniteSet) -> FiniteSet:
     return FiniteSet(elems[i - 1] for i in positions)
 
 
+def _front_size(b: BarrierDescriptor, first: int) -> Optional[int]:
+    """Length of the front of any strictly increasing sequence starting at
+    ``first``, for descriptors whose membership reads only that much.
+
+    ``Cube(k)`` takes the first k elements; ``Schreier`` takes as many
+    elements as the first one names.  None leaves the search to a
+    :func:`contains` scan over the prefixes.
+    """
+    if isinstance(b, Cube):
+        return b.k
+    if isinstance(b, Schreier):
+        return first
+    return None
+
+
 def _front_along_finite(b: BarrierDescriptor, s: FiniteSet) -> Optional[FiniteSet]:
     """Shortest initial segment of ``s`` inside ``b``, if any.
 
     Incomparability makes it unique, so the shortest-first scan is exact.
     """
+    if s.is_empty():
+        return None
+    size = _front_size(b, s.min)
+    if size is not None:
+        return s.prefix(size) if size <= len(s) else None
     for n in range(1, len(s) + 1):
         p = s.prefix(n)
         if contains(b, p):
@@ -200,15 +220,30 @@ def front(b: BarrierDescriptor, m: SetGenerator, fuel: int = FRONT_FUEL_DEFAULT)
 
     ``fuel`` bounds how many elements are drawn from the generator; running
     out signals a descriptor/generator mismatch rather than a long front.
+
+    ``Cube(k)`` and ``Schreier`` fronts follow a size rule (the first k
+    elements; as many elements as the first one names), so no shorter
+    prefix is tested and one :class:`FiniteSet` is built, at the end.  The
+    rule relies on ``m`` being strictly increasing, as every
+    :class:`SetGenerator` is.  Other descriptors test each prefix with
+    :func:`contains`.  A front longer than ``fuel`` raises either way.
     """
     if fuel < 1:
         raise InvalidArgumentError("fuel must be positive")
-    drawn: list[int] = []
     it = iter(m)
-    for _ in range(fuel):
-        drawn.append(next(it))
-        if contains(b, FiniteSet(drawn)):
+    drawn = [next(it)]
+    size = _front_size(b, drawn[0])
+    if size is not None:
+        if size <= fuel:
+            drawn.extend(islice(it, size - 1))
             return FiniteSet(drawn)
+    else:
+        while True:
+            if contains(b, FiniteSet(drawn)):
+                return FiniteSet(drawn)
+            if len(drawn) == fuel:
+                break
+            drawn.append(next(it))
     raise NoFrontFoundError(fuel, f"generator {m!r} against {type(b).__name__}")
 
 

@@ -172,6 +172,21 @@ def _model_value_json(mv: models.ModelValue) -> dict:
 # Subcommand handlers; each returns (exit_code, report)
 
 
+def _check_block_in_family(blk, fam) -> None:
+    """Raise unless each part of the block is a member of its barrier."""
+    if len(blk.parts) != len(fam.parts):
+        raise InvalidArgumentError(
+            f"block has {len(blk.parts)} parts, family expects "
+            f"{len(fam.parts)}"
+        )
+    for i, (part, part_fam) in enumerate(zip(blk.parts, fam.parts)):
+        if not contains(part_fam, part):
+            raise InvalidArgumentError(
+                f"block part {i + 1} ({part}) is not a member of its "
+                f"family"
+            )
+
+
 def _cmd_barrier(args) -> tuple[int, dict]:
     b = parse_barrier(_load_json(args.descriptor, "--descriptor"))
     if args.action == "members":
@@ -214,6 +229,7 @@ def _cmd_blocks(args) -> tuple[int, dict]:
                    "count": len(blocks)}
     if args.action == "join":
         blk = parse_block(_load_json(args.block, "--block"))
+        _check_block_in_family(blk, fam)
         return 0, {"set": finite_set_to_json(to_concat(blk))}
     s = parse_finite_set(_load_json(args.set, "--set"))
     try:
@@ -303,17 +319,7 @@ def _cmd_oscillation(args) -> tuple[int, dict]:
     if args.action == "psi":
         blk = parse_block(_load_json(args.block, "--block"))
         coeffs = parse_coeffs(_load_json(args.coeffs, "--coeffs"))
-        if len(blk.parts) != len(fam.parts):
-            raise InvalidArgumentError(
-                f"block has {len(blk.parts)} parts, family expects "
-                f"{len(fam.parts)}"
-            )
-        for i, (part, part_fam) in enumerate(zip(blk.parts, fam.parts)):
-            if not contains(part_fam, part):
-                raise InvalidArgumentError(
-                    f"block part {i + 1} ({part}) is not a member of its "
-                    f"family"
-                )
+        _check_block_in_family(blk, fam)
         value = oscillation.psi_eval(spec, blk, coeffs)
         return 0, {"value": rational_to_json(value)}
     if args.action == "gap":

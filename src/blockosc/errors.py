@@ -59,3 +59,10 @@ class InsufficientBlocksError(ValueError):
 
 class NotStabilizedError(RuntimeError):
     """Model probes disagree, so a derived quantity would be unreliable."""
+
+
+class InternalCheckError(RuntimeError):
+    """A self-check of a computed result failed: a fault in this package.
+
+    Raised explicitly rather than by ``assert``, so ``python -O`` keeps it.
+    """

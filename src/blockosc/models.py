@@ -16,9 +16,9 @@ from typing import Optional, Sequence, Union
 from .barriers import FRONT_FUEL_DEFAULT, BarrierDescriptor, Cube, front
 from .blocks import Block, BlockFamily
 from .closedform import model_value_8, model_value_228
-from .errors import InvalidArgumentError, NotStabilizedError
+from .errors import InternalCheckError, InvalidArgumentError, NotStabilizedError
 from .normspace import NormSpec, nonneg_grid, section6_spec
-from .oscillation import psi_eval
+from .oscillation import _is_index_invariant, psi_eval
 from .sets import FiniteSet
 
 Rational = Union[Fraction, int]
@@ -84,6 +84,7 @@ def _probe_blocks(seq: BarrierSequenceDescriptor, k: int, tail_offset: int,
     return tuple(blocks)
 
 
+@lru_cache(maxsize=1024)
 def default_tail_offset(seq: BarrierSequenceDescriptor, k: int,
                         fuel: int = FRONT_FUEL_DEFAULT) -> int:
     """Span of a block started at the front of the ground set, plus 8."""
@@ -126,7 +127,17 @@ def model_eval(
     if tail_offset is None:
         tail_offset = default_tail_offset(seq, k, fuel)
     blocks = _probe_blocks(seq, k, tail_offset, probe_count, fuel)
-    vals = [psi_eval(spec, b, cs) for b in blocks]
+    if _is_index_invariant(spec):
+        # psi reads only the part sizes here: one evaluation per size profile
+        by_sizes: dict[tuple[int, ...], Fraction] = {}
+        vals = []
+        for b in blocks:
+            sizes = tuple(len(p) for p in b)
+            if sizes not in by_sizes:
+                by_sizes[sizes] = psi_eval(spec, b, cs)
+            vals.append(by_sizes[sizes])
+    else:
+        vals = [psi_eval(spec, b, cs) for b in blocks]
     stabilized = max(vals) - min(vals) <= tolerance
     value = vals[0] if stabilized else sum(vals) / len(vals)
     return ModelValue(value, stabilized, tuple(zip(blocks, vals)), tail_offset)
@@ -256,7 +267,8 @@ def equivalence_constants(
             r = v2 / v1
             lo = r if lo is None or r < lo else lo
             hi = r if hi is None or r > hi else hi
-    assert lo is not None and hi is not None
+    if lo is None or hi is None:
+        raise InternalCheckError("no nonzero grid tuple was compared")
     return lo, hi
 
 

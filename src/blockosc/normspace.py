@@ -10,6 +10,7 @@ two-weight space ((m+1)/2m on m-sets and (n+1)/2n on n-sets, with (m, n) =
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,11 +264,17 @@ def _nth_root_int(n: int, p: int) -> tuple[int, bool]:
         raise InvalidArgumentError("negative radicand")
     if n in (0, 1) or p == 1:
         return n, True
-    r = int(round(n ** (1.0 / p)))
-    while r**p > n:
-        r -= 1
-    while (r + 1) ** p <= n:
-        r += 1
+    if p == 2:
+        r = math.isqrt(n)
+    else:
+        # Integer Newton iteration from a power of two above the root; it
+        # decreases strictly until it reaches the floor root.
+        r = 1 << -(-n.bit_length() // p)
+        while True:
+            t = ((p - 1) * r + n // r ** (p - 1)) // p
+            if t >= r:
+                break
+            r = t
     return r, r**p == n
 
 

@@ -17,8 +17,9 @@ from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Union
 
 from .blocks import Block, BlockFamily, enumerate_blocks
-from .errors import InsufficientBlocksError, InvalidArgumentError
+from .errors import InsufficientBlocksError, InternalCheckError, InvalidArgumentError
 from .normspace import (
+    LpNorm,
     NormSpec,
     SupFamily,
     SupNorm,
@@ -85,6 +86,10 @@ def psi_eval(spec: NormSpec, block: Block, coeffs: Sequence[Rational]) -> Fracti
                 raise InvalidArgumentError("degenerate part under this spec")
             items.append((abs(c) / d, len(part)))
         return norm_eval_multiset(spec, items)
+    if isinstance(spec, LpNorm) and spec.p > 1:
+        raise InvalidArgumentError(
+            f"psi under the l{spec.p} norm may be an inexact root; only p = 1 is supported"
+        )
     entries: dict[int, Fraction] = {}
     for c, part in zip(cs, block):
         d = _indicator_norm(spec, part)
@@ -178,7 +183,8 @@ def _gap_report(
         return OscillationReport(Fraction(0), None, None, universe, grid_q, len(blocks))
     s, t, a = wit
     # Re-derive from scratch before reporting.
-    assert abs(psi_eval(spec, s, a) - psi_eval(spec, t, a)) == gap
+    if abs(psi_eval(spec, s, a) - psi_eval(spec, t, a)) != gap:
+        raise InternalCheckError(f"witness pair {s}, {t} at {a} does not re-derive gap {gap}")
     return OscillationReport(gap, (s, t), a, universe, grid_q, len(blocks))
 
 
@@ -248,7 +254,8 @@ def find_stable_subsequence(
     def finish(subset: FiniteSet, rows: list[int]) -> StableSubsequenceResult:
         rep = _gap_report(spec, [blocks[r] for r in rows], tuples,
                           [table[r] for r in rows], subset, grid_q)
-        assert rep.gap < epsilon
+        if not rep.gap < epsilon:
+            raise InternalCheckError(f"stable subset {subset} has gap {rep.gap} >= {epsilon}")
         return StableSubsequenceResult(True, subset, rep, subset, rep.gap,
                                        epsilon, target, strategy)
 

@@ -15,7 +15,7 @@ from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
 
 from .barriers import BarrierDescriptor, enumerate_up_to
 from .blocks import Block, BlockFamily, enumerate_blocks
-from .errors import InvalidArgumentError
+from .errors import InternalCheckError, InvalidArgumentError
 from .oscillation import ToleranceSchedule
 from .sets import FiniteSet
 
@@ -164,7 +164,8 @@ def find_monochromatic(
 
     def verified(m_set: frozenset, elems: Sequence[int]) -> MonochromeWitness:
         ok, color, count = _mono_color(objs, colors, m_set)
-        assert ok
+        if not ok:
+            raise InternalCheckError(f"witness {FiniteSet(elems)} is not monochromatic")
         return MonochromeWitness(FiniteSet(elems), color, count)
 
     if strategy == "greedy":
@@ -325,7 +326,8 @@ def diagonal_stabilize(
                     break
             if found is not None:
                 break
-        assert found is not None  # singletons are always stable
+        if found is None:  # singletons are always stable
+            raise InternalCheckError(f"no stable subset of {pool} at stage {index}")
         subset = FiniteSet(found)
         m = subset.min
         stages.append(

@@ -417,3 +417,44 @@ def test_library_validation_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
+
+
+class TestInputContract:
+    def test_psi_rejects_inexact_lp(self, capsys):
+        code, out, err = run(capsys, "oscillation", "psi",
+                             "--spec", '{"type":"lp","p":2}',
+                             "--family", f"[{CUBE2}]", "--block", "[[1,2]]",
+                             "--coeffs", '["1"]')
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidArgumentError"
+
+    def test_psi_keeps_exact_l1(self, capsys):
+        code, payload = run_json(capsys, "oscillation", "psi",
+                                 "--spec", '{"type":"lp","p":1}',
+                                 "--family", f"[{CUBE2}]", "--block", "[[1,2]]",
+                                 "--coeffs", '["1"]')
+        assert code == 0
+        assert payload["report"] == {"value": "1"}
+
+    def test_l2_of_a_400_digit_entry(self, capsys):
+        big = "7" * 400
+        code, payload = run_json(capsys, "norm", "eval",
+                                 "--spec", '{"type":"lp","p":2}',
+                                 "--vector", json.dumps({"1": "-" + big}))
+        assert code == 0
+        assert payload["report"] == {"value": big, "exact": True}
+
+    def test_join_checks_family(self, capsys):
+        code, out, err = run(capsys, "blocks", "join",
+                             "--family", '[{"type":"cube","k":9}]',
+                             "--block", "[[1,2]]")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidArgumentError"
+
+    def test_join_checks_part_count(self, capsys):
+        code, _, err = run(capsys, "blocks", "join", "--family", PAIR_FAM,
+                           "--block", "[[1,2]]")
+        assert code == 2
+        assert "parts" in json.loads(err)["message"]

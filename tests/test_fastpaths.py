@@ -1,0 +1,247 @@
+"""Fast paths checked against the plain definitions they replace.
+
+``front`` and ``_front_along_finite`` take Cube and Schreier fronts by a size
+rule; the reference tests every prefix for membership.  ``model_eval``
+evaluates psi once per part-size profile for index-invariant specs and
+caches its default tail offset; the reference builds the probes with the
+reference front and evaluates psi on each one.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockosc.barriers import (
+    Associated,
+    Cube,
+    Quotient,
+    Restrict,
+    Schreier,
+    Sum,
+    _front_along_finite,
+    _relabel_out,
+    contains,
+    front,
+)
+from blockosc.blocks import Block
+from blockosc.errors import NoFrontFoundError
+from blockosc.models import (
+    BarrierSequenceDescriptor,
+    eights_sequence,
+    model_eval,
+    two_two_eights_sequence,
+)
+from blockosc.normspace import (
+    SupNorm,
+    even_pair_fixture,
+    mn_norm_spec,
+    section6_spec,
+)
+from blockosc.oscillation import psi_eval
+from blockosc.sets import Arithmetic, FiniteSet, PrefixThen, evens, naturals, odds
+
+
+# ---------------------------------------------------------------------------
+# Reference membership and fronts: every prefix tested, nothing skipped
+
+
+def ref_contains(b, s: FiniteSet) -> bool:
+    if s.is_empty():
+        return False
+    if isinstance(b, Sum):
+        rest = s
+        for part in b.parts:
+            piece = ref_front_along_finite(part, rest)
+            if piece is None:
+                return False
+            rest = rest.suffix_after(piece.max)
+        return rest.is_empty()
+    if isinstance(b, Restrict):
+        return all(b.to.contains(x) for x in s) and ref_contains(b.base, s)
+    if isinstance(b, Quotient):
+        return b.s.max < s.min and ref_contains(b.base, b.s.concat(s))
+    if isinstance(b, Associated):
+        return ref_contains(b.base, _relabel_out(b.base, s))
+    if isinstance(b, Cube):
+        return len(s) == b.k
+    assert isinstance(b, Schreier)
+    return len(s) == s.min
+
+
+def ref_front_along_finite(b, s: FiniteSet):
+    for n in range(1, len(s) + 1):
+        if ref_contains(b, s.prefix(n)):
+            return s.prefix(n)
+    return None
+
+
+def ref_front(b, m, fuel):
+    drawn = []
+    it = iter(m)
+    for _ in range(fuel):
+        drawn.append(next(it))
+        if ref_contains(b, FiniteSet(drawn)):
+            return FiniteSet(drawn)
+    raise NoFrontFoundError(fuel)
+
+
+def outcome(f, *args):
+    """The set found, or the fuel of the NoFrontFoundError raised."""
+    try:
+        return ("front", f(*args))
+    except NoFrontFoundError as exc:
+        return ("no-front", exc.fuel)
+
+
+# ---------------------------------------------------------------------------
+# Strategies: descriptors over the naturals, and generators with their tails
+
+
+def generators():
+    base = st.one_of(
+        st.just(naturals()),
+        st.just(evens()),
+        st.just(odds()),
+        st.builds(Arithmetic, st.integers(1, 12), st.integers(1, 5)),
+    )
+    prefixed = st.builds(
+        lambda g, xs: PrefixThen(FiniteSet(xs), g.after(max(xs))),
+        base,
+        st.sets(st.integers(1, 15), min_size=1, max_size=5),
+    )
+    gen = st.one_of(base, prefixed)
+    return st.one_of(gen, st.builds(lambda g, n: g.after(n), gen, st.integers(0, 20)))
+
+
+def _leaf():
+    return st.one_of(st.builds(Cube, st.integers(1, 5)), st.just(Schreier()))
+
+
+def _quotient(base, stem):
+    stem = FiniteSet(stem)
+    if contains(base, stem):
+        return base  # a stem inside the base is rejected; keep the base
+    return Quotient(base, stem)
+
+
+def descriptors():
+    leaf = _leaf()
+    restrict = st.builds(Restrict, leaf, st.sampled_from([evens(), odds(),
+                                                          Arithmetic(3, 3)]))
+    quotient = st.builds(_quotient, leaf,
+                         st.sets(st.integers(1, 6), min_size=1, max_size=3))
+    summed = st.builds(lambda ps: Sum(tuple(ps)), st.lists(leaf, min_size=1, max_size=3))
+    associated = st.builds(Associated, st.one_of(leaf, restrict))
+    return st.one_of(leaf, restrict, quotient, summed, associated)
+
+
+# ---------------------------------------------------------------------------
+# Fronts
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=descriptors(), g=generators(), fuel=st.integers(1, 40))
+def test_front_matches_prefix_scan(b, g, fuel):
+    assert outcome(front, b, g, fuel) == outcome(ref_front, b, g, fuel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=descriptors(), g=generators(), n=st.integers(0, 30))
+def test_front_along_finite_matches_prefix_scan(b, g, n):
+    s = FiniteSet(g.first(n))
+    assert _front_along_finite(b, s) == ref_front_along_finite(b, s)
+    assert contains(b, s) == ref_contains(b, s)
+
+
+@pytest.mark.parametrize("b, g, fuel", [
+    (Cube(5), naturals(), 4),  # size rule longer than the fuel
+    (Cube(5), naturals(), 5),
+    (Schreier(), naturals().after(9), 9),  # front of 10 elements
+    (Schreier(), naturals().after(9), 10),
+    (Schreier(), PrefixThen(FiniteSet((30,)), naturals().after(30)), 29),
+    (Restrict(Cube(2), evens()), odds(), 50),  # never lands
+    (Quotient(Cube(3), FiniteSet((2,))), naturals(), 7),  # starts below the stem
+])
+def test_fuel_edges_match_prefix_scan(b, g, fuel):
+    assert outcome(front, b, g, fuel) == outcome(ref_front, b, g, fuel)
+
+
+# ---------------------------------------------------------------------------
+# model_eval against per-probe psi on reference probes
+
+
+def ref_block(seq, k, above, fuel=10**6):
+    parts = []
+    last = above
+    for i in range(k):
+        b = seq.barrier_at(i)
+        s = ref_front(b, b.ground().after(last), fuel)
+        parts.append(s)
+        last = s.max
+    return Block(parts)
+
+
+def ref_model(spec, seq, coeffs, tail_offset=None, probe_count=3, tolerance=0):
+    k = len(coeffs)
+    if tail_offset is None:
+        tail_offset = ref_block(seq, k, 0).max + 8
+    blocks = []
+    last = tail_offset - 1
+    for _ in range(probe_count):
+        blk = ref_block(seq, k, last)
+        blocks.append(blk)
+        last = blk.max
+    vals = [psi_eval(spec, b, coeffs) for b in blocks]
+    stabilized = max(vals) - min(vals) <= tolerance
+    value = vals[0] if stabilized else sum(vals) / len(vals)
+    return value, stabilized, tuple(zip(blocks, vals)), tail_offset
+
+
+def as_tuple(mv):
+    return mv.value, mv.stabilized, mv.probes, mv.tail_offset
+
+
+SCHREIER_TAIL = BarrierSequenceDescriptor((Cube(1),), Schreier())
+SEQUENCES = [eights_sequence(), two_two_eights_sequence(), SCHREIER_TAIL,
+             BarrierSequenceDescriptor((Cube(3),), Cube(2))]
+
+
+def test_schreier_tail_probes_differ_in_part_sizes():
+    # from offset 1 the Schreier parts have 2, 5 and 11 elements, sizes the
+    # 8-set term tells apart, so the probe values differ as well as the profiles
+    mv = model_eval(section6_spec(), SCHREIER_TAIL, (1, 1), tail_offset=1)
+    assert [tuple(len(p) for p in b) for b, _ in mv.probes] == [(1, 2), (1, 5), (1, 11)]
+    assert len({v for _, v in mv.probes}) == 3
+    assert not mv.stabilized
+
+
+@pytest.mark.parametrize("spec", [section6_spec(), mn_norm_spec(3, 5), SupNorm(),
+                                  even_pair_fixture()],
+                         ids=["section6", "mn-3-5", "sup", "even-pair"])
+@pytest.mark.parametrize("seq", SEQUENCES, ids=["eights", "228", "schreier", "3-then-2"])
+def test_model_eval_matches_per_probe_psi(spec, seq):
+    for coeffs in [(1,), (1, 1), (F(1, 2), 1), (0, 0, 1), (1, F(3, 4), F(1, 4))]:
+        if seq is SCHREIER_TAIL and len(coeffs) > 2:
+            continue  # Schreier parts double in size each step
+        for probes in (1, 3):
+            got = model_eval(spec, seq, coeffs, probe_count=probes)
+            assert as_tuple(got) == ref_model(spec, seq, coeffs, probe_count=probes)
+    for offset in (1, 40):
+        got = model_eval(spec, seq, (1, F(1, 2)), tail_offset=offset, probe_count=3,
+                         tolerance=F(1, 8))
+        assert as_tuple(got) == ref_model(spec, seq, (1, F(1, 2)), tail_offset=offset,
+                                          probe_count=3, tolerance=F(1, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 5), dn=st.integers(1, 6),
+       coeffs=st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6),
+                       min_size=1, max_size=3),
+       seq_i=st.integers(0, 1), probes=st.integers(1, 4))
+def test_model_eval_matches_per_probe_psi_seeded(m, dn, coeffs, seq_i, probes):
+    spec = mn_norm_spec(m, m + dn)
+    seq = SEQUENCES[seq_i]
+    got = model_eval(spec, seq, coeffs, probe_count=probes)
+    assert as_tuple(got) == ref_model(spec, seq, coeffs, probe_count=probes)

@@ -1,0 +1,46 @@
+"""Self-checks are explicit raises, so ``python -O`` keeps them."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from blockosc import models
+from blockosc.errors import InternalCheckError
+from blockosc.models import equivalence_constants, eights_sequence
+from blockosc.normspace import section6_spec
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def test_no_assert_statements_in_the_package():
+    found = []
+    for path in sorted((SRC / "blockosc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_verify_section6_under_optimize_matches_golden():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "blockosc.cli", "verify-section6"],
+        capture_output=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    golden = (ROOT / "tests" / "data" / "section6_golden.json").read_bytes()
+    assert proc.stdout == golden
+
+
+def test_internal_check_error_is_raised_not_asserted(monkeypatch):
+    # a grid of zero tuples only leaves equivalence_constants nothing to compare
+    monkeypatch.setattr(models, "nonneg_grid", lambda k, q: [(Fraction(0),) * k])
+    with pytest.raises(InternalCheckError):
+        equivalence_constants(section6_spec(), eights_sequence(), eights_sequence(), 2)
