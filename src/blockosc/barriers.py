@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import InvalidArgumentError, NoFrontFoundError
 from .ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
@@ -148,7 +148,8 @@ def contains(b: BarrierDescriptor, s: FiniteSet) -> bool:
     if isinstance(b, Quotient):
         return b.s.max < s.min and contains(b.base, b.s.concat(s))
     if isinstance(b, Sum):
-        return _split_concat(b.parts, s) is not None
+        pieces, rest = _peel_fronts(b.parts, s)
+        return len(pieces) == len(b.parts) and rest.is_empty()
     if isinstance(b, Associated):
         return contains(b.base, _relabel_out(b.base, s))
     raise InvalidArgumentError(f"unknown descriptor {b!r}")
@@ -192,23 +193,24 @@ def _front_along_finite(b: BarrierDescriptor, s: FiniteSet) -> Optional[FiniteSe
     return None
 
 
-def _split_concat(
+def _peel_fronts(
     parts: tuple[BarrierDescriptor, ...], s: FiniteSet
-) -> Optional[tuple[FiniteSet, ...]]:
-    """Greedy front decomposition of ``s`` along the parts; None if it fails."""
-    out = []
+) -> tuple[tuple[FiniteSet, ...], FiniteSet]:
+    """Peel the front of each part off ``s`` in turn, stopping at the first
+    part with no front; the pieces peeled and what is left of ``s``.
+
+    ``s`` is a concatenation over the parts exactly when every part yields a
+    piece and nothing is left.
+    """
+    pieces = []
     rest = s
     for p in parts:
-        if rest.is_empty():
-            return None
         piece = _front_along_finite(p, rest)
         if piece is None:
-            return None
-        out.append(piece)
+            break
+        pieces.append(piece)
         rest = rest.suffix_after(piece.max)
-    if not rest.is_empty():
-        return None
-    return tuple(out)
+    return tuple(pieces), rest
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,7 @@ def _enumerate_impl(b: BarrierDescriptor, n: int) -> list[FiniteSet]:
                 out.append(FiniteSet(u.elements[len(stem):]))
         return out
     if isinstance(b, Sum):
-        return _enumerate_sum(b.parts, n, 0)
+        return [FiniteSet(x for p in t for x in p) for t in _stack(b.parts, n)]
     if isinstance(b, Associated):
         elems = b.base.ground().first(n)
         pool = set(elems)
@@ -300,26 +302,32 @@ def _enumerate_impl(b: BarrierDescriptor, n: int) -> list[FiniteSet]:
     raise InvalidArgumentError(f"unknown descriptor {b!r}")
 
 
-def _enumerate_sum(parts: tuple[BarrierDescriptor, ...], n: int, lo: int) -> list[FiniteSet]:
+def _stack(
+    parts: tuple[BarrierDescriptor, ...],
+    n: int,
+    keep: Optional[Callable[[FiniteSet], bool]] = None,
+) -> list[tuple[FiniteSet, ...]]:
+    """Every (s1, ..., sk) with si a member of the i-th part, elements <= n,
+    max(si) < min(s(i+1)), and ``keep`` true of each si when it is given.
+
+    The tuples come in the order of their s1, then of their s2, and so on,
+    each in the lexicographic order of :func:`enumerate_up_to`.
+    """
     # memoized on (part index, lower bound): heads sharing a max share tails
-    memo: dict[tuple[int, int], list[FiniteSet]] = {}
+    memo: dict[tuple[int, int], list[tuple[FiniteSet, ...]]] = {}
 
-    def go(i: int, bound: int) -> list[FiniteSet]:
+    def go(i: int, bound: int) -> list[tuple[FiniteSet, ...]]:
         key = (i, bound)
-        if key in memo:
-            return memo[key]
-        heads = [s for s in enumerate_up_to(parts[i], n) if s.min > bound]
-        if i == len(parts) - 1:
-            out = heads
-        else:
-            out = []
-            for h in heads:
-                for t in go(i + 1, h.max):
-                    out.append(h.concat(t))
-        memo[key] = out
-        return out
+        if key not in memo:
+            heads = [s for s in enumerate_up_to(parts[i], n)
+                     if s.min > bound and (keep is None or keep(s))]
+            if i == len(parts) - 1:
+                memo[key] = [(h,) for h in heads]
+            else:
+                memo[key] = [(h,) + t for h in heads for t in go(i + 1, h.max)]
+        return memo[key]
 
-    return go(0, lo)
+    return go(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,36 +491,3 @@ def empirical_rank(b: BarrierDescriptor, n: int) -> RankResult:
         if actual == expected and expected > 0:
             return RankResult(OrdinalCNF.omega_power(k), False, "empirical", n)
     return RankResult(AT_LEAST_OMEGA_OMEGA, False, "empirical", n)
-
-
-def min_elements_of_size(b: BarrierDescriptor, n: int, k: int) -> tuple[int, ...]:
-    """Minima of size-k members within the window; finite truncation only."""
-    return tuple(sorted({s.min for s in enumerate_up_to(b, n) if len(s) == k}))
-
-
-# ---------------------------------------------------------------------------
-# Validated constructors (the JSON layer funnels through these)
-
-
-def make_cube(k: int) -> Cube:
-    return Cube(k)
-
-
-def make_schreier() -> Schreier:
-    return Schreier()
-
-
-def make_restrict(base: BarrierDescriptor, to: SetGenerator) -> Restrict:
-    return Restrict(base, to)
-
-
-def make_quotient(base: BarrierDescriptor, s: FiniteSet) -> Quotient:
-    return Quotient(base, s)
-
-
-def make_sum(parts: Iterable[BarrierDescriptor]) -> Sum:
-    return Sum(tuple(parts))
-
-
-def make_associated(base: BarrierDescriptor) -> Associated:
-    return Associated(base)

@@ -10,16 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from .barriers import (
-    BarrierDescriptor,
-    Sum,
-    _front_along_finite,
-    enumerate_up_to,
-)
+from .barriers import BarrierDescriptor, Sum, _peel_fronts, _stack
 from .errors import InvalidArgumentError, NotInSumError
-from .sets import FiniteSet, SetGenerator, lex_cmp, probe_equal
+from .sets import FiniteSet, lex_cmp, probe_equal
 
 
 class Block:
@@ -119,33 +114,9 @@ def enumerate_blocks(
 def _enumerate_blocks_cached(
     fam: BlockFamily, n: int, within: Optional[FiniteSet]
 ) -> tuple[Block, ...]:
-    inside = (lambda s: True) if within is None else (
-        lambda s: all(x in within for x in s)
-    )
-    out = _assemble(fam.parts, n, 0, inside)
+    keep = None if within is None else (lambda s: all(x in within for x in s))
+    out = [Block(t) for t in _stack(fam.parts, n, keep)]
     return tuple(sorted(out, key=block_sort_key))
-
-
-def _assemble(parts, n, lo, inside) -> list[Block]:
-    # memoized on (part index, lower bound): heads sharing a max share tails
-    memo: dict[tuple[int, int], list[Block]] = {}
-
-    def go(i: int, bound: int) -> list[Block]:
-        key = (i, bound)
-        if key in memo:
-            return memo[key]
-        heads = [s for s in enumerate_up_to(parts[i], n) if s.min > bound and inside(s)]
-        if i == len(parts) - 1:
-            out = [Block((s,)) for s in heads]
-        else:
-            out = []
-            for h in heads:
-                for rest in go(i + 1, h.max):
-                    out.append(Block((h,) + rest.parts))
-        memo[key] = out
-        return out
-
-    return go(0, lo)
 
 
 def to_concat(block: Block) -> FiniteSet:
@@ -159,22 +130,14 @@ def from_concat(fam: BlockFamily, s: FiniteSet) -> Block:
     Raises :class:`NotInSumError` with the recovered prefix and the leftover
     when the set is not a concatenation over the family.
     """
-    consumed: list[FiniteSet] = []
-    rest = s
-    for b in fam.parts:
+    consumed, rest = _peel_fronts(fam.parts, s)
+    if len(consumed) < len(fam.parts):
+        part = len(consumed) + 1
         if rest.is_empty():
-            raise NotInSumError(
-                tuple(consumed), rest, f"{s} ran out before part {len(consumed) + 1}"
-            )
-        piece = _front_along_finite(b, rest)
-        if piece is None:
-            raise NotInSumError(
-                tuple(consumed), rest, f"no initial segment of {rest} in part {len(consumed) + 1}"
-            )
-        consumed.append(piece)
-        rest = rest.suffix_after(piece.max)
+            raise NotInSumError(consumed, rest, f"{s} ran out before part {part}")
+        raise NotInSumError(consumed, rest, f"no initial segment of {rest} in part {part}")
     if not rest.is_empty():
-        raise NotInSumError(tuple(consumed), rest, f"leftover {rest} after final part")
+        raise NotInSumError(consumed, rest, f"leftover {rest} after final part")
     return Block(consumed)
 
 

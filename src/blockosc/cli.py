@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Optional
 
 from . import models, normspace, oscillation, ramsey, serialize
@@ -66,10 +65,6 @@ def _load_json(raw: str, flag: str) -> Any:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON for {flag}: {exc}")
-
-
-def _maybe_rational(x: Any) -> Any:
-    return rational_to_json(x) if isinstance(x, Fraction) else x
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:

@@ -320,8 +320,24 @@ def block_vector(spec: NormSpec, s: FiniteSet) -> Vector:
 Evaluator = Callable[[tuple[Fraction, ...]], Fraction]
 
 
+def _require_rational(spec: NormSpec, use: str) -> None:
+    """Reject an lp spec with p > 1 for a use that reports values as exact.
+
+    Its values are roots, which :func:`norm_eval` returns as bisection
+    approximations without a flag.
+    """
+    if isinstance(spec, LpNorm) and spec.p > 1:
+        raise InvalidArgumentError(
+            f"{use} under the l{spec.p} norm may be an inexact root; only p = 1 is supported"
+        )
+
+
 def spec_evaluator(spec: NormSpec, k: int) -> Evaluator:
-    """Restrict a norm spec to coefficient tuples on coordinates 1..k."""
+    """Restrict a norm spec to coefficient tuples on coordinates 1..k.
+
+    The values are compared exactly, so an lp spec with p > 1 is rejected.
+    """
+    _require_rational(spec, "coefficient evaluation")
 
     def rho(a: tuple[Fraction, ...]) -> Fraction:
         if len(a) != k:

@@ -8,7 +8,7 @@ cardinality.  Nothing above the marker is ever distinguished.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 

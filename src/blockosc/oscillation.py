@@ -19,11 +19,11 @@ from typing import Callable, Optional, Sequence, Union
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InsufficientBlocksError, InternalCheckError, InvalidArgumentError
 from .normspace import (
-    LpNorm,
     NormSpec,
     SupFamily,
     SupNorm,
     Vector,
+    _require_rational,
     nonneg_grid,
     norm_eval,
     norm_eval_multiset,
@@ -86,10 +86,7 @@ def psi_eval(spec: NormSpec, block: Block, coeffs: Sequence[Rational]) -> Fracti
                 raise InvalidArgumentError("degenerate part under this spec")
             items.append((abs(c) / d, len(part)))
         return norm_eval_multiset(spec, items)
-    if isinstance(spec, LpNorm) and spec.p > 1:
-        raise InvalidArgumentError(
-            f"psi under the l{spec.p} norm may be an inexact root; only p = 1 is supported"
-        )
+    _require_rational(spec, "psi")
     entries: dict[int, Fraction] = {}
     for c, part in zip(cs, block):
         d = _indicator_norm(spec, part)
@@ -122,11 +119,16 @@ def _value_table(
     return [[psi_eval(spec, b, a) for a in tuples] for b in blocks]
 
 
-def _spread(table: list[list[Fraction]], rows: Sequence[int], col_count: int,
+def _spread(table: list[list[Fraction]], rows: Sequence[int],
             stop_at: Optional[Fraction] = None) -> Fraction:
-    """Max over columns of (row max - row min); early exit once past stop_at."""
+    """Max over columns of (row max - row min); early exit once past stop_at.
+
+    Fewer than two rows disagree nowhere, so their spread is zero.
+    """
     worst = Fraction(0)
-    for j in range(col_count):
+    if len(rows) < 2:
+        return worst
+    for j in range(len(table[rows[0]])):
         hi = lo = table[rows[0]][j]
         for r in rows[1:]:
             v = table[r][j]
@@ -139,6 +141,51 @@ def _spread(table: list[list[Fraction]], rows: Sequence[int], col_count: int,
             if stop_at is not None and worst >= stop_at:
                 return worst
     return worst
+
+
+def _inside_masks(elems: Sequence[int], supports: Sequence[FiniteSet]) -> list[tuple[int, int]]:
+    """(index, bitmask over the positions of ``elems``) of each support inside ``elems``."""
+    bit = {x: 1 << i for i, x in enumerate(elems)}
+    return [(r, sum(bit[x] for x in sup)) for r, sup in enumerate(supports)
+            if all(x in bit for x in sup)]
+
+
+def _rows_inside(masks: Sequence[tuple[int, int]], m: int) -> list[int]:
+    return [r for r, s in masks if s | m == m]
+
+
+def _members(elems: Sequence[int], m: int) -> FiniteSet:
+    return FiniteSet(x for i, x in enumerate(elems) if m >> i & 1)
+
+
+def _largest_hereditary(n: int, accept: Callable[[int], bool], floor: int = 1) -> Optional[int]:
+    """The lexicographically least of the largest accepted sets of positions 0..n-1.
+
+    Sets are int bitmasks, and ``accept`` must be closed under subsets.  Only
+    sets of at least ``floor`` positions count; None when none is accepted.
+    The search is depth first over the positions, adding each position before
+    skipping it, so the first set of a size it reaches is the lexicographically
+    least of that size.  A branch ends once its size plus the positions left
+    cannot beat the best size so far (Carraghan & Pardalos, Oper. Res. Lett.
+    9(6), 1990).  ``accept`` is only asked about an accepted set with one
+    position added above all of its own.
+    """
+    best: Optional[int] = None
+    best_size = floor - 1
+
+    def grow(mask: int, size: int, start: int) -> None:
+        nonlocal best, best_size
+        if size > best_size:
+            best, best_size = mask, size
+        for j in range(start, n):
+            if size + (n - 1 - j) < best_size:
+                return  # j and every position after it still make no larger set
+            wider = mask | 1 << j
+            if accept(wider):
+                grow(wider, size + 1, j + 1)
+
+    grow(0, 0, 0)
+    return best
 
 
 @dataclass(frozen=True)
@@ -227,12 +274,13 @@ def find_stable_subsequence(
 ) -> StableSubsequenceResult:
     """Search for a subset whose internal block oscillation stays under epsilon.
 
-    Exhaustive strategy scans subset sizes from the whole universe down to
-    the target, each size in lexicographic order, and returns the first hit;
-    so the answer is the lexicographically least among the largest stable
-    subsets.  Greedy grows a subset left to right, keeping any element that
-    does not break stability.  A miss is a value carrying the best subset
-    seen, never an exception.
+    Exhaustive strategy returns the lexicographically least among the
+    largest stable subsets, if they reach the target.  Its miss carries the
+    least gap over subsets of at least target elements, and the
+    lexicographically least of the largest subsets with that gap.  Greedy
+    grows a subset left to right, keeping any element that does not break
+    stability.  A miss is a value carrying the best subset seen, never an
+    exception.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -245,13 +293,14 @@ def find_stable_subsequence(
     blocks = enumerate_blocks(fam, universe.max, within=universe)
     tuples = _coefficient_tuples(spec, len(fam), grid_q)
     table = _value_table(spec, blocks, tuples)
-    unions = [frozenset(b.union().elements) for b in blocks]
-    cols = len(tuples)
+    elems = universe.elements
+    masks = _inside_masks(elems, [b.union() for b in blocks])
 
-    def rows_inside(m: frozenset) -> list[int]:
-        return [r for r, u in enumerate(unions) if u <= m]
+    def gap(m: int, stop_at: Optional[Fraction] = None) -> Fraction:
+        return _spread(table, _rows_inside(masks, m), stop_at)
 
-    def finish(subset: FiniteSet, rows: list[int]) -> StableSubsequenceResult:
+    def finish(m: int) -> StableSubsequenceResult:
+        subset, rows = _members(elems, m), _rows_inside(masks, m)
         rep = _gap_report(spec, [blocks[r] for r in rows], tuples,
                           [table[r] for r in rows], subset, grid_q)
         if not rep.gap < epsilon:
@@ -260,37 +309,27 @@ def find_stable_subsequence(
                                        epsilon, target, strategy)
 
     if strategy == "greedy":
-        chosen: list[int] = []
-        for x in universe:
-            rows = rows_inside(frozenset(chosen + [x]))
-            if len(rows) < 2 or _spread(table, rows, cols, stop_at=epsilon) < epsilon:
-                chosen.append(x)
-        subset = FiniteSet(chosen)
-        rows = rows_inside(frozenset(chosen))
-        if len(chosen) >= target:
-            return finish(subset, rows)
-        gap = _spread(table, rows, cols) if len(rows) >= 2 else Fraction(0)
-        return StableSubsequenceResult(False, None, None, subset, gap,
+        chosen = 0
+        for i in range(len(elems)):
+            if gap(chosen | 1 << i, epsilon) < epsilon:
+                chosen |= 1 << i
+        if chosen.bit_count() >= target:
+            return finish(chosen)
+        return StableSubsequenceResult(False, None, None, _members(elems, chosen), gap(chosen),
                                        epsilon, target, strategy)
 
-    best_subset: Optional[FiniteSet] = None
+    hit = _largest_hereditary(len(elems), lambda m: gap(m, epsilon) < epsilon, target)
+    if hit is not None:
+        return finish(hit)
+    # A spread never shrinks as its set grows, so the least gap over the sets
+    # of at least target elements is reached at exactly target elements.
     best_gap: Optional[Fraction] = None
-    elems = universe.elements
-    for size in range(len(elems), target - 1, -1):
-        for pick in combinations(elems, size):
-            m = frozenset(pick)
-            rows = rows_inside(m)
-            if len(rows) < 2:
-                gap = Fraction(0)
-            else:
-                # full spread, not early-exited: misses report their true gap
-                gap = _spread(table, rows, cols)
-            if gap < epsilon:
-                return finish(FiniteSet(pick), rows)
-            if best_gap is None or gap < best_gap:
-                best_gap = gap
-                best_subset = FiniteSet(pick)
-    return StableSubsequenceResult(False, None, None, best_subset, best_gap,
+    for pick in combinations(range(len(elems)), target):
+        g = gap(sum(1 << i for i in pick), best_gap)
+        if best_gap is None or g < best_gap:
+            best_gap = g
+    best = _largest_hereditary(len(elems), lambda m: gap(m) <= best_gap, target)
+    return StableSubsequenceResult(False, None, None, _members(elems, best), best_gap,
                                    epsilon, target, strategy)
 
 
@@ -342,7 +381,6 @@ def asymptotic_stability_check(
     tuples = _coefficient_tuples(spec, len(fam), grid_q)
     table = _value_table(spec, blocks, tuples)
     mins = [b.min for b in blocks]
-    cols = len(tuples)
 
     stages = []
     for i in range(1, max_stages + 1):
@@ -354,7 +392,7 @@ def asymptotic_stability_check(
             if len(rows) < 2:
                 break
             last_rows = rows
-            if _spread(table, rows, cols, stop_at=eps) < eps:
+            if _spread(table, rows, stop_at=eps) < eps:
                 result = StageResult(i, eps, n, True, None, None, None)
                 break
         if result is None:

@@ -10,13 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
 
 from .barriers import BarrierDescriptor, enumerate_up_to
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InternalCheckError, InvalidArgumentError
-from .oscillation import ToleranceSchedule
+from .oscillation import (
+    ToleranceSchedule,
+    _inside_masks,
+    _largest_hereditary,
+    _members,
+    _rows_inside,
+    _spread,
+)
 from .sets import FiniteSet
 
 ColorValue = Hashable
@@ -106,32 +112,27 @@ class RamseyResult:
 
 def _domain_objects(
     source: _Domain, universe: FiniteSet
-) -> list[tuple[object, frozenset]]:
-    """Colored objects inside the universe with their supports."""
+) -> tuple[list[object], list[int]]:
+    """Colored objects inside the universe, and their supports as bitmasks
+    over the positions of the universe."""
     if universe.is_empty():
         raise InvalidArgumentError("universe must be nonempty")
     if isinstance(source, BlockFamily):
-        blocks = enumerate_blocks(source, universe.max, within=universe)
-        return [(b, frozenset(b.union().elements)) for b in blocks]
-    uset = frozenset(universe.elements)
-    out = []
-    for m in enumerate_up_to(source, universe.max):
-        sup = frozenset(m.elements)
-        if sup <= uset:
-            out.append((m, sup))
-    return out
+        objs: Sequence[object] = enumerate_blocks(source, universe.max, within=universe)
+    else:
+        objs = enumerate_up_to(source, universe.max)
+    inside = _inside_masks(universe.elements, [_support(o) for o in objs])
+    return [objs[r] for r, _ in inside], [s for _, s in inside]
 
 
 def _mono_color(
-    objs: Sequence[tuple[object, frozenset]],
-    colors: Sequence[ColorValue],
-    m: frozenset,
+    masks: Sequence[int], colors: Sequence[ColorValue], m: int
 ) -> tuple[bool, Optional[ColorValue], int]:
     """Whether all objects inside m share a color; vacuous counts with None."""
     color: Optional[ColorValue] = None
     count = 0
-    for (obj, sup), c in zip(objs, colors):
-        if sup <= m:
+    for sup, c in zip(masks, colors):
+        if sup | m == m:
             count += 1
             if color is None:
                 color = c
@@ -149,60 +150,53 @@ def find_monochromatic(
 ) -> RamseyResult:
     """Search the universe for a subset all of whose objects share a color.
 
-    Exhaustive scans subset sizes from the whole universe downward, each size
-    in lexicographic order; the result is the lexicographically least among
-    the largest monochromatic subsets.  If none reaches the target, the best
-    such subset below target is reported with found=False.  Greedy keeps any
-    element that does not break monochromaticity while scanning left to right.
+    Exhaustive returns the lexicographically least among the largest
+    monochromatic subsets.  If none reaches the target, the best such subset
+    below target is reported with found=False.  Greedy keeps any element that
+    does not break monochromaticity while scanning left to right.
     """
     if not 1 <= target <= len(universe):
         raise InvalidArgumentError("target must be between 1 and the universe size")
     if strategy not in ("exhaustive", "greedy"):
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    objs = _domain_objects(source, universe)
-    colors = [coloring.of(obj) for obj, _ in objs]
+    objs, masks = _domain_objects(source, universe)
+    colors = [coloring.of(obj) for obj in objs]
+    elems = universe.elements
 
-    def verified(m_set: frozenset, elems: Sequence[int]) -> MonochromeWitness:
-        ok, color, count = _mono_color(objs, colors, m_set)
-        if not ok:
-            raise InternalCheckError(f"witness {FiniteSet(elems)} is not monochromatic")
-        return MonochromeWitness(FiniteSet(elems), color, count)
+    def mono(m: int) -> bool:
+        return _mono_color(masks, colors, m)[0]
 
     if strategy == "greedy":
-        chosen: list[int] = []
-        for x in universe:
-            ok, _, _ = _mono_color(objs, colors, frozenset(chosen + [x]))
-            if ok:
-                chosen.append(x)
-        wit = verified(frozenset(chosen), chosen)
-        if len(chosen) >= target:
-            return RamseyResult(True, wit, wit, target, strategy)
-        return RamseyResult(False, None, wit, target, strategy)
-
-    elems = universe.elements
-    for size in range(len(elems), 0, -1):
-        for pick in combinations(elems, size):
-            m = frozenset(pick)
-            ok, _, _ = _mono_color(objs, colors, m)
-            if ok:
-                wit = verified(m, pick)
-                if size >= target:
-                    return RamseyResult(True, wit, wit, target, strategy)
-                return RamseyResult(False, None, wit, target, strategy)
-    return RamseyResult(False, None, None, target, strategy)
+        m = 0
+        for i in range(len(elems)):
+            if mono(m | 1 << i):
+                m |= 1 << i
+    else:
+        m = _largest_hereditary(len(elems), mono)
+        if m is None:
+            return RamseyResult(False, None, None, target, strategy)
+    ok, color, count = _mono_color(masks, colors, m)
+    subset = _members(elems, m)
+    if not ok:
+        raise InternalCheckError(f"witness {subset} is not monochromatic")
+    wit = MonochromeWitness(subset, color, count)
+    if len(subset) >= target:
+        return RamseyResult(True, wit, wit, target, strategy)
+    return RamseyResult(False, None, wit, target, strategy)
 
 
 ValuesLike = Union[Mapping[Block, Rational], Callable[[Block], Rational]]
 
 
-def _value_map(values: ValuesLike, blocks: Sequence[Block]) -> dict[Block, Fraction]:
-    out: dict[Block, Fraction] = {}
+def _value_column(values: ValuesLike, blocks: Sequence[Block]) -> list[list[Fraction]]:
+    """The block values as a one-column table, one row per block."""
+    out = []
     for b in blocks:
         try:
             raw = values(b) if callable(values) else values[b]
         except KeyError:
             raise InvalidArgumentError(f"values not total: missing {b!r}")
-        out[b] = Fraction(raw)
+        out.append([Fraction(raw)])
     return out
 
 
@@ -239,33 +233,18 @@ def metric_stabilize(
     if not 1 <= target <= len(universe):
         raise InvalidArgumentError("target must be between 1 and the universe size")
     blocks = enumerate_blocks(fam, universe.max, within=universe)
-    vmap = _value_map(values, blocks)
-    objs = [(b, frozenset(b.union().elements)) for b in blocks]
-
-    def spread(m: frozenset) -> tuple[Fraction, int]:
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        count = 0
-        for b, sup in objs:
-            if sup <= m:
-                count += 1
-                v = vmap[b]
-                lo = v if lo is None or v < lo else lo
-                hi = v if hi is None or v > hi else hi
-        if count == 0:
-            return Fraction(0), 0
-        return hi - lo, count
-
+    table = _value_column(values, blocks)
     elems = universe.elements
-    for size in range(len(elems), 0, -1):
-        for pick in combinations(elems, size):
-            gap, count = spread(frozenset(pick))
-            if gap < epsilon:
-                wit = MetricWitness(FiniteSet(pick), gap, count)
-                if size >= target:
-                    return MetricResult(True, wit, wit, epsilon, target)
-                return MetricResult(False, None, wit, epsilon, target)
-    return MetricResult(False, None, None, epsilon, target)
+    masks = _inside_masks(elems, [b.union() for b in blocks])
+    best = _largest_hereditary(
+        len(elems), lambda m: _spread(table, _rows_inside(masks, m), epsilon) < epsilon)
+    if best is None:
+        return MetricResult(False, None, None, epsilon, target)
+    rows = _rows_inside(masks, best)
+    wit = MetricWitness(_members(elems, best), _spread(table, rows), len(rows))
+    if len(wit.subset) >= target:
+        return MetricResult(True, wit, wit, epsilon, target)
+    return MetricResult(False, None, wit, epsilon, target)
 
 
 @dataclass(frozen=True)
@@ -302,14 +281,8 @@ def diagonal_stabilize(
     if universe.is_empty():
         raise InvalidArgumentError("universe must be nonempty")
     blocks = enumerate_blocks(fam, universe.max, within=universe)
-    vmap = _value_map(values, blocks)
-    objs = [(b, frozenset(b.union().elements)) for b in blocks]
-
-    def spread(m: frozenset) -> Fraction:
-        vals = [vmap[b] for b, sup in objs if sup <= m]
-        if len(vals) < 2:
-            return Fraction(0)
-        return max(vals) - min(vals)
+    table = _value_column(values, blocks)
+    unions = [b.union() for b in blocks]
 
     stages: list[DiagonalStage] = []
     picked: list[int] = []
@@ -317,23 +290,16 @@ def diagonal_stabilize(
     index = 1
     while not pool.is_empty():
         eps = schedule.at(index)
-        elems = pool.elements
-        found: Optional[tuple[int, ...]] = None
-        for size in range(len(elems), 0, -1):
-            for pick in combinations(elems, size):
-                if spread(frozenset(pick)) < eps:
-                    found = pick
-                    break
-            if found is not None:
-                break
+        masks = _inside_masks(pool.elements, unions)
+        found = _largest_hereditary(
+            len(pool), lambda m: _spread(table, _rows_inside(masks, m), eps) < eps)
         if found is None:  # singletons are always stable
             raise InternalCheckError(f"no stable subset of {pool} at stage {index}")
-        subset = FiniteSet(found)
+        subset = _members(pool.elements, found)
         m = subset.min
-        stages.append(
-            DiagonalStage(index, eps, pool, subset, m, spread(frozenset(found)))
-        )
+        stages.append(DiagonalStage(index, eps, pool, subset, m,
+                                    _spread(table, _rows_inside(masks, found))))
         picked.append(m)
-        pool = FiniteSet(x for x in found if x > m)
+        pool = subset.suffix_after(m)
         index += 1
     return DiagonalReport(FiniteSet(picked), tuple(stages), True)

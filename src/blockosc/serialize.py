@@ -8,9 +8,8 @@ point at the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from .barriers import (
     Associated,

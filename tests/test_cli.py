@@ -458,3 +458,43 @@ class TestInputContract:
                            "--block", "[[1,2]]")
         assert code == 2
         assert "parts" in json.loads(err)["message"]
+
+    def test_norm_axioms_rejects_inexact_lp(self, capsys):
+        code, out, err = run(capsys, "norm", "axioms",
+                             "--spec", '{"type":"lp","p":2}',
+                             "--k", "2", "--grid-q", "1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidArgumentError"
+
+    def test_norm_axioms_keeps_exact_l1(self, capsys):
+        code, payload = run_json(capsys, "norm", "axioms",
+                                 "--spec", '{"type":"lp","p":1}',
+                                 "--k", "2", "--grid-q", "1")
+        assert code == 0
+        assert payload["report"]["all_pass"] is True
+
+
+# A one-element prefix, then pairs: under the even-pair fixture the model
+# value at (1/4, 1/4) keeps changing with the probe, so it never stabilizes.
+UNSTABLE_SEQ = f'{{"prefix":[{CUBE1}],"tail":{CUBE2}}}'
+
+
+class TestNotStabilized:
+    def test_model_eval_exits_1(self, capsys):
+        code, payload = run_json(capsys, "model", "eval", "--spec", FIXTURE,
+                                 "--sequence", UNSTABLE_SEQ,
+                                 "--coeffs", '["1/4","1/4"]')
+        assert code == 1
+        assert payload["report"]["stabilized"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ("equivalence", "--seq1", UNSTABLE_SEQ, "--seq2", UNSTABLE_SEQ,
+         "--k-max", "2"),
+        ("consistency", "--sequence", UNSTABLE_SEQ, "--k-max", "3"),
+    ])
+    def test_needing_a_stable_value_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "model", argv[0], "--spec", FIXTURE, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "NotStabilizedError"

@@ -1,0 +1,250 @@
+"""The four "largest, then lexicographically least, subset" searches
+(``find_monochromatic``, ``metric_stabilize``, ``diagonal_stabilize`` and
+``find_stable_subsequence``) against brute-force references in this file.
+
+Each reference scans subset sizes from the whole universe downward, each size
+in ``combinations`` order, and takes the first subset that passes; the
+library reaches the same subset by a pruned depth-first search.  Misses of
+``find_stable_subsequence`` are checked on their best gap and best subset,
+and the greedy strategies, which share the bitmask supports, against a
+left-to-right reference.
+"""
+
+import random
+from fractions import Fraction as F
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockosc.barriers import Cube, enumerate_up_to
+from blockosc.blocks import Block, BlockFamily, enumerate_blocks
+from blockosc.normspace import LpNorm, SupNorm, even_pair_fixture, section6_spec
+from blockosc.oscillation import (
+    ToleranceSchedule,
+    _coefficient_tuples,
+    find_stable_subsequence,
+    psi_eval,
+)
+from blockosc.ramsey import (
+    Coloring,
+    diagonal_stabilize,
+    find_monochromatic,
+    metric_stabilize,
+)
+from blockosc.sets import FiniteSet
+
+SEARCH = settings(max_examples=60, deadline=None)
+
+FAMILIES = [
+    BlockFamily((Cube(1), Cube(1))),
+    BlockFamily((Cube(2),)),
+    BlockFamily((Cube(1), Cube(2))),
+]
+
+
+@st.composite
+def universes(draw, max_size=9):
+    elems = draw(st.lists(st.integers(1, 14), min_size=1, max_size=max_size, unique=True))
+    return FiniteSet(elems)
+
+
+def support(obj) -> frozenset:
+    """Elements of a barrier member, or of every part of a block."""
+    return frozenset(obj.union() if isinstance(obj, Block) else obj)
+
+
+def largest_first(universe: FiniteSet, passes):
+    """First subset, by size downward and then in combinations order, that passes."""
+    for size in range(len(universe), 0, -1):
+        for pick in combinations(universe.elements, size):
+            if passes(frozenset(pick)):
+                return FiniteSet(pick)
+    return None
+
+
+def inside(objs, m: frozenset) -> list:
+    return [o for o in objs if support(o) <= m]
+
+
+def spread_of(rows) -> F:
+    """Max over columns of (max - min); zero for fewer than two rows."""
+    if len(rows) < 2:
+        return F(0)
+    return max(max(col) - min(col) for col in zip(*rows))
+
+
+# ---------------------------------------------------------------------------
+# find_monochromatic
+
+
+def colored_domain(source, universe: FiniteSet, seed: int):
+    if isinstance(source, BlockFamily):
+        objs = list(enumerate_blocks(source, universe.max, within=universe))
+    else:
+        objs = [m for m in enumerate_up_to(source, universe.max)
+                if frozenset(m.elements) <= frozenset(universe.elements)]
+    rng = random.Random(seed)
+    return objs, {o: rng.choice(("red", "blue")) for o in objs}
+
+
+def ref_mono(objs, colors, universe: FiniteSet):
+    def passes(m):
+        return len({colors[o] for o in inside(objs, m)}) <= 1
+
+    best = largest_first(universe, passes)
+    inner = inside(objs, frozenset(best.elements))
+    return best, (colors[inner[0]] if inner else None), len(inner)
+
+
+@SEARCH
+@given(universes(), st.sampled_from([Cube(1), Cube(2), Cube(3)] + FAMILIES),
+       st.integers(0, 2**32), st.data())
+def test_monochromatic_matches_reference(universe, source, seed, data):
+    objs, colors = colored_domain(source, universe, seed)
+    target = data.draw(st.integers(1, len(universe)))
+    res = find_monochromatic(source, Coloring.from_table(colors), universe, target)
+    subset, color, count = ref_mono(objs, colors, universe)
+    assert res.best.subset == subset
+    assert (res.best.color, res.best.domain_size) == (color, count)
+    assert res.found == (len(subset) >= target)
+    assert res.witness == (res.best if res.found else None)
+
+
+@SEARCH
+@given(universes(), st.sampled_from([Cube(1), Cube(2), Cube(3)]), st.integers(0, 2**32))
+def test_greedy_monochromatic_matches_reference(universe, source, seed):
+    objs, colors = colored_domain(source, universe, seed)
+    chosen: list[int] = []
+    for x in universe:
+        if len({colors[o] for o in inside(objs, frozenset(chosen + [x]))}) <= 1:
+            chosen.append(x)
+    res = find_monochromatic(source, Coloring.from_table(colors), universe, 1, "greedy")
+    assert res.best.subset == FiniteSet(chosen)
+    assert res.best.domain_size == len(inside(objs, frozenset(chosen)))
+
+
+# ---------------------------------------------------------------------------
+# metric_stabilize and diagonal_stabilize
+
+
+def valued_blocks(fam: BlockFamily, universe: FiniteSet, seed: int):
+    rng = random.Random(seed)
+    blocks = enumerate_blocks(fam, universe.max, within=universe)
+    return {b: F(rng.randint(0, 8), 8) for b in blocks}
+
+
+def ref_metric(values, eps: F, universe: FiniteSet):
+    def gap(m):
+        return spread_of([(values[b],) for b in inside(values, m)])
+
+    best = largest_first(universe, lambda m: gap(m) < eps)
+    m = frozenset(best.elements)
+    return best, gap(m), len(inside(values, m))
+
+
+EPSILONS = st.sampled_from([F(1, 8), F(1, 4), F(3, 8), F(1, 2)])
+
+
+@SEARCH
+@given(universes(), st.sampled_from(FAMILIES), st.integers(0, 2**32), EPSILONS, st.data())
+def test_metric_matches_reference(universe, fam, seed, eps, data):
+    values = valued_blocks(fam, universe, seed)
+    target = data.draw(st.integers(1, len(universe)))
+    res = metric_stabilize(fam, values, eps, universe, target)
+    subset, gap, count = ref_metric(values, eps, universe)
+    assert (res.best.subset, res.best.max_gap, res.best.domain_size) == (subset, gap, count)
+    assert res.found == (len(subset) >= target)
+
+
+@SEARCH
+@given(universes(), st.sampled_from(FAMILIES), st.integers(0, 2**32),
+       st.sampled_from([(F(1, 2), F(1)), (F(2, 3), F(1, 2)), (F(3, 4), F(1, 4))]))
+def test_diagonal_matches_reference(universe, fam, seed, sched):
+    values = valued_blocks(fam, universe, seed)
+    schedule = ToleranceSchedule(*sched)
+    rep = diagonal_stabilize(fam, values, schedule, universe)
+    pool, picked = universe, []
+    for i, stage in enumerate(rep.stages, start=1):
+        eps = schedule.at(i)
+        pool_values = {b: v for b, v in values.items()
+                       if support(b) <= frozenset(pool.elements)}
+        subset, gap, _ = ref_metric(pool_values, eps, pool)
+        assert (stage.pool, stage.subset, stage.max_gap) == (pool, subset, gap)
+        picked.append(subset.min)
+        pool = FiniteSet(x for x in subset if x > subset.min)
+    assert pool.is_empty() and rep.completed
+    assert rep.selected == FiniteSet(picked)
+
+
+# ---------------------------------------------------------------------------
+# find_stable_subsequence
+
+
+SPECS = [even_pair_fixture(), section6_spec(), SupNorm(), LpNorm(1)]
+
+
+def value_rows(spec, fam: BlockFamily, universe: FiniteSet, q: int):
+    tuples = _coefficient_tuples(spec, len(fam), q)
+    blocks = enumerate_blocks(fam, universe.max, within=universe)
+    return {b: tuple(psi_eval(spec, b, a) for a in tuples) for b in blocks}
+
+
+def ref_stable(rows, eps: F, universe: FiniteSet, target: int):
+    """Sizes from the universe down to target: the first stable subset is a
+    hit; otherwise the least gap seen, with the first subset that reached it."""
+    best_gap = best_subset = None
+    for size in range(len(universe), target - 1, -1):
+        for pick in combinations(universe.elements, size):
+            gap = spread_of([rows[b] for b in inside(rows, frozenset(pick))])
+            if gap < eps:
+                return True, FiniteSet(pick), gap
+            if best_gap is None or gap < best_gap:
+                best_gap, best_subset = gap, FiniteSet(pick)
+    return False, best_subset, best_gap
+
+
+@settings(max_examples=80, deadline=None)
+@given(universes(max_size=8), st.sampled_from(SPECS), st.sampled_from(FAMILIES[:2]),
+       st.sampled_from([F(1, 16), F(1, 8), F(1, 4), F(1, 2)]), st.integers(1, 3), st.data())
+def test_stable_subsequence_matches_reference(universe, spec, fam, eps, q, data):
+    target = data.draw(st.integers(1, len(universe)))
+    rows = value_rows(spec, fam, universe, q)
+    res = find_stable_subsequence(spec, fam, eps, universe, target, "exhaustive", q)
+    found, subset, gap = ref_stable(rows, eps, universe, target)
+    assert res.found == found
+    assert (res.best_subset, res.best_gap) == (subset, gap)
+    if found:
+        assert res.subset == subset and res.report.gap == gap
+    else:
+        assert res.subset is None and res.report is None
+
+
+def test_stable_subsequence_hit_and_miss_examples():
+    """Both branches on one universe: the parity classes of 1..8 are the
+    largest stable sets under the even-pair fixture at tolerance 1/4."""
+    spec, fam, universe = even_pair_fixture(), FAMILIES[0], FiniteSet(range(1, 9))
+    rows = value_rows(spec, fam, universe, 2)
+    for eps, target in ((F(1, 4), 4), (F(1, 4), 5), (F(1, 8), 3)):
+        res = find_stable_subsequence(spec, fam, eps, universe, target, "exhaustive", 2)
+        found, subset, gap = ref_stable(rows, eps, universe, target)
+        assert (res.found, res.best_subset, res.best_gap) == (found, subset, gap)
+    hit = find_stable_subsequence(spec, fam, F(1, 4), universe, 4, "exhaustive", 2)
+    assert hit.found and hit.subset == FiniteSet((1, 3, 5, 7))
+    assert not find_stable_subsequence(spec, fam, F(1, 4), universe, 5, "exhaustive", 2).found
+
+
+@settings(max_examples=40, deadline=None)
+@given(universes(max_size=8), st.sampled_from(SPECS), st.sampled_from(FAMILIES[:2]),
+       st.sampled_from([F(1, 8), F(1, 4), F(1, 2)]), st.data())
+def test_greedy_stable_subsequence_matches_reference(universe, spec, fam, eps, data):
+    target = data.draw(st.integers(1, len(universe)))
+    rows = value_rows(spec, fam, universe, 2)
+    chosen: list[int] = []
+    for x in universe:
+        if spread_of([rows[b] for b in inside(rows, frozenset(chosen + [x]))]) < eps:
+            chosen.append(x)
+    gap = spread_of([rows[b] for b in inside(rows, frozenset(chosen))])
+    res = find_stable_subsequence(spec, fam, eps, universe, target, "greedy", 2)
+    assert (res.best_subset, res.best_gap) == (FiniteSet(chosen), gap)
+    assert res.found == (len(chosen) >= target)
