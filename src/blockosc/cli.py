@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 from typing import Any, Optional
 
-from . import models, normspace, oscillation, ramsey, serialize
+from . import models, normspace, oscillation, ramsey
 from .barriers import check_axioms, contains, enumerate_up_to, front, rank
 from .blocks import block_compare, enumerate_blocks, from_concat, to_concat
 from .errors import (
@@ -30,9 +31,7 @@ from .errors import (
 )
 from .serialize import (
     SCHEMA_VERSION,
-    block_to_json,
     dumps,
-    finite_set_to_json,
     ordinal_to_str,
     parse_barrier,
     parse_block,
@@ -47,7 +46,7 @@ from .serialize import (
     parse_spec,
     parse_values_table,
     parse_vector,
-    rational_to_json,
+    to_json,
 )
 
 OUT_DIR_ENV = "BLOCKOSC_OUT_DIR"
@@ -108,62 +107,6 @@ def _emit(report: dict, command: str, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Report -> JSON-ready dicts
-
-
-def _oscillation_report_json(rep: oscillation.OscillationReport) -> dict:
-    return {
-        "gap": rational_to_json(rep.gap),
-        "witness_pair": (None if rep.witness_pair is None else
-                         [block_to_json(b) for b in rep.witness_pair]),
-        "witness_coeffs": (None if rep.witness_coeffs is None else
-                           [rational_to_json(c) for c in rep.witness_coeffs]),
-        "universe": finite_set_to_json(rep.universe),
-        "grid_q": rep.grid_q,
-        "block_count": rep.block_count,
-        "vacuous": rep.vacuous,
-    }
-
-
-def _axiom_check_json(chk: normspace.AxiomCheck) -> dict:
-    return {
-        "nonnegative": chk.nonnegative,
-        "normalized": chk.normalized,
-        "homogeneous": chk.homogeneous,
-        "triangle": chk.triangle,
-        "positive": chk.positive,
-        "all_pass": chk.all_pass,
-        "witnesses": [[name, [str(x) for x in data]]
-                      for name, data in chk.witnesses],
-    }
-
-
-def _mono_witness_json(w: Optional[ramsey.MonochromeWitness]) -> Optional[dict]:
-    if w is None:
-        return None
-    return {"subset": finite_set_to_json(w.subset), "color": w.color,
-            "domain_size": w.domain_size}
-
-
-def _metric_witness_json(w: Optional[ramsey.MetricWitness]) -> Optional[dict]:
-    if w is None:
-        return None
-    return {"subset": finite_set_to_json(w.subset),
-            "max_gap": rational_to_json(w.max_gap),
-            "domain_size": w.domain_size}
-
-
-def _model_value_json(mv: models.ModelValue) -> dict:
-    return {
-        "value": rational_to_json(mv.value),
-        "stabilized": mv.stabilized,
-        "tail_offset": mv.tail_offset,
-        "probes": [{"block": block_to_json(b), "value": rational_to_json(v)}
-                   for b, v in mv.probes],
-    }
-
-
-# ---------------------------------------------------------------------------
 # Subcommand handlers; each returns (exit_code, report)
 
 
@@ -186,25 +129,13 @@ def _cmd_barrier(args) -> tuple[int, dict]:
     b = parse_barrier(_load_json(args.descriptor, "--descriptor"))
     if args.action == "members":
         members = enumerate_up_to(b, args.bound)
-        return 0, {"members": [finite_set_to_json(m) for m in members],
-                   "count": len(members)}
+        return 0, {"members": to_json(members), "count": len(members)}
     if args.action == "front":
         g = parse_generator(_load_json(args.set, "--set"))
-        s = front(b, g, args.fuel)
-        return 0, {"front": finite_set_to_json(s)}
+        return 0, {"front": to_json(front(b, g, args.fuel))}
     if args.action == "axioms":
         rep = check_axioms(b, args.bound, seed=args.seed, fuel=args.fuel)
-        ok = rep.sperner_ok and rep.cover_ok
-        return (0 if ok else 1), {
-            "sperner_ok": rep.sperner_ok,
-            "violations": [[finite_set_to_json(x), finite_set_to_json(y)]
-                           for x, y in rep.violations],
-            "cover_ok": rep.cover_ok,
-            "cover_probes": [
-                [label, None if s is None else finite_set_to_json(s)]
-                for label, s in rep.cover_probes
-            ],
-        }
+        return (0 if rep.sperner_ok and rep.cover_ok else 1), to_json(rep)
     res = rank(b, probe_bound=args.probe_bound)
     return 0, {"rank": ordinal_to_str(res.ordinal), "confirmed": res.confirmed,
                "method": res.method, "probe_bound": res.probe_bound}
@@ -220,23 +151,18 @@ def _cmd_blocks(args) -> tuple[int, dict]:
         within = (parse_finite_set(_load_json(args.within, "--within"))
                   if args.within else None)
         blocks = enumerate_blocks(fam, args.bound, within=within)
-        return 0, {"blocks": [block_to_json(b) for b in blocks],
-                   "count": len(blocks)}
+        return 0, {"blocks": to_json(blocks), "count": len(blocks)}
     if args.action == "join":
         blk = parse_block(_load_json(args.block, "--block"))
         _check_block_in_family(blk, fam)
-        return 0, {"set": finite_set_to_json(to_concat(blk))}
+        return 0, {"set": to_json(to_concat(blk))}
     s = parse_finite_set(_load_json(args.set, "--set"))
     try:
         blk = from_concat(fam, s)
     except NotInSumError as exc:
-        return 1, {
-            "error": "not-in-sum",
-            "consumed": [finite_set_to_json(p) for p in exc.consumed],
-            "leftover": finite_set_to_json(exc.leftover),
-            "message": str(exc),
-        }
-    return 0, {"block": block_to_json(blk)}
+        return 1, {"error": "not-in-sum", "consumed": to_json(exc.consumed),
+                   "leftover": to_json(exc.leftover), "message": str(exc)}
+    return 0, {"block": to_json(blk)}
 
 
 def _cmd_ramsey(args) -> tuple[int, dict]:
@@ -252,60 +178,29 @@ def _cmd_ramsey(args) -> tuple[int, dict]:
         coloring = parse_coloring(_load_json(args.coloring, "--coloring"))
         res = ramsey.find_monochromatic(source, coloring, universe,
                                         args.target, args.strategy)
-        report = {"found": res.found,
-                  "witness": _mono_witness_json(res.witness),
-                  "best": _mono_witness_json(res.best),
-                  "target": res.target, "strategy": res.strategy}
-        return (0 if res.found else 1), report
+        return (0 if res.found else 1), to_json(res)
     fam = parse_family(_load_json(args.family, "--family"))
     values = parse_values_table(_load_json(args.values, "--values"))
     if args.action == "metric":
         eps = parse_rational(args.epsilon, "$.epsilon")
         res = ramsey.metric_stabilize(fam, values, eps, universe, args.target)
-        report = {"found": res.found,
-                  "witness": _metric_witness_json(res.witness),
-                  "best": _metric_witness_json(res.best),
-                  "epsilon": rational_to_json(res.epsilon),
-                  "target": res.target}
-        return (0 if res.found else 1), report
+        return (0 if res.found else 1), to_json(res)
     schedule = parse_schedule(_load_json(args.schedule, "--schedule"))
-    rep = ramsey.diagonal_stabilize(fam, values, schedule, universe)
-    return 0, {
-        "selected": finite_set_to_json(rep.selected),
-        "completed": rep.completed,
-        "stages": [{
-            "index": st.index,
-            "epsilon": rational_to_json(st.epsilon),
-            "pool": finite_set_to_json(st.pool),
-            "subset": finite_set_to_json(st.subset),
-            "min_element": st.min_element,
-            "max_gap": rational_to_json(st.max_gap),
-        } for st in rep.stages],
-    }
+    return 0, to_json(ramsey.diagonal_stabilize(fam, values, schedule, universe))
 
 
 def _cmd_norm(args) -> tuple[int, dict]:
     if args.action == "limit-demo":
-        rep = normspace.degenerate_limit_demo(args.n_max, args.grid_q)
-        return 0, {
-            "distances": [[n, rational_to_json(d)] for n, d in rep.distances],
-            "value_at_ones": [[n, rational_to_json(v)]
-                              for n, v in rep.value_at_ones],
-            "limit_at_ones": rational_to_json(rep.limit_at_ones),
-            "limit_at_e1": rational_to_json(rep.limit_at_e1),
-            "limit_axioms": _axiom_check_json(rep.limit_axioms),
-            "collapses_exactly_at_positivity":
-                rep.collapses_exactly_at_positivity,
-        }
+        return 0, to_json(normspace.degenerate_limit_demo(args.n_max, args.grid_q))
     spec = parse_spec(_load_json(args.spec, "--spec"))
     if args.action == "eval":
         v = parse_vector(_load_json(args.vector, "--vector"))
         value, exact = normspace.norm_eval_detailed(spec, v)
-        return 0, {"value": rational_to_json(value), "exact": exact}
+        return 0, {"value": to_json(value), "exact": exact}
     chk = normspace.check_seminorm_axioms(
         normspace.spec_evaluator(spec, args.k), args.k, args.grid_q
     )
-    return (0 if chk.all_pass else 1), _axiom_check_json(chk)
+    return (0 if chk.all_pass else 1), to_json(chk)
 
 
 def _cmd_oscillation(args) -> tuple[int, dict]:
@@ -315,33 +210,18 @@ def _cmd_oscillation(args) -> tuple[int, dict]:
         blk = parse_block(_load_json(args.block, "--block"))
         coeffs = parse_coeffs(_load_json(args.coeffs, "--coeffs"))
         _check_block_in_family(blk, fam)
-        value = oscillation.psi_eval(spec, blk, coeffs)
-        return 0, {"value": rational_to_json(value)}
+        return 0, {"value": to_json(oscillation.psi_eval(spec, blk, coeffs))}
     if args.action == "gap":
         universe = parse_finite_set(_load_json(args.universe, "--universe"))
-        rep = oscillation.oscillation_gap(spec, fam, universe, args.grid_q)
-        return 0, _oscillation_report_json(rep)
+        return 0, to_json(oscillation.oscillation_gap(spec, fam, universe,
+                                                      args.grid_q))
     if args.action == "stabilize":
         universe = parse_finite_set(_load_json(args.universe, "--universe"))
         eps = parse_rational(args.epsilon, "$.epsilon")
         res = oscillation.find_stable_subsequence(
             spec, fam, eps, universe, args.target, args.strategy, args.grid_q
         )
-        report = {
-            "found": res.found,
-            "subset": (None if res.subset is None
-                       else finite_set_to_json(res.subset)),
-            "report": (None if res.report is None
-                       else _oscillation_report_json(res.report)),
-            "best_subset": (None if res.best_subset is None
-                            else finite_set_to_json(res.best_subset)),
-            "best_gap": (None if res.best_gap is None
-                         else rational_to_json(res.best_gap)),
-            "epsilon": rational_to_json(res.epsilon),
-            "target": res.target,
-            "strategy": res.strategy,
-        }
-        return (0 if res.found else 1), report
+        return (0 if res.found else 1), to_json(res)
     schedule = parse_schedule(_load_json(args.schedule, "--schedule"))
     universe = (parse_generator(_load_json(args.universe, "--universe"))
                 if args.universe else None)
@@ -349,23 +229,7 @@ def _cmd_oscillation(args) -> tuple[int, dict]:
         spec, fam, schedule, args.horizon, universe=universe,
         max_stages=args.stages, grid_q=args.grid_q,
     )
-    report = {
-        "horizon": rep.horizon,
-        "all_passed": rep.all_passed,
-        "stages": [{
-            "index": st.index,
-            "epsilon": rational_to_json(st.epsilon),
-            "threshold": st.threshold,
-            "passed": st.passed,
-            "witness_pair": (None if st.witness_pair is None else
-                             [block_to_json(b) for b in st.witness_pair]),
-            "witness_coeffs": (None if st.witness_coeffs is None else
-                               [rational_to_json(c) for c in st.witness_coeffs]),
-            "witness_gap": (None if st.witness_gap is None
-                            else rational_to_json(st.witness_gap)),
-        } for st in rep.stages],
-    }
-    return (0 if rep.all_passed else 1), report
+    return (0 if rep.all_passed else 1), to_json(rep)
 
 
 def _cmd_model(args) -> tuple[int, dict]:
@@ -375,56 +239,30 @@ def _cmd_model(args) -> tuple[int, dict]:
         seq2 = parse_sequence(_load_json(args.seq2, "--seq2"))
         lo, hi = models.equivalence_constants(spec, seq1, seq2,
                                               args.k_max, args.grid_q)
-        return 0, {"lo": rational_to_json(lo), "hi": rational_to_json(hi)}
+        return 0, {"lo": to_json(lo), "hi": to_json(hi)}
     seq = parse_sequence(_load_json(args.sequence, "--sequence"))
     if args.action == "eval":
         coeffs = parse_coeffs(_load_json(args.coeffs, "--coeffs"))
         tol = parse_rational(args.tolerance, "$.tolerance")
         mv = models.model_eval(spec, seq, coeffs, tail_offset=args.tail_offset,
                                probe_count=args.probes, tolerance=tol)
-        return (0 if mv.stabilized else 1), _model_value_json(mv)
+        probes = [{"block": to_json(b), "value": to_json(v)} for b, v in mv.probes]
+        return (0 if mv.stabilized else 1), {**to_json(mv), "probes": probes}
     if args.action == "consistency":
         rep = models.consistency_check(spec, seq, args.k_max, args.grid_q)
-        report = {
-            "checked": rep.checked,
-            "holds": rep.holds,
-            "violations": [{
-                "k": v.k,
-                "coeffs": [rational_to_json(c) for c in v.coeffs],
-                "padded_value": rational_to_json(v.padded_value),
-                "base_value": rational_to_json(v.base_value),
-            } for v in rep.violations],
-        }
-        return (0 if rep.holds else 1), report
+        return (0 if rep.holds else 1), to_json(rep)
     raw = _load_json(args.placements, "--placements")
     if not isinstance(raw, list):
         raise SchemaError("$", "--placements expects an array of integer arrays")
     placements = [parse_finite_set(p, f"$[{i}]") for i, p in enumerate(raw)]
     rep = models.spreading_check(spec, seq, args.k, placements, args.grid_q)
-    report = {
-        "holds": rep.holds,
-        "checked": rep.checked,
-        "witness": (None if rep.witness is None else {
-            "placement": finite_set_to_json(rep.witness.placement),
-            "coeffs": [rational_to_json(c) for c in rep.witness.coeffs],
-            "identity_value": rational_to_json(rep.witness.identity_value),
-            "placed_value": rational_to_json(rep.witness.placed_value),
-        }),
-    }
-    return (0 if rep.holds else 1), report
+    return (0 if rep.holds else 1), to_json(rep)
 
 
 def _cmd_verify_section6(args) -> tuple[int, dict]:
     spec = parse_spec(_load_json(args.spec, "--spec")) if args.spec else None
     rep = models.verify_section6(spec, k_max=args.k_max, grid_q=args.grid_q)
-    report = {
-        "all_passed": rep.all_passed,
-        "grid_q": rep.grid_q,
-        "k_max": rep.k_max,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in rep.checks],
-    }
-    return (0 if rep.all_passed else 1), report
+    return (0 if rep.all_passed else 1), to_json(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +275,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by later calls."""
     top = argparse.ArgumentParser(
         prog="blockosc",
         description="Barrier combinatorics, block norms, and limit models "

@@ -17,8 +17,8 @@ from .barriers import FRONT_FUEL_DEFAULT, BarrierDescriptor, Cube, front
 from .blocks import Block, BlockFamily
 from .closedform import model_value_8, model_value_228
 from .errors import InternalCheckError, InvalidArgumentError, NotStabilizedError
-from .normspace import NormSpec, nonneg_grid, section6_spec
-from .oscillation import _is_index_invariant, psi_eval
+from .normspace import NormSpec, is_index_invariant, nonneg_grid, section6_spec
+from .oscillation import psi_eval
 from .sets import FiniteSet
 
 Rational = Union[Fraction, int]
@@ -127,7 +127,7 @@ def model_eval(
     if tail_offset is None:
         tail_offset = default_tail_offset(seq, k, fuel)
     blocks = _probe_blocks(seq, k, tail_offset, probe_count, fuel)
-    if _is_index_invariant(spec):
+    if is_index_invariant(spec):
         # psi reads only the part sizes here: one evaluation per size profile
         by_sizes: dict[tuple[int, ...], Fraction] = {}
         vals = []
@@ -307,31 +307,18 @@ def verify_section6(
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append(Section6Check(name, passed, detail))
 
-    bad8 = 0
-    first8 = ""
-    for k in range(1, k_max + 1):
-        for a in nonneg_grid(k, grid_q):
-            got = _stable_value(spec, seq8, a)
-            want = model_value_8(a)
-            if got != want:
-                bad8 += 1
-                if not first8:
-                    first8 = f"a={a}: {got} != {want}"
-    add("eights-model-closed-form", bad8 == 0,
-        first8 or f"max of coefficients on all grid tuples, k <= {k_max}")
-
-    bad228 = 0
-    first228 = ""
-    for k in range(1, k_max + 1):
-        for a in nonneg_grid(k, grid_q):
-            got = _stable_value(spec, seq228, a)
-            want = model_value_228(a)
-            if got != want:
-                bad228 += 1
-                if not first228:
-                    first228 = f"a={a}: {got} != {want}"
-    add("two-two-eights-closed-form", bad228 == 0,
-        first228 or f"piecewise formula on all grid tuples, k <= {k_max}")
+    for name, seq, formula, what in (
+        ("eights-model-closed-form", seq8, model_value_8, "max of coefficients"),
+        ("two-two-eights-closed-form", seq228, model_value_228, "piecewise formula"),
+    ):
+        first = ""
+        for k in range(1, k_max + 1):
+            for a in nonneg_grid(k, grid_q):
+                got = _stable_value(spec, seq, a)
+                want = formula(a)
+                if got != want and not first:
+                    first = f"a={a}: {got} != {want}"
+        add(name, not first, first or f"{what} on all grid tuples, k <= {k_max}")
 
     v11 = _stable_value(spec, seq228, (1, 1))
     v0011 = _stable_value(spec, seq228, (0, 0, 1, 1))

@@ -230,6 +230,16 @@ def _term_value(term: SupTerm, items: list[tuple[Fraction, int]]) -> Fraction:
     return term.weight * best
 
 
+def is_index_invariant(spec: NormSpec) -> bool:
+    """Whether the spec sees only the multiset of entries, not their indices.
+
+    That is the sup norm and every sup-family without index filters: the
+    specs :func:`norm_eval_multiset` evaluates.
+    """
+    return isinstance(spec, SupNorm) or (isinstance(spec, SupFamily)
+                                         and spec.index_invariant)
+
+
 def norm_eval_multiset(spec: NormSpec, items: Iterable[tuple[Fraction, int]]) -> Fraction:
     """Norm of a vector given as (magnitude, multiplicity) pairs.
 
@@ -240,11 +250,11 @@ def norm_eval_multiset(spec: NormSpec, items: Iterable[tuple[Fraction, int]]) ->
                    key=lambda t: -t[0])
     if not pairs:
         return Fraction(0)
-    if isinstance(spec, SupNorm):
-        return pairs[0][0]
-    if not (isinstance(spec, SupFamily) and spec.index_invariant):
+    if not is_index_invariant(spec):
         raise InvalidArgumentError("multiset evaluation needs an index-invariant spec")
     best = pairs[0][0]
+    if isinstance(spec, SupNorm):
+        return best
     for term in spec.terms:
         need = term.size
         acc = Fraction(0)
@@ -347,15 +357,21 @@ def spec_evaluator(spec: NormSpec, k: int) -> Evaluator:
     return rho
 
 
+def _grid(k: int, q: int, lo: int) -> list[tuple[Fraction, ...]]:
+    if q < 1:
+        raise InvalidArgumentError(f"grid size q must be >= 1, got {q}")
+    axis = [Fraction(j, q) for j in range(lo, q + 1)]
+    return [tuple(p) for p in product(axis, repeat=k)]
+
+
 def signed_grid(k: int, q: int) -> list[tuple[Fraction, ...]]:
     """All tuples with coordinates j/q for -q <= j <= q."""
-    axis = [Fraction(j, q) for j in range(-q, q + 1)]
-    return [tuple(p) for p in product(axis, repeat=k)]
+    return _grid(k, q, -q)
 
 
 def nonneg_grid(k: int, q: int) -> list[tuple[Fraction, ...]]:
-    axis = [Fraction(j, q) for j in range(0, q + 1)]
-    return [tuple(p) for p in product(axis, repeat=k)]
+    """All tuples with coordinates j/q for 0 <= j <= q."""
+    return _grid(k, q, 0)
 
 
 def dk_distance(rho1: Evaluator, rho2: Evaluator, k: int, grid_q: int = 8) -> Fraction:

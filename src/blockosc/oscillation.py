@@ -20,10 +20,9 @@ from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InsufficientBlocksError, InternalCheckError, InvalidArgumentError
 from .normspace import (
     NormSpec,
-    SupFamily,
-    SupNorm,
     Vector,
     _require_rational,
+    is_index_invariant,
     nonneg_grid,
     norm_eval,
     norm_eval_multiset,
@@ -54,12 +53,6 @@ class ToleranceSchedule:
         return self.scale * self.ratio**i
 
 
-def _is_index_invariant(spec: NormSpec) -> bool:
-    if isinstance(spec, SupNorm):
-        return True
-    return isinstance(spec, SupFamily) and spec.index_invariant
-
-
 @lru_cache(maxsize=4096)
 def _unit_denominator(spec: NormSpec, size: int) -> Fraction:
     """Norm of the all-ones vector on any ``size`` consecutive coordinates."""
@@ -78,7 +71,7 @@ def psi_eval(spec: NormSpec, block: Block, coeffs: Sequence[Rational]) -> Fracti
             f"expected {len(block)} coefficients, got {len(coeffs)}"
         )
     cs = [Fraction(c) for c in coeffs]
-    if _is_index_invariant(spec):
+    if is_index_invariant(spec):
         items = []
         for c, part in zip(cs, block):
             d = _unit_denominator(spec, len(part))
@@ -105,7 +98,7 @@ def _coefficient_tuples(spec: NormSpec, k: int, grid_q: int) -> list[tuple[Fract
     invariance is asserted rather than derived.
     """
     pts = nonneg_grid(k, grid_q)
-    if not _is_index_invariant(spec):
+    if not is_index_invariant(spec):
         corners = [tuple(Fraction(x) for x in p)
                    for p in product((-1, 0, 1), repeat=k)]
         seen = set(pts)

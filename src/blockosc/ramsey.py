@@ -84,7 +84,10 @@ def builtin_coloring(name: str) -> Coloring:
             lambda o: "even" if len(_support(o)) % 2 == 0 else "odd", name
         )
     if name.startswith("contains:"):
-        pivot = int(name.split(":", 1)[1])
+        try:
+            pivot = int(name.split(":", 1)[1])
+        except ValueError:
+            raise InvalidArgumentError(f"contains:N needs an integer N, got {name!r}")
         return Coloring(
             lambda o: "yes" if pivot in _support(o) else "no", name
         )

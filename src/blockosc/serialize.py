@@ -7,6 +7,7 @@ point at the offending field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from typing import Any, Union
@@ -425,6 +426,29 @@ def parse_schedule(data: Any, path: str = "$") -> ToleranceSchedule:
 
 # ---------------------------------------------------------------------------
 # Output helpers
+
+
+def to_json(value: Any) -> Any:
+    """The JSON form of a library result, field names as keys.
+
+    Rationals, sets and blocks use their codecs above; tuples and lists
+    become arrays; a dataclass becomes an object of its fields plus each
+    property its class defines (``vacuous``, ``holds``, ``all_pass``, ...).
+    Anything else (ints, bools, strings, None, JSON colours) passes through.
+    """
+    if isinstance(value, Fraction):
+        return rational_to_json(value)
+    if isinstance(value, FiniteSet):
+        return finite_set_to_json(value)
+    if isinstance(value, Block):
+        return block_to_json(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(x) for x in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        names = [f.name for f in dataclasses.fields(value)]
+        names += [n for n, a in vars(type(value)).items() if isinstance(a, property)]
+        return {n: to_json(getattr(value, n)) for n in names}
+    return value
 
 
 def dumps(payload: dict) -> str:

@@ -474,6 +474,39 @@ class TestInputContract:
         assert code == 0
         assert payload["report"]["all_pass"] is True
 
+    @pytest.mark.parametrize("q", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("norm", "axioms", "--spec", SECTION6, "--k", "2"),
+        ("norm", "limit-demo", "--n-max", "3"),
+        ("oscillation", "gap", "--spec", FIXTURE, "--family", FIXTURE_FAM,
+         "--universe", "[1,2,3,4]"),
+        ("oscillation", "stabilize", "--spec", FIXTURE, "--family", FIXTURE_FAM,
+         "--epsilon", "1/4", "--universe", "[1,2,3,4]", "--target", "2"),
+        ("oscillation", "asymptotic", "--spec", FIXTURE, "--family", FIXTURE_FAM,
+         "--horizon", "6", "--stages", "1"),
+        ("model", "consistency", "--spec", SECTION6, "--sequence", SEQ_228,
+         "--k-max", "2"),
+        ("model", "spreading", "--spec", SECTION6, "--sequence", SEQ_228,
+         "--k", "1", "--placements", "[[3]]"),
+        ("model", "equivalence", "--spec", SECTION6, "--seq1", SEQ_228,
+         "--seq2", SEQ_228, "--k-max", "1"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_grid_size_below_one_exits_2(self, capsys, argv, q):
+        code, out, err = run(capsys, *argv, "--grid-q", q)
+        assert code == 2
+        assert out == ""
+        detail = json.loads(err)
+        assert detail["error"] == "InvalidArgumentError"
+        assert "grid size" in detail["message"]
+
+    def test_contains_rule_needs_an_integer(self, capsys):
+        code, out, err = run(capsys, "ramsey", "find-mono", "--barrier", CUBE2,
+                             "--coloring", '"contains:x"',
+                             "--universe", "[1,2,3]", "--target", "2")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "SchemaError"
+
 
 # A one-element prefix, then pairs: under the even-pair fixture the model
 # value at (1/4, 1/4) keeps changing with the probe, so it never stabilizes.

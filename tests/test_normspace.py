@@ -255,3 +255,29 @@ def test_multiset_equals_dense_everywhere(items):
         coeffs.extend([val] * cnt)
     assert norm_eval_multiset(spec, items) == \
         norm_eval(spec, Vector.from_coeffs(coeffs))
+
+
+class TestIndexInvarianceAndGrids:
+    def test_index_invariant_specs(self):
+        from blockosc.normspace import is_index_invariant
+        assert is_index_invariant(SupNorm())
+        assert is_index_invariant(section6_spec())
+        assert is_index_invariant(mn_norm_spec(2, 3))
+        assert not is_index_invariant(even_pair_fixture())
+        assert not is_index_invariant(LpNorm(1))
+
+    def test_multiset_rejects_a_filtered_spec(self):
+        with pytest.raises(InvalidArgumentError):
+            norm_eval_multiset(even_pair_fixture(), [(F(1), 2)])
+
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_grids_reject_sizes_below_one(self, q):
+        from blockosc.normspace import nonneg_grid, signed_grid
+        for grid in (signed_grid, nonneg_grid):
+            with pytest.raises(InvalidArgumentError, match="grid size"):
+                grid(2, q)
+
+    def test_smallest_grids(self):
+        from blockosc.normspace import nonneg_grid, signed_grid
+        assert nonneg_grid(1, 1) == [(F(0),), (F(1),)]
+        assert signed_grid(1, 1) == [(F(-1),), (F(0),), (F(1),)]

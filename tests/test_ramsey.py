@@ -252,3 +252,9 @@ def test_metric_witness_reverifies(data):
         if len(inside) >= 2:
             assert max(inside) - min(inside) < eps
             assert max(inside) - min(inside) == m.witness.max_gap
+
+
+@pytest.mark.parametrize("name", ["contains:x", "contains:", "contains:1/2"])
+def test_contains_rule_needs_an_integer(name):
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        builtin_coloring(name)

@@ -291,3 +291,45 @@ def test_finite_set_json_is_stable(xs):
 def test_vector_json_round_trip(entries):
     v = Vector(entries)
     assert parse_vector(vector_to_json(v)) == v
+
+
+class TestToJson:
+    def test_leaves(self):
+        from blockosc.serialize import to_json
+        assert to_json(F(-3, 4)) == "-3/4"
+        assert to_json(F(2)) == "2"
+        assert to_json(FiniteSet((5, 2))) == [2, 5]
+        assert to_json(Block((FiniteSet((1, 2)), FiniteSet((4,))))) == [[1, 2], [4]]
+        assert to_json((F(1, 2), [FiniteSet((1,))])) == ["1/2", [[1]]]
+        for colour in (3, True, "even", None, {"rgb": [1, 2]}):
+            assert to_json(colour) == colour
+
+    def test_dataclass_fields_and_properties(self):
+        from blockosc.models import ConsistencyReport, ConsistencyViolation
+        from blockosc.serialize import to_json
+        rep = ConsistencyReport(3, (ConsistencyViolation(2, (F(1), F(0)), F(3, 2), F(1)),))
+        assert to_json(rep) == {
+            "checked": 3,
+            "holds": False,
+            "violations": [{"k": 2, "coeffs": ["1", "0"],
+                            "padded_value": "3/2", "base_value": "1"}],
+        }
+
+    def test_nested_report(self):
+        from blockosc.oscillation import OscillationReport
+        from blockosc.serialize import to_json
+        pair = (Block((FiniteSet((1,)),)), Block((FiniteSet((2,)),)))
+        rep = OscillationReport(F(1, 2), pair, (F(1),), FiniteSet((1, 2)), 4, 2)
+        assert to_json(rep) == {
+            "gap": "1/2", "witness_pair": [[[1]], [[2]]], "witness_coeffs": ["1"],
+            "universe": [1, 2], "grid_q": 4, "block_count": 2, "vacuous": False,
+        }
+
+    def test_axiom_witnesses_are_rational_arrays(self):
+        from blockosc.normspace import AxiomCheck
+        from blockosc.serialize import to_json
+        chk = AxiomCheck(True, True, False, True, True,
+                         (("homogeneous", (F(1, 2), (F(1), F(0)))),))
+        out = to_json(chk)
+        assert out["all_pass"] is False
+        assert out["witnesses"] == [["homogeneous", ["1/2", ["1", "0"]]]]
