@@ -1,9 +1,10 @@
 """Command line front end.
 
 Every subcommand reads JSON (inline or @path), runs one library operation,
-and writes a deterministic report: JSON with sorted keys or a flat CSV of
-dotted key/value rows.  Exit codes: 0 success, 1 legitimate negative outcome
-(no witness, not stabilized, failed checks), 2 invalid input.
+and writes its result, encoded by ``serialize.to_json``, as a deterministic
+report: JSON with sorted keys or a flat CSV of dotted key/value rows.  Exit
+codes: 0 success, 1 legitimate negative outcome (no witness, not stabilized,
+failed checks), 2 invalid input.
 """
 
 from __future__ import annotations

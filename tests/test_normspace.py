@@ -266,10 +266,6 @@ class TestIndexInvarianceAndGrids:
         assert not is_index_invariant(even_pair_fixture())
         assert not is_index_invariant(LpNorm(1))
 
-    def test_multiset_rejects_a_filtered_spec(self):
-        with pytest.raises(InvalidArgumentError):
-            norm_eval_multiset(even_pair_fixture(), [(F(1), 2)])
-
     @pytest.mark.parametrize("q", [0, -1])
     def test_grids_reject_sizes_below_one(self, q):
         from blockosc.normspace import nonneg_grid, signed_grid
