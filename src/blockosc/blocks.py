@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from typing import Iterable, Optional
 
-from .barriers import BarrierDescriptor, Sum, _peel_fronts, _stack
+from .barriers import BarrierDescriptor, _peel_fronts, _stack
 from .errors import InvalidArgumentError, NotInSumError
 from .sets import FiniteSet, lex_cmp, probe_equal
 
@@ -87,9 +87,6 @@ class BlockFamily:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def concat_sum(self) -> Sum:
-        return Sum(self.parts)
 
 
 def _block_cmp(x: Block, y: Block) -> int:

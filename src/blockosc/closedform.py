@@ -18,8 +18,8 @@ _F = Fraction
 
 
 def _check_nonneg(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(c) for c in coeffs]
-    if any(c < 0 for c in out):
+    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    if any(c.numerator < 0 for c in out):
         raise InvalidArgumentError("closed forms take nonnegative coefficients")
     return out
 

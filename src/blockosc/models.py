@@ -85,6 +85,14 @@ def _probe_blocks(seq: BarrierSequenceDescriptor, k: int, tail_offset: int,
 
 
 @lru_cache(maxsize=1024)
+def _first_of_profile(blocks: tuple[Block, ...]) -> tuple[int, ...]:
+    """For each probe, the first probe with the same part sizes."""
+    firsts: dict[tuple[int, ...], int] = {}
+    return tuple(firsts.setdefault(tuple(len(p.elements) for p in b), i)
+                 for i, b in enumerate(blocks))
+
+
+@lru_cache(maxsize=1024)
 def default_tail_offset(seq: BarrierSequenceDescriptor, k: int,
                         fuel: int = FRONT_FUEL_DEFAULT) -> int:
     """Span of a block started at the front of the ground set, plus 8."""
@@ -123,22 +131,19 @@ def model_eval(
     tolerance = Fraction(tolerance)
     if tolerance < 0:
         raise InvalidArgumentError("tolerance must be >= 0")
-    cs = tuple(Fraction(c) for c in coeffs)
     if tail_offset is None:
         tail_offset = default_tail_offset(seq, k, fuel)
+    elif tail_offset < 1:
+        raise InvalidArgumentError("tail_offset must be >= 1")
     blocks = _probe_blocks(seq, k, tail_offset, probe_count, fuel)
     if is_index_invariant(spec):
         # psi reads only the part sizes here: one evaluation per size profile
-        by_sizes: dict[tuple[int, ...], Fraction] = {}
-        vals = []
-        for b in blocks:
-            sizes = tuple(len(p) for p in b)
-            if sizes not in by_sizes:
-                by_sizes[sizes] = psi_eval(spec, b, cs)
-            vals.append(by_sizes[sizes])
+        vals: list[Fraction] = []
+        for b, first in zip(blocks, _first_of_profile(blocks)):
+            vals.append(vals[first] if first < len(vals) else psi_eval(spec, b, coeffs))
     else:
-        vals = [psi_eval(spec, b, cs) for b in blocks]
-    stabilized = max(vals) - min(vals) <= tolerance
+        vals = [psi_eval(spec, b, coeffs) for b in blocks]
+    stabilized = vals.count(vals[0]) == len(vals) or max(vals) - min(vals) <= tolerance
     value = vals[0] if stabilized else sum(vals) / len(vals)
     return ModelValue(value, stabilized, tuple(zip(blocks, vals)), tail_offset)
 
@@ -175,8 +180,8 @@ def consistency_check(
     spec: NormSpec, seq: BarrierSequenceDescriptor, k_max: int, grid_q: int = 4
 ) -> ConsistencyReport:
     """Appending a zero coefficient never changes the model value."""
-    if k_max < 1:
-        raise InvalidArgumentError("k_max must be >= 1")
+    if k_max < 2:
+        raise InvalidArgumentError("k_max must be >= 2")
     checked = 0
     bad = []
     for k in range(1, k_max):
@@ -229,7 +234,7 @@ def spreading_check(
             raise InvalidArgumentError(f"placement {s} is not a {k}-set")
         slots = s.elements
         for a in grid:
-            padded = [Fraction(0)] * s.max
+            padded = [0] * s.max
             for pos, c in zip(slots, a):
                 padded[pos - 1] = c
             val = _stable_value(spec, seq, padded)

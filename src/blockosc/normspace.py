@@ -1,20 +1,26 @@
 """Exact finitely-supported vectors and sup-family norms.
 
-Everything here is rational arithmetic; floats never appear.  The central
-norm shape is a supremum family: the largest absolute entry is always a
-candidate, and each extra term contributes ``weight * (sum of the m largest
-absolute entries)``, optionally restricted by an index filter.  The worked
-two-weight space ((m+1)/2m on m-sets and (n+1)/2n on n-sets, with (m, n) =
-(2, 8) as the concrete instance) is expressed this way.
+Floats never appear.  The central norm shape is a supremum family: the
+largest absolute entry is always a candidate, and each extra term
+contributes ``weight * (sum of the m largest absolute entries)``, optionally
+restricted by an index filter.  The worked two-weight space ((m+1)/2m on
+m-sets and (n+1)/2n on n-sets, with (m, n) = (2, 8) as the concrete
+instance) is expressed this way, and so are the sup norm (no terms) and l1
+(one term of unbounded size).  One integer kernel, :func:`_sup_numerator`,
+evaluates them all: entries arrive as integer numerators over one
+denominator L, the weights are scaled to one denominator W, and the value
+is one numerator over L*W; a ``Fraction`` is built only where a value
+leaves the library.
 """
 
 from __future__ import annotations
 
 import math
-import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import product, repeat
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DegenerateBlockError, InvalidArgumentError
@@ -78,11 +84,6 @@ class Vector:
         inner = ", ".join(f"{i}: {c}" for i, c in sorted(self.entries.items()))
         return f"Vector({{{inner}}})"
 
-    def abs_items_desc(self) -> list[tuple[Fraction, int]]:
-        """(|entry|, index) pairs, largest magnitudes first; index breaks ties."""
-        return sorted(((abs(c), i) for i, c in self.entries.items()),
-                      key=lambda t: (-t[0], t[1]))
-
 
 # ---------------------------------------------------------------------------
 # Norm specifications
@@ -91,10 +92,20 @@ class Vector:
 # entries whose index satisfies the predicate; "touch" mode requires the
 # index set to meet the predicate at least once, the rest being free (an
 # unused qualifying index contributes zero, so sums may effectively shrink).
+# The predicates are module functions, not lambdas, so a sup family whose
+# cached plan holds them still pickles.
+def _is_even(i: int) -> bool:
+    return i % 2 == 0
+
+
+def _is_odd(i: int) -> bool:
+    return i % 2 == 1
+
+
 _FILTERS: dict[str, tuple[str, Callable[[int], bool]]] = {
-    "even-indices": ("subset", lambda i: i % 2 == 0),
-    "odd-indices": ("subset", lambda i: i % 2 == 1),
-    "touches-even": ("touch", lambda i: i % 2 == 0),
+    "even-indices": ("subset", _is_even),
+    "odd-indices": ("subset", _is_odd),
+    "touches-even": ("touch", _is_even),
 }
 
 
@@ -127,6 +138,13 @@ class SupFamily(NormSpec):
     @property
     def index_invariant(self) -> bool:
         return all(t.filter is None for t in self.terms)
+
+    @cached_property
+    def _plan(self) -> "Plan":
+        w = math.lcm(*(t.weight.denominator for t in self.terms))
+        terms = tuple((t.weight.numerator * (w // t.weight.denominator), t.size,
+                       t.filter and _FILTERS[t.filter]) for t in self.terms)
+        return w, terms, tuple(f[1] for _, _, f in terms if f)
 
 
 @dataclass(frozen=True)
@@ -186,48 +204,90 @@ def norm_eval(spec: NormSpec, v: Vector) -> Fraction:
 
 def norm_eval_detailed(spec: NormSpec, v: Vector) -> tuple[Fraction, bool]:
     """(value, exact); the flag is False only for inexact p-th roots."""
-    if isinstance(spec, SupNorm):
-        items = v.abs_items_desc()
-        return (items[0][0] if items else Fraction(0)), True
-    if isinstance(spec, SupFamily):
-        return _sup_family_eval(spec, v), True
-    if isinstance(spec, LpNorm):
+    if isinstance(spec, LpNorm) and spec.p > 1:
         return _lp_eval(spec, v)
+    plan = _kernel_plan(spec, "norm evaluation")
+    nums, den = _over_lcm(list(v.entries.values()))
+    items = sorted(zip(map(abs, nums), repeat(1), v.entries), reverse=True)
+    return Fraction(_sup_numerator(plan, items), den * plan[0]), True
+
+
+# The kernel's view of a spec: (W, terms, predicates), each term being
+# (weight * W, size, the filter's (mode, predicate) or None), and the
+# predicates those of the filtered terms.
+Plan = tuple[int, tuple[tuple[int, int, Optional[tuple[str, Callable]]], ...], tuple]
+
+
+def _kernel_plan(spec: NormSpec, use: str) -> Plan:
+    """The plan of a rational spec (cached on a sup family); an lp spec with
+    p > 1 is rejected for ``use``.  l1 is one term longer than any support."""
+    if isinstance(spec, SupFamily):
+        return spec._plan
+    if isinstance(spec, SupNorm):
+        return 1, (), ()
+    if isinstance(spec, LpNorm):
+        _require_rational(spec, use)
+        return 1, ((1, sys.maxsize, None),), ()
     raise InvalidArgumentError(f"unknown norm spec {spec!r}")
 
 
-def _sup_family_eval(spec: SupFamily, v: Vector) -> Fraction:
-    items = v.abs_items_desc()
+def _over_lcm(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Numerators of ints and Fractions over their least common denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _top(items: Sequence[tuple[int, int, Optional[int]]], m: int) -> int:
+    """Sum of the m largest entries of the runs."""
+    acc = 0
+    for num, cnt, _ in items:
+        if cnt >= m:
+            return acc + num * m
+        acc += num * cnt
+        m -= cnt
+    return acc
+
+
+def _sup_numerator(plan: Plan, items: Sequence[tuple[int, int, Optional[int]]]) -> int:
+    """The norm, as a numerator over L*W, of entries given as numerators over L.
+
+    ``items`` are (numerator, count, index) runs, largest numerator first; a
+    run stands for ``count`` entries whose filter classes are its index's.
+    """
     if not items:
-        return Fraction(0)
-    best = items[0][0]  # implicit singleton term
-    for term in spec.terms:
-        best = max(best, _term_value(term, items))
+        return 0
+    best = items[0][0] * plan[0]  # the implicit singleton term
+    for w, m, filt in plan[1]:
+        if filt is None:
+            t = _top(items, m)
+        elif filt[0] == "subset":
+            t = _top([it for it in items if filt[1](it[2])], m)
+        else:
+            # touch mode: the largest qualifying entry and the m-1 largest
+            # others.  With none in the support, a qualifying index outside
+            # it pads the m-1 largest entries with a zero.
+            t, seen = _top(items, m - 1), 0
+            for num, cnt, i in items:
+                if filt[1](i):
+                    t = _top(items, m) if seen < m else num + t
+                    break
+                seen += cnt
+        if w * t > best:
+            best = w * t
     return best
 
 
-def _top_sum(values: Sequence[Fraction], m: int) -> Fraction:
-    return sum(values[:m], Fraction(0))
-
-
-def _term_value(term: SupTerm, items: list[tuple[Fraction, int]]) -> Fraction:
-    m = term.size
-    if term.filter is None:
-        return term.weight * _top_sum([val for val, _ in items], m)
-    mode, pred = _FILTERS[term.filter]
-    if mode == "subset":
-        eligible = [val for val, i in items if pred(i)]
-        return term.weight * _top_sum(eligible, m)
-    # touch mode: at least one qualifying index, the rest unconstrained.
-    # Padding with a qualifying index outside the support is always allowed,
-    # so the top (m-1) entries alone give one candidate.
-    vals = [val for val, _ in items]
-    best = _top_sum(vals, m - 1)
-    for pos, (val, i) in enumerate(items):
-        if pred(i):
-            others = vals[:pos] + vals[pos + 1:]
-            best = max(best, val + _top_sum(others, m - 1))
-    return term.weight * best
+def _part_runs(plan: Plan, part: FiniteSet, firsts: dict) -> tuple[tuple[int, Optional[int]], ...]:
+    """A part's indices as (count, index) runs, one per class the plan's
+    filters tell apart, each carrying its class's first index in ``firsts``
+    (None when no term is filtered): equal classes give equal runs."""
+    if not plan[2]:
+        return ((len(part.elements), None),)
+    counts: dict[int, int] = {}
+    for i in part.elements:
+        first = firsts.setdefault(tuple(pred(i) for pred in plan[2]), i)
+        counts[first] = counts.get(first, 0) + 1
+    return tuple(sorted((cnt, i) for i, cnt in counts.items()))
 
 
 def is_index_invariant(spec: NormSpec) -> bool:
@@ -243,29 +303,17 @@ def is_index_invariant(spec: NormSpec) -> bool:
 def norm_eval_multiset(spec: NormSpec, items: Iterable[tuple[Fraction, int]]) -> Fraction:
     """Norm of a vector given as (magnitude, multiplicity) pairs.
 
-    Only valid for index-invariant specs, where placement is irrelevant;
-    block evaluations use this to avoid materializing wide vectors.
+    Only valid for index-invariant specs, where placement is irrelevant.
     """
-    pairs = sorted(((Fraction(val), cnt) for val, cnt in items if val != 0),
-                   key=lambda t: -t[0])
+    pairs = [(Fraction(val), cnt) for val, cnt in items if val != 0]
     if not pairs:
         return Fraction(0)
     if not is_index_invariant(spec):
         raise InvalidArgumentError("multiset evaluation needs an index-invariant spec")
-    best = pairs[0][0]
-    if isinstance(spec, SupNorm):
-        return best
-    for term in spec.terms:
-        need = term.size
-        acc = Fraction(0)
-        for val, cnt in pairs:
-            take = min(cnt, need)
-            acc += val * take
-            need -= take
-            if need == 0:
-                break
-        best = max(best, term.weight * acc)
-    return best
+    plan = _kernel_plan(spec, "multiset evaluation")
+    nums, den = _over_lcm([val for val, _ in pairs])
+    runs = sorted(zip(nums, (cnt for _, cnt in pairs), repeat(None)), reverse=True)
+    return Fraction(_sup_numerator(plan, runs), den * plan[0])
 
 
 def _nth_root_int(n: int, p: int) -> tuple[int, bool]:
@@ -293,8 +341,6 @@ _LP_PRECISION = Fraction(1, 2**48)
 
 def _lp_eval(spec: LpNorm, v: Vector) -> tuple[Fraction, bool]:
     p = spec.p
-    if p == 1:
-        return sum((abs(c) for c in v.entries.values()), Fraction(0)), True
     s = sum((abs(c) ** p for c in v.entries.values()), Fraction(0))
     if s == 0:
         return Fraction(0), True
@@ -393,26 +439,6 @@ def dk_distance(rho1: Evaluator, rho2: Evaluator, k: int, grid_q: int = 8) -> Fr
 
 
 @dataclass(frozen=True)
-class SeminormSample:
-    """Values of an evaluator on the signed grid; a finite stand-in."""
-
-    k: int
-    grid_q: int
-    values: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-
-    @staticmethod
-    def sample(rho: Evaluator, k: int, grid_q: int) -> "SeminormSample":
-        vals = tuple((a, rho(a)) for a in signed_grid(k, grid_q))
-        return SeminormSample(k, grid_q, vals)
-
-    @property
-    def norm_like(self) -> bool:
-        """Positive away from zero on the sampled grid."""
-        zero = (Fraction(0),) * self.k
-        return all(v > 0 for a, v in self.values if a != zero)
-
-
-@dataclass(frozen=True)
 class AxiomCheck:
     nonnegative: bool
     normalized: bool
@@ -432,6 +458,8 @@ _SCALARS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2),
 
 def check_seminorm_axioms(rho: Evaluator, k: int, grid_q: int = 4) -> AxiomCheck:
     """Grid checks of the norm axioms; failures carry the first witness."""
+    if k < 1:
+        raise InvalidArgumentError("k must be >= 1")
     pts = signed_grid(k, grid_q)
     zero = (Fraction(0),) * k
     wit: list[tuple[str, tuple]] = []
@@ -544,44 +572,3 @@ def degenerate_limit_demo(n_max: int = 64, grid_q: int = 8) -> DegenerateLimitRe
         limit_at_e1=difference_seminorm((Fraction(1), Fraction(0))),
         limit_axioms=check_seminorm_axioms(difference_seminorm, 2, grid_q=4),
     )
-
-
-# ---------------------------------------------------------------------------
-# Basis constant
-
-
-def basis_constant(
-    spec: NormSpec,
-    horizon: int = 6,
-    grid_q: int = 2,
-    samples: int = 200,
-    seed: int = 7,
-) -> Fraction:
-    """Largest observed prefix-to-whole norm ratio; a lower bound by grid.
-
-    Monotone norms (every sup-family) give exactly 1: dropping entries can
-    only shrink each term.  The search still runs, so a non-monotone spec
-    would surface a larger ratio.
-    """
-    best = Fraction(0)
-    for n in range(2, min(horizon, 4) + 1):
-        for a in nonneg_grid(n, grid_q):
-            best = _prefix_ratio_max(spec, a, best)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        n = rng.randint(2, max(2, horizon))
-        a = tuple(Fraction(rng.randint(-grid_q * 2, grid_q * 2), grid_q * 2) for _ in range(n))
-        best = _prefix_ratio_max(spec, a, best)
-    return best
-
-
-def _prefix_ratio_max(spec: NormSpec, a: tuple[Fraction, ...], best: Fraction) -> Fraction:
-    den = norm_eval(spec, Vector.from_coeffs(a))
-    if den == 0:
-        return best
-    for m in range(1, len(a)):
-        num = norm_eval(spec, Vector.from_coeffs(a[:m]))
-        r = num / den
-        if r > best:
-            best = r
-    return best

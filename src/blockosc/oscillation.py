@@ -10,9 +10,9 @@ drops under a tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Union
 
@@ -20,12 +20,11 @@ from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InsufficientBlocksError, InternalCheckError, InvalidArgumentError
 from .normspace import (
     NormSpec,
-    Vector,
-    _require_rational,
+    _kernel_plan,
+    _part_runs,
+    _sup_numerator,
     is_index_invariant,
     nonneg_grid,
-    norm_eval,
-    norm_eval_multiset,
 )
 from .sets import FiniteSet, SetGenerator
 
@@ -53,41 +52,15 @@ class ToleranceSchedule:
         return self.scale * self.ratio**i
 
 
-@lru_cache(maxsize=4096)
-def _unit_denominator(spec: NormSpec, size: int) -> Fraction:
-    """Norm of the all-ones vector on any ``size`` consecutive coordinates."""
-    return norm_eval_multiset(spec, [(Fraction(1), size)])
-
-
-@lru_cache(maxsize=16384)
-def _indicator_norm(spec: NormSpec, s: FiniteSet) -> Fraction:
-    return norm_eval(spec, Vector.indicator(s))
-
-
 def psi_eval(spec: NormSpec, block: Block, coeffs: Sequence[Rational]) -> Fraction:
     """Value of the block combination at the given coefficients."""
     if len(coeffs) != len(block):
         raise InvalidArgumentError(
             f"expected {len(block)} coefficients, got {len(coeffs)}"
         )
-    cs = [Fraction(c) for c in coeffs]
-    if is_index_invariant(spec):
-        items = []
-        for c, part in zip(cs, block):
-            d = _unit_denominator(spec, len(part))
-            if d == 0:
-                raise InvalidArgumentError("degenerate part under this spec")
-            items.append((abs(c) / d, len(part)))
-        return norm_eval_multiset(spec, items)
-    _require_rational(spec, "psi")
-    entries: dict[int, Fraction] = {}
-    for c, part in zip(cs, block):
-        d = _indicator_norm(spec, part)
-        if d == 0:
-            raise InvalidArgumentError("degenerate part under this spec")
-        for i in part:
-            entries[i] = c / d
-    return norm_eval(spec, Vector(entries))
+    cs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
+    (row,), den = _value_table(spec, [block], [cs])
+    return Fraction(row[0], den)
 
 
 def _coefficient_tuples(spec: NormSpec, k: int, grid_q: int) -> list[tuple[Fraction, ...]]:
@@ -107,18 +80,46 @@ def _coefficient_tuples(spec: NormSpec, k: int, grid_q: int) -> list[tuple[Fract
 
 
 def _value_table(
-    spec: NormSpec, blocks: Sequence[Block], tuples: Sequence[tuple[Fraction, ...]]
-) -> list[list[Fraction]]:
-    return [[psi_eval(spec, b, a) for a in tuples] for b in blocks]
+    spec: NormSpec, blocks: Sequence[Block], tuples: Sequence[tuple[Rational, ...]]
+) -> tuple[list[list[int]], int]:
+    """psi of each block at each tuple, as integer rows over one denominator D.
+
+    Part P puts |c| / u(P) on each index, u(P) = U(P)/W being its indicator's
+    norm.  Over Q, the coefficients' lcm, and A, the lcm of the U(P), entries
+    are numerators over L = Q*A, so cells are over D = L*W.  A row is computed
+    once per tuple of part runs: per size profile under an invariant spec.
+    """
+    plan = _kernel_plan(spec, "psi")
+    q = math.lcm(*(c.denominator for a in tuples for c in a))
+    cols = [[abs(c.numerator) * (q // c.denominator) for c in a] for a in tuples]
+    firsts: dict = {}
+    keys = [tuple(_part_runs(plan, p, firsts) for p in b.parts) for b in blocks]
+    units = {runs: _sup_numerator(plan, [(1, cnt, i) for cnt, i in runs])
+             for runs in {runs for key in keys for runs in key}}
+    a_lcm = math.lcm(*units.values())
+    rows: dict = {}
+    for key in keys:
+        if key not in rows:
+            scale = [(plan[0] * (a_lcm // units[runs]), runs) for runs in key]
+            rows[key] = [_sup_numerator(plan, sorted(
+                [(c * f, cnt, i) for c, (f, runs) in zip(col, scale) if c for cnt, i in runs],
+                reverse=True)) for col in cols]
+    return [rows[key] for key in keys], q * a_lcm * plan[0]
 
 
-def _spread(table: list[list[Fraction]], rows: Sequence[int],
-            stop_at: Optional[Fraction] = None) -> Fraction:
+def _ceil_times(eps: Fraction, den: int) -> int:
+    """The ceiling of eps * den: an integer g over den is below eps iff g is below it."""
+    return -(-eps.numerator * den // eps.denominator)
+
+
+def _spread(table: Sequence[Sequence[Rational]], rows: Sequence[int],
+            stop_at: Optional[Rational] = None) -> Rational:
     """Max over columns of (row max - row min); early exit once past stop_at.
 
-    Fewer than two rows disagree nowhere, so their spread is zero.
+    Fewer than two rows disagree nowhere, so their spread is zero.  The result
+    has the type of the cells (Fraction for an empty table).
     """
-    worst = Fraction(0)
+    worst = table[0][0] * 0 if table else Fraction(0)
     if len(rows) < 2:
         return worst
     for j in range(len(table[rows[0]])):
@@ -199,13 +200,14 @@ def _gap_report(
     spec: NormSpec,
     blocks: Sequence[Block],
     tuples: Sequence[tuple[Fraction, ...]],
-    table: list[list[Fraction]],
+    table: list[list[int]],
+    den: int,
     universe: FiniteSet,
     grid_q: int,
 ) -> OscillationReport:
     if len(blocks) < 2:
         return OscillationReport(Fraction(0), None, None, universe, grid_q, len(blocks))
-    gap = Fraction(0)
+    gap = 0
     wit = None
     for j, a in enumerate(tuples):
         hi_r = lo_r = 0
@@ -222,6 +224,7 @@ def _gap_report(
     if wit is None:
         return OscillationReport(Fraction(0), None, None, universe, grid_q, len(blocks))
     s, t, a = wit
+    gap = Fraction(gap, den)
     # Re-derive from scratch before reporting.
     if abs(psi_eval(spec, s, a) - psi_eval(spec, t, a)) != gap:
         raise InternalCheckError(f"witness pair {s}, {t} at {a} does not re-derive gap {gap}")
@@ -240,8 +243,8 @@ def oscillation_gap(
             f"only {len(blocks)} block(s) fit inside {universe}"
         )
     tuples = _coefficient_tuples(spec, len(fam), grid_q)
-    table = _value_table(spec, blocks, tuples)
-    return _gap_report(spec, blocks, tuples, table, universe, grid_q)
+    table, den = _value_table(spec, blocks, tuples)
+    return _gap_report(spec, blocks, tuples, table, den, universe, grid_q)
 
 
 @dataclass(frozen=True)
@@ -285,17 +288,18 @@ def find_stable_subsequence(
 
     blocks = enumerate_blocks(fam, universe.max, within=universe)
     tuples = _coefficient_tuples(spec, len(fam), grid_q)
-    table = _value_table(spec, blocks, tuples)
+    table, den = _value_table(spec, blocks, tuples)
+    bound = _ceil_times(epsilon, den)
     elems = universe.elements
     masks = _inside_masks(elems, [b.union() for b in blocks])
 
-    def gap(m: int, stop_at: Optional[Fraction] = None) -> Fraction:
+    def gap(m: int, stop_at: Optional[int] = None) -> int:
         return _spread(table, _rows_inside(masks, m), stop_at)
 
     def finish(m: int) -> StableSubsequenceResult:
         subset, rows = _members(elems, m), _rows_inside(masks, m)
         rep = _gap_report(spec, [blocks[r] for r in rows], tuples,
-                          [table[r] for r in rows], subset, grid_q)
+                          [table[r] for r in rows], den, subset, grid_q)
         if not rep.gap < epsilon:
             raise InternalCheckError(f"stable subset {subset} has gap {rep.gap} >= {epsilon}")
         return StableSubsequenceResult(True, subset, rep, subset, rep.gap,
@@ -304,26 +308,26 @@ def find_stable_subsequence(
     if strategy == "greedy":
         chosen = 0
         for i in range(len(elems)):
-            if gap(chosen | 1 << i, epsilon) < epsilon:
+            if gap(chosen | 1 << i, bound) < bound:
                 chosen |= 1 << i
         if chosen.bit_count() >= target:
             return finish(chosen)
-        return StableSubsequenceResult(False, None, None, _members(elems, chosen), gap(chosen),
-                                       epsilon, target, strategy)
+        return StableSubsequenceResult(False, None, None, _members(elems, chosen),
+                                       Fraction(gap(chosen), den), epsilon, target, strategy)
 
-    hit = _largest_hereditary(len(elems), lambda m: gap(m, epsilon) < epsilon, target)
+    hit = _largest_hereditary(len(elems), lambda m: gap(m, bound) < bound, target)
     if hit is not None:
         return finish(hit)
     # A spread never shrinks as its set grows, so the least gap over the sets
     # of at least target elements is reached at exactly target elements.
-    best_gap: Optional[Fraction] = None
+    best_gap: Optional[int] = None
     for pick in combinations(range(len(elems)), target):
         g = gap(sum(1 << i for i in pick), best_gap)
         if best_gap is None or g < best_gap:
             best_gap = g
     best = _largest_hereditary(len(elems), lambda m: gap(m) <= best_gap, target)
-    return StableSubsequenceResult(False, None, None, _members(elems, best), best_gap,
-                                   epsilon, target, strategy)
+    return StableSubsequenceResult(False, None, None, _members(elems, best),
+                                   Fraction(best_gap, den), epsilon, target, strategy)
 
 
 @dataclass(frozen=True)
@@ -362,6 +366,8 @@ def asymptotic_stability_check(
     """
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
+    if max_stages < 1:
+        raise InvalidArgumentError("max_stages must be >= 1")
     if isinstance(universe, SetGenerator):
         uni = FiniteSet(x for x in range(1, horizon + 1) if universe.contains(x))
     elif universe is None:
@@ -372,12 +378,13 @@ def asymptotic_stability_check(
     if len(blocks) < 2:
         raise InsufficientBlocksError("horizon hosts fewer than two blocks")
     tuples = _coefficient_tuples(spec, len(fam), grid_q)
-    table = _value_table(spec, blocks, tuples)
+    table, den = _value_table(spec, blocks, tuples)
     mins = [b.min for b in blocks]
 
     stages = []
     for i in range(1, max_stages + 1):
         eps = schedule.at(i)
+        bound = _ceil_times(eps, den)
         result: Optional[StageResult] = None
         last_rows: list[int] = []
         for n in range(0, horizon + 1):
@@ -385,12 +392,12 @@ def asymptotic_stability_check(
             if len(rows) < 2:
                 break
             last_rows = rows
-            if _spread(table, rows, stop_at=eps) < eps:
+            if _spread(table, rows, stop_at=bound) < bound:
                 result = StageResult(i, eps, n, True, None, None, None)
                 break
         if result is None:
             sub = _gap_report(spec, [blocks[r] for r in last_rows], tuples,
-                              [table[r] for r in last_rows], uni, grid_q)
+                              [table[r] for r in last_rows], den, uni, grid_q)
             result = StageResult(i, eps, None, False, sub.witness_pair,
                                  sub.witness_coeffs, sub.gap)
         stages.append(result)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence, Union
 
 from .barriers import BarrierDescriptor, enumerate_up_to
 from .blocks import Block, BlockFamily, enumerate_blocks
@@ -27,7 +27,9 @@ from .sets import FiniteSet
 
 ColorValue = Hashable
 Rational = Union[Fraction, int]
-_Domain = Union[BarrierDescriptor, BlockFamily]
+if TYPE_CHECKING:  # typing caches a union at run time, which would pin these classes
+    _Domain = Union[BarrierDescriptor, BlockFamily]
+    ValuesLike = Union[Mapping[Block, Rational], Callable[[Block], Rational]]
 
 
 def _support(obj: Union[FiniteSet, Block]) -> FiniteSet:
@@ -40,10 +42,6 @@ class Coloring:
     def __init__(self, fn: Callable[[object], ColorValue], name: str = "rule"):
         self._fn = fn
         self.name = name
-
-    @classmethod
-    def from_rule(cls, fn: Callable[[object], ColorValue], name: str = "rule") -> "Coloring":
-        return cls(fn, name)
 
     @classmethod
     def from_table(cls, table: Mapping[object, ColorValue]) -> "Coloring":
@@ -186,9 +184,6 @@ def find_monochromatic(
     if len(subset) >= target:
         return RamseyResult(True, wit, wit, target, strategy)
     return RamseyResult(False, None, wit, target, strategy)
-
-
-ValuesLike = Union[Mapping[Block, Rational], Callable[[Block], Rational]]
 
 
 def _value_column(values: ValuesLike, blocks: Sequence[Block]) -> list[list[Fraction]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import islice
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError
 
@@ -75,9 +75,6 @@ class FiniteSet:
         if self.is_empty() or other.is_empty():
             raise InvalidArgumentError("block order needs nonempty sets")
         return self.max < other.min
-
-    def is_subset(self, other: "FiniteSet") -> bool:
-        return set(self.elements) <= set(other.elements)
 
     def is_initial_segment_of(self, other: "FiniteSet") -> bool:
         n = len(self.elements)
@@ -254,5 +251,3 @@ def probe_subset(g1: SetGenerator, g2: SetGenerator, samples: int = 32) -> bool:
     """Whether the first ``samples`` elements of ``g1`` all belong to ``g2``."""
     return all(g2.contains(x) for x in g1.first(samples))
 
-
-IntoSet = Union[FiniteSet, SetGenerator]

@@ -499,6 +499,33 @@ class TestInputContract:
         assert detail["error"] == "InvalidArgumentError"
         assert "grid size" in detail["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("model", "consistency", "--spec", SECTION6, "--sequence", SEQ_228, "--k-max", "1"),
+        ("model", "consistency", "--spec", SECTION6, "--sequence", SEQ_228, "--k-max", "1",
+         "--grid-q", "0"),
+        ("norm", "axioms", "--spec", SECTION6, "--k", "0"),
+        ("norm", "axioms", "--spec", SECTION6, "--k", "-1"),
+        ("oscillation", "asymptotic", "--spec", FIXTURE, "--family", FIXTURE_FAM,
+         "--horizon", "6", "--stages", "0"),
+        ("model", "eval", "--spec", SECTION6, "--sequence", SEQ_228, "--coeffs", '["1"]',
+         "--tail-offset", "0"),
+        ("model", "eval", "--spec", SECTION6, "--sequence", SEQ_228, "--coeffs", '["1"]',
+         "--tail-offset", "-5"),
+    ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
+    def test_vacuous_size_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        detail = json.loads(err)
+        assert detail["error"] == "InvalidArgumentError"
+        assert "must be >=" in detail["message"]
+
+    def test_equivalence_keeps_k_max_1(self, capsys):
+        code, payload = run_json(capsys, "model", "equivalence", "--spec", SECTION6,
+                                 "--seq1", SEQ_228, "--seq2", SEQ_228, "--k-max", "1")
+        assert code == 0
+        assert payload["report"] == {"lo": "1", "hi": "1"}
+
     def test_contains_rule_needs_an_integer(self, capsys):
         code, out, err = run(capsys, "ramsey", "find-mono", "--barrier", CUBE2,
                              "--coloring", '"contains:x"',

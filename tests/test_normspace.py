@@ -11,7 +11,6 @@ from blockosc.normspace import (
     SupNorm,
     SupTerm,
     Vector,
-    basis_constant,
     block_vector,
     check_seminorm_axioms,
     degenerate_limit_demo,
@@ -50,10 +49,6 @@ class TestVector:
     def test_from_coeffs_start(self):
         v = Vector.from_coeffs((F(1), F(0), F(2)), start=4)
         assert v.entries == {4: F(1), 6: F(2)}
-
-    def test_abs_items_desc_tie_break(self):
-        v = Vector({3: F(-1, 2), 1: F(1, 2), 2: F(2)})
-        assert v.abs_items_desc() == [(F(2), 2), (F(1, 2), 1), (F(1, 2), 3)]
 
 
 class TestSpecConstruction:
@@ -205,13 +200,6 @@ class TestAxioms:
         assert rep.limit_at_ones == F(0)
         assert rep.limit_at_e1 == F(1)
         assert rep.collapses_exactly_at_positivity
-
-
-class TestBasisConstant:
-    @pytest.mark.parametrize("spec", [section6_spec(), SupNorm(), LpNorm(1)],
-                             ids=["two-weight", "sup", "l1"])
-    def test_monotone_norms_give_one(self, spec):
-        assert basis_constant(spec) == F(1)
 
 
 @st.composite

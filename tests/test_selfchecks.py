@@ -39,6 +39,30 @@ def test_verify_section6_under_optimize_matches_golden():
     assert proc.stdout == golden
 
 
+RELOAD = """
+import gc, importlib, sys, weakref
+importlib.import_module("blockosc")
+stale = weakref.ref(sys.modules["blockosc.blocks"].Block)
+for name in [n for n in sys.modules if n == "blockosc" or n.startswith("blockosc.")]:
+    del sys.modules[name]
+gc.collect()
+importlib.import_module("blockosc")
+gc.collect()
+print(stale() is None)
+"""
+
+
+def test_a_reimport_frees_the_previous_copy():
+    # a module-level typing.Union of library classes stays in typing's cache
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", RELOAD], capture_output=True,
+                          env=env, timeout=120, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 def test_internal_check_error_is_raised_not_asserted(monkeypatch):
     # a grid of zero tuples only leaves equivalence_constants nothing to compare
     monkeypatch.setattr(models, "nonneg_grid", lambda k, q: [(Fraction(0),) * k])
