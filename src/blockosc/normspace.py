@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import DegenerateBlockError, InvalidArgumentError
 from .sets import FiniteSet
@@ -32,25 +32,20 @@ Rational = Union[Fraction, int]
 class Vector:
     """Finitely supported rational vector over positive integer indices."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[int, Rational] = ()):
         clean: dict[int, Fraction] = {}
         for i, c in dict(entries).items():
             if not isinstance(i, int) or i < 1:
                 raise InvalidArgumentError(f"index must be a positive integer, got {i!r}")
-            f = Fraction(c)
+            f = c if isinstance(c, Fraction) else Fraction(c)
             if f != 0:
                 clean[i] = f
         object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "_hash", hash(tuple(sorted(clean.items()))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
-
-    @staticmethod
-    def basis(i: int) -> "Vector":
-        return Vector({i: Fraction(1)})
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Rational], start: int = 1) -> "Vector":
@@ -68,7 +63,7 @@ class Vector:
         return isinstance(other, Vector) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(frozenset(self.entries.items()))
 
     def __add__(self, other: "Vector") -> "Vector":
         out = dict(self.entries)
@@ -293,27 +288,11 @@ def _part_runs(plan: Plan, part: FiniteSet, firsts: dict) -> tuple[tuple[int, Op
 def is_index_invariant(spec: NormSpec) -> bool:
     """Whether the spec sees only the multiset of entries, not their indices.
 
-    That is the sup norm and every sup-family without index filters: the
-    specs :func:`norm_eval_multiset` evaluates.
+    That is the sup norm and every sup-family without index filters; the
+    value tables evaluate them once per part-size profile.
     """
     return isinstance(spec, SupNorm) or (isinstance(spec, SupFamily)
                                          and spec.index_invariant)
-
-
-def norm_eval_multiset(spec: NormSpec, items: Iterable[tuple[Fraction, int]]) -> Fraction:
-    """Norm of a vector given as (magnitude, multiplicity) pairs.
-
-    Only valid for index-invariant specs, where placement is irrelevant.
-    """
-    pairs = [(Fraction(val), cnt) for val, cnt in items if val != 0]
-    if not pairs:
-        return Fraction(0)
-    if not is_index_invariant(spec):
-        raise InvalidArgumentError("multiset evaluation needs an index-invariant spec")
-    plan = _kernel_plan(spec, "multiset evaluation")
-    nums, den = _over_lcm([val for val, _ in pairs])
-    runs = sorted(zip(nums, (cnt for _, cnt in pairs), repeat(None)), reverse=True)
-    return Fraction(_sup_numerator(plan, runs), den * plan[0])
 
 
 def _nth_root_int(n: int, p: int) -> tuple[int, bool]:

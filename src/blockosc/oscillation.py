@@ -112,14 +112,11 @@ def _ceil_times(eps: Fraction, den: int) -> int:
     return -(-eps.numerator * den // eps.denominator)
 
 
-def _spread(table: Sequence[Sequence[Rational]], rows: Sequence[int],
-            stop_at: Optional[Rational] = None) -> Rational:
-    """Max over columns of (row max - row min); early exit once past stop_at.
-
-    Fewer than two rows disagree nowhere, so their spread is zero.  The result
-    has the type of the cells (Fraction for an empty table).
-    """
-    worst = table[0][0] * 0 if table else Fraction(0)
+def _spread(table: Sequence[Sequence[int]], rows: Sequence[int],
+            stop_at: Optional[int] = None) -> int:
+    """Max over columns of (row max - row min) of an integer table; early
+    exit once past stop_at.  Fewer than two rows disagree nowhere."""
+    worst = 0
     if len(rows) < 2:
         return worst
     for j in range(len(table[rows[0]])):

@@ -15,8 +15,10 @@ from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequenc
 from .barriers import BarrierDescriptor, enumerate_up_to
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InternalCheckError, InvalidArgumentError
+from .normspace import _over_lcm
 from .oscillation import (
     ToleranceSchedule,
+    _ceil_times,
     _inside_masks,
     _largest_hereditary,
     _members,
@@ -57,10 +59,6 @@ class Coloring:
 
     def of(self, obj: object) -> ColorValue:
         return self._fn(obj)
-
-    def check_total(self, domain: Sequence[object]) -> None:
-        for obj in domain:
-            self.of(obj)
 
 
 def builtin_coloring(name: str) -> Coloring:
@@ -186,16 +184,18 @@ def find_monochromatic(
     return RamseyResult(False, None, wit, target, strategy)
 
 
-def _value_column(values: ValuesLike, blocks: Sequence[Block]) -> list[list[Fraction]]:
-    """The block values as a one-column table, one row per block."""
-    out = []
+def _value_column(values: ValuesLike, blocks: Sequence[Block]) -> tuple[list[list[int]], int]:
+    """The block values as a one-column table of integers over one denominator
+    D, one row per block, and D."""
+    col = []
     for b in blocks:
         try:
             raw = values(b) if callable(values) else values[b]
         except KeyError:
             raise InvalidArgumentError(f"values not total: missing {b!r}")
-        out.append([Fraction(raw)])
-    return out
+        col.append(Fraction(raw))
+    nums, den = _over_lcm(col)
+    return [[n] for n in nums], den
 
 
 @dataclass(frozen=True)
@@ -231,15 +231,16 @@ def metric_stabilize(
     if not 1 <= target <= len(universe):
         raise InvalidArgumentError("target must be between 1 and the universe size")
     blocks = enumerate_blocks(fam, universe.max, within=universe)
-    table = _value_column(values, blocks)
+    table, den = _value_column(values, blocks)
+    bound = _ceil_times(epsilon, den)
     elems = universe.elements
     masks = _inside_masks(elems, [b.union() for b in blocks])
     best = _largest_hereditary(
-        len(elems), lambda m: _spread(table, _rows_inside(masks, m), epsilon) < epsilon)
+        len(elems), lambda m: _spread(table, _rows_inside(masks, m), bound) < bound)
     if best is None:
         return MetricResult(False, None, None, epsilon, target)
     rows = _rows_inside(masks, best)
-    wit = MetricWitness(_members(elems, best), _spread(table, rows), len(rows))
+    wit = MetricWitness(_members(elems, best), Fraction(_spread(table, rows), den), len(rows))
     if len(wit.subset) >= target:
         return MetricResult(True, wit, wit, epsilon, target)
     return MetricResult(False, None, wit, epsilon, target)
@@ -279,7 +280,7 @@ def diagonal_stabilize(
     if universe.is_empty():
         raise InvalidArgumentError("universe must be nonempty")
     blocks = enumerate_blocks(fam, universe.max, within=universe)
-    table = _value_column(values, blocks)
+    table, den = _value_column(values, blocks)
     unions = [b.union() for b in blocks]
 
     stages: list[DiagonalStage] = []
@@ -288,15 +289,16 @@ def diagonal_stabilize(
     index = 1
     while not pool.is_empty():
         eps = schedule.at(index)
+        bound = _ceil_times(eps, den)
         masks = _inside_masks(pool.elements, unions)
         found = _largest_hereditary(
-            len(pool), lambda m: _spread(table, _rows_inside(masks, m), eps) < eps)
+            len(pool), lambda m: _spread(table, _rows_inside(masks, m), bound) < bound)
         if found is None:  # singletons are always stable
             raise InternalCheckError(f"no stable subset of {pool} at stage {index}")
         subset = _members(pool.elements, found)
         m = subset.min
         stages.append(DiagonalStage(index, eps, pool, subset, m,
-                                    _spread(table, _rows_inside(masks, found))))
+                                    Fraction(_spread(table, _rows_inside(masks, found)), den)))
         picked.append(m)
         pool = subset.suffix_after(m)
         index += 1

@@ -1,4 +1,4 @@
-"""JSON codecs for every wire-facing type.
+"""JSON parsers for every input type, and one encoder for reports.
 
 Rationals travel as exact "p/q" strings (plain integers allowed on input),
 never as floats.  Parsers track a JSON-pointer-ish path so schema errors
@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any
 
 from .barriers import (
     Associated,
@@ -26,22 +26,18 @@ from .errors import InvalidArgumentError, SchemaError
 from .models import BarrierSequenceDescriptor
 from .normspace import LpNorm, SupFamily, SupNorm, SupTerm, mn_norm_spec, \
     even_pair_fixture, section6_spec, NormSpec, Vector
-from .ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
+from .ordinals import OrdinalCNF
 from .oscillation import ToleranceSchedule
 from .ramsey import Coloring, builtin_coloring
 from .sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, SetGenerator
 
 SCHEMA_VERSION = 1
 
-_AT_LEAST_STR = "≥w^w"  # the codec marker for ranks at or above w^w
+_AT_LEAST_STR = "≥w^w"  # the report marker for ranks at or above w^w
 
 
 # ---------------------------------------------------------------------------
 # Scalars and small containers
-
-
-def rational_to_json(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def parse_rational(data: Any, path: str = "$") -> Fraction:
@@ -57,10 +53,6 @@ def parse_rational(data: Any, path: str = "$") -> Fraction:
     raise SchemaError(path, f"expected a rational, got {type(data).__name__}")
 
 
-def finite_set_to_json(s: FiniteSet) -> list[int]:
-    return list(s.elements)
-
-
 def parse_finite_set(data: Any, path: str = "$") -> FiniteSet:
     if not isinstance(data, list):
         raise SchemaError(path, "expected an array of integers")
@@ -71,10 +63,6 @@ def parse_finite_set(data: Any, path: str = "$") -> FiniteSet:
         return FiniteSet(data)
     except InvalidArgumentError as exc:
         raise SchemaError(path, str(exc))
-
-
-def block_to_json(b: Block) -> list[list[int]]:
-    return [list(p.elements) for p in b.parts]
 
 
 def parse_block(data: Any, path: str = "$") -> Block:
@@ -89,51 +77,12 @@ def parse_block(data: Any, path: str = "$") -> Block:
         raise SchemaError(path, str(exc))
 
 
-def ordinal_to_json(o: OrdinalCNF) -> Union[str, list[list[int]]]:
-    if o.unbounded:
-        return _AT_LEAST_STR
-    return [[e, c] for e, c in o.terms]
-
-
-def parse_ordinal(data: Any, path: str = "$") -> OrdinalCNF:
-    if isinstance(data, str):
-        if data in (_AT_LEAST_STR, ">=w^w"):
-            return AT_LEAST_OMEGA_OMEGA
-        raise SchemaError(path, f"unknown ordinal marker {data!r}")
-    if not isinstance(data, list):
-        raise SchemaError(path, "expected [exponent, coefficient] pairs")
-    terms = []
-    for i, pair in enumerate(data):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or any(isinstance(x, bool) or not isinstance(x, int) for x in pair)):
-            raise SchemaError(f"{path}[{i}]", "expected an [int, int] pair")
-        terms.append((pair[0], pair[1]))
-    try:
-        return OrdinalCNF(tuple(terms))
-    except InvalidArgumentError as exc:
-        raise SchemaError(path, str(exc))
-
-
 def ordinal_to_str(o: OrdinalCNF) -> str:
     return _AT_LEAST_STR if o.unbounded else str(o)
 
 
 # ---------------------------------------------------------------------------
 # Set generators
-
-
-def generator_to_json(g: SetGenerator) -> dict:
-    if isinstance(g, CofiniteAfter):
-        return {"kind": "cofinite-after", "n": g.n}
-    if isinstance(g, Arithmetic):
-        return {"kind": "arithmetic", "start": g.start, "step": g.step}
-    if isinstance(g, PrefixThen):
-        return {
-            "kind": "prefix-then",
-            "prefix": finite_set_to_json(g.prefix),
-            "tail": generator_to_json(g.tail),
-        }
-    raise InvalidArgumentError(f"no JSON form for generator {g!r}")
 
 
 def _need_obj(data: Any, path: str, what: str) -> dict:
@@ -176,24 +125,6 @@ def parse_generator(data: Any, path: str = "$") -> SetGenerator:
 # Barrier descriptors, families, sequences
 
 
-def barrier_to_json(b: BarrierDescriptor) -> dict:
-    if isinstance(b, Cube):
-        return {"type": "cube", "k": b.k}
-    if isinstance(b, Schreier):
-        return {"type": "schreier"}
-    if isinstance(b, Restrict):
-        return {"type": "restrict", "base": barrier_to_json(b.base),
-                "to": generator_to_json(b.to)}
-    if isinstance(b, Quotient):
-        return {"type": "quotient", "base": barrier_to_json(b.base),
-                "s": finite_set_to_json(b.s)}
-    if isinstance(b, Sum):
-        return {"type": "sum", "parts": [barrier_to_json(p) for p in b.parts]}
-    if isinstance(b, Associated):
-        return {"type": "associated", "base": barrier_to_json(b.base)}
-    raise InvalidArgumentError(f"no JSON form for descriptor {b!r}")
-
-
 def parse_barrier(data: Any, path: str = "$") -> BarrierDescriptor:
     obj = _need_obj(data, path, "barrier descriptor")
     t = obj.get("type")
@@ -221,10 +152,6 @@ def parse_barrier(data: Any, path: str = "$") -> BarrierDescriptor:
     raise SchemaError(f"{path}.type", f"unknown barrier type {t!r}")
 
 
-def family_to_json(fam: BlockFamily) -> list[dict]:
-    return [barrier_to_json(p) for p in fam.parts]
-
-
 def parse_family(data: Any, path: str = "$") -> BlockFamily:
     if not isinstance(data, list) or not data:
         raise SchemaError(path, "expected a nonempty array of descriptors")
@@ -233,11 +160,6 @@ def parse_family(data: Any, path: str = "$") -> BlockFamily:
         return BlockFamily(parts)
     except InvalidArgumentError as exc:
         raise SchemaError(path, str(exc))
-
-
-def sequence_to_json(seq: BarrierSequenceDescriptor) -> dict:
-    return {"prefix": [barrier_to_json(p) for p in seq.prefix],
-            "tail": barrier_to_json(seq.tail)}
 
 
 def parse_sequence(data: Any, path: str = "$") -> BarrierSequenceDescriptor:
@@ -258,22 +180,6 @@ def parse_sequence(data: Any, path: str = "$") -> BarrierSequenceDescriptor:
 
 # ---------------------------------------------------------------------------
 # Norm specs and vectors
-
-
-def spec_to_json(spec: NormSpec) -> dict:
-    if isinstance(spec, SupNorm):
-        return {"type": "sup"}
-    if isinstance(spec, LpNorm):
-        return {"type": "lp", "p": spec.p}
-    if isinstance(spec, SupFamily):
-        terms = []
-        for t in spec.terms:
-            entry: dict = {"w": rational_to_json(t.weight), "m": t.size}
-            if t.filter is not None:
-                entry["filter"] = t.filter
-            terms.append(entry)
-        return {"type": "supfamily", "terms": terms}
-    raise InvalidArgumentError(f"no JSON form for spec {spec!r}")
 
 
 def parse_spec(data: Any, path: str = "$") -> NormSpec:
@@ -309,10 +215,6 @@ def parse_spec(data: Any, path: str = "$") -> NormSpec:
     except InvalidArgumentError as exc:
         raise SchemaError(path, str(exc))
     raise SchemaError(f"{path}.type", f"unknown spec type {t!r}")
-
-
-def vector_to_json(v: Vector) -> list[list]:
-    return [[i, rational_to_json(c)] for i, c in sorted(v.entries.items())]
 
 
 def parse_vector(data: Any, path: str = "$") -> Vector:
@@ -405,11 +307,6 @@ def parse_values_table(data: Any, path: str = "$") -> dict[Block, Fraction]:
     return out
 
 
-def schedule_to_json(s: ToleranceSchedule) -> dict:
-    return {"kind": "geometric", "ratio": rational_to_json(s.ratio),
-            "scale": rational_to_json(s.scale)}
-
-
 def parse_schedule(data: Any, path: str = "$") -> ToleranceSchedule:
     obj = _need_obj(data, path, "schedule")
     kind = obj.get("kind", "geometric")
@@ -431,17 +328,19 @@ def parse_schedule(data: Any, path: str = "$") -> ToleranceSchedule:
 def to_json(value: Any) -> Any:
     """The JSON form of a library result, field names as keys.
 
-    Rationals, sets and blocks use their codecs above; tuples and lists
-    become arrays; a dataclass becomes an object of its fields plus each
-    property its class defines (``vacuous``, ``holds``, ``all_pass``, ...).
-    Anything else (ints, bools, strings, None, JSON colours) passes through.
+    A rational becomes its exact "p/q" string, a set its sorted array of
+    elements and a block its array of parts; tuples and lists become arrays;
+    a dataclass becomes an object of its fields plus each property its class
+    defines (``vacuous``, ``holds``, ``all_pass``, ...).  Anything else (ints,
+    bools, strings, None, JSON colours) passes through.  Inputs have parsers
+    above but no encoder: no report carries one.
     """
     if isinstance(value, Fraction):
-        return rational_to_json(value)
+        return str(value)
     if isinstance(value, FiniteSet):
-        return finite_set_to_json(value)
+        return list(value.elements)
     if isinstance(value, Block):
-        return block_to_json(value)
+        return [list(p.elements) for p in value.parts]
     if isinstance(value, (tuple, list)):
         return [to_json(x) for x in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

@@ -2,9 +2,8 @@
 
 The reference is the evaluator the kernel replaced: absolute entries sorted
 largest first, the singleton term, and each weighted top-m sum with its
-index filter, all in ``Fraction``.  ``norm_eval``, ``norm_eval_multiset``,
-``psi_eval`` and the value table (integer rows over one denominator) must
-agree with it exactly.  The fixed cases put a gap exactly at the tolerance,
+index filter, all in ``Fraction``.  ``norm_eval``, ``psi_eval`` and the
+value table (integer rows over one denominator) must agree with it exactly.  The fixed cases put a gap exactly at the tolerance,
 and a tolerance just above a gap, through every comparison that reads the
 integer table against ``epsilon``.
 """
@@ -25,7 +24,6 @@ from blockosc.normspace import (
     Vector,
     even_pair_fixture,
     norm_eval,
-    norm_eval_multiset,
 )
 from blockosc.oscillation import (
     ToleranceSchedule,
@@ -35,6 +33,7 @@ from blockosc.oscillation import (
     find_stable_subsequence,
     psi_eval,
 )
+from blockosc.ramsey import diagonal_stabilize, metric_stabilize
 from blockosc.sets import FiniteSet
 
 KERNEL = settings(max_examples=150, deadline=None)
@@ -108,7 +107,6 @@ def sup_families(draw, filters=(None, "even-indices", "odd-indices", "touches-ev
 
 
 SPECS = st.one_of(sup_families(), st.just(SupNorm()), st.just(LpNorm(1)))
-INVARIANT_SPECS = st.one_of(sup_families(filters=(None,)), st.just(SupNorm()))
 COEFFS = st.one_of(
     st.just(F(0)),
     st.integers(-3, 3),
@@ -148,19 +146,6 @@ def test_norm_eval_matches_reference(spec, entries):
 
 
 @KERNEL
-@given(INVARIANT_SPECS, st.lists(st.tuples(
-    st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 24), st.integers(1, 12))),
-    st.integers(1, 6)), max_size=5))
-def test_norm_eval_multiset_matches_reference(spec, items):
-    entries, at = {}, 1
-    for val, cnt in items:
-        for _ in range(cnt):
-            entries[at] = val
-            at += 1
-    assert norm_eval_multiset(spec, items) == ref_norm(spec, Vector(entries))
-
-
-@KERNEL
 @given(SPECS, st.integers(1, 4).flatmap(
     lambda k: st.tuples(blocks(k), st.tuples(*[COEFFS] * k))))
 def test_psi_matches_reference(spec, case):
@@ -186,21 +171,15 @@ def test_spec_with_a_cached_plan_pickles():
 
 
 # ---------------------------------------------------------------------------
-# Spread keeps the type of its table
-
-
-def test_spread_of_a_fraction_table_is_a_fraction():
-    table = [[F(3, 2)], [F(3, 2)], [F(3, 2)]]
-    for rows in ([], [1], [0, 1, 2]):
-        got = _spread(table, rows)
-        assert got == 0 and isinstance(got, F)
-    assert _spread([[F(1)], [F(5, 4)]], [0, 1]) == F(1, 4)
+# Spread of an integer table
 
 
 def test_spread_of_an_integer_table_is_an_integer():
     got = _spread([[4, 7], [6, 7]], [0, 1])
     assert got == 2 and type(got) is int
-    assert type(_spread([[4, 7]], [0])) is int
+    for table, rows in (([[4, 7]], [0]), ([], []), ([[3], [3], [3]], [0, 1, 2])):
+        got = _spread(table, rows)
+        assert got == 0 and type(got) is int
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +223,30 @@ def test_asymptotic_gap_equal_to_epsilon_is_not_stable():
     assert at.epsilon == HALF and at.passed and at.threshold == 1
     above = stage(HALF + TINY)
     assert above.passed and above.threshold == 0
+
+
+# The Ramsey searches read block values given as data.  Over {1, 2, 3} the
+# singletons are worth 1/3, 5/6 and 1/3: the universe spreads by exactly 1/2,
+# and {1, 3} by nothing.
+VALUES = {Block((FiniteSet((i,)),)): v for i, v in ((1, F(1, 3)), (2, F(5, 6)), (3, F(1, 3)))}
+ONES = BlockFamily((Cube(1),))
+THREE = FiniteSet((1, 2, 3))
+
+
+def test_metric_gap_equal_to_epsilon_is_not_stable():
+    res = metric_stabilize(ONES, VALUES, HALF, THREE, 3)
+    assert not res.found
+    assert res.best.subset == FiniteSet((1, 3)) and res.best.max_gap == 0
+    res = metric_stabilize(ONES, VALUES, HALF + TINY, THREE, 3)
+    assert res.found and res.witness.subset == THREE and res.witness.max_gap == HALF
+
+
+def test_diagonal_gap_equal_to_epsilon_is_not_stable():
+    def first_stage(eps):
+        sched = ToleranceSchedule(F(1, 2), 2 * eps)  # stage 1 tolerance is eps
+        return diagonal_stabilize(ONES, VALUES, sched, THREE).stages[0]
+
+    at = first_stage(HALF)
+    assert at.epsilon == HALF and at.subset == FiniteSet((1, 3)) and at.max_gap == 0
+    above = first_stage(HALF + TINY)
+    assert above.subset == THREE and above.max_gap == HALF

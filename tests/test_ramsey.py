@@ -62,8 +62,6 @@ class TestColoring:
         assert c.of(FiniteSet((1, 2))) == 1
         with pytest.raises(InvalidArgumentError):
             c.of(FiniteSet((1, 3)))
-        with pytest.raises(InvalidArgumentError):
-            c.check_total([FiniteSet((1, 2)), FiniteSet((1, 3))])
 
 
 class TestMonochromatic:

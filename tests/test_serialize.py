@@ -20,13 +20,7 @@ from blockosc.normspace import (
 from blockosc.ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
 from blockosc.oscillation import ToleranceSchedule
 from blockosc.serialize import (
-    barrier_to_json,
-    block_to_json,
     dumps,
-    family_to_json,
-    finite_set_to_json,
-    generator_to_json,
-    ordinal_to_json,
     ordinal_to_str,
     parse_barrier,
     parse_block,
@@ -35,26 +29,21 @@ from blockosc.serialize import (
     parse_family,
     parse_finite_set,
     parse_generator,
-    parse_ordinal,
     parse_rational,
     parse_schedule,
     parse_sequence,
     parse_spec,
     parse_values_table,
     parse_vector,
-    rational_to_json,
-    schedule_to_json,
-    sequence_to_json,
-    spec_to_json,
-    vector_to_json,
+    to_json,
 )
-from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, evens
+from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen
 
 
 class TestRationals:
     def test_round_trip(self):
         for x in (F(0), F(3, 4), F(-9, 16), F(5)):
-            assert parse_rational(rational_to_json(x)) == x
+            assert parse_rational(to_json(x)) == x
 
     def test_ints_accepted(self):
         assert parse_rational(7) == F(7)
@@ -73,7 +62,7 @@ class TestRationals:
 class TestSetsAndBlocks:
     def test_finite_set_round_trip(self):
         s = FiniteSet((2, 5, 9))
-        assert parse_finite_set(finite_set_to_json(s)) == s
+        assert parse_finite_set(to_json(s)) == s
 
     def test_finite_set_errors_carry_paths(self):
         with pytest.raises(SchemaError) as exc:
@@ -86,8 +75,8 @@ class TestSetsAndBlocks:
 
     def test_block_round_trip(self):
         b = Block((FiniteSet((1, 2)), FiniteSet((4,))))
-        assert block_to_json(b) == [[1, 2], [4]]
-        assert parse_block([[1, 2], [4]]) == b
+        assert to_json(b) == [[1, 2], [4]]
+        assert parse_block(to_json(b)) == b
 
     def test_block_order_violation(self):
         with pytest.raises(SchemaError):
@@ -97,35 +86,29 @@ class TestSetsAndBlocks:
 
 
 class TestOrdinals:
-    def test_round_trip(self):
-        o = OrdinalCNF(((3, 1), (1, 2), (0, 5)))
-        assert parse_ordinal(ordinal_to_json(o)) == o
-
-    def test_marker_both_spellings(self):
-        assert ordinal_to_json(AT_LEAST_OMEGA_OMEGA) == "≥w^w"
-        assert parse_ordinal("≥w^w") == AT_LEAST_OMEGA_OMEGA
-        assert parse_ordinal(">=w^w") == AT_LEAST_OMEGA_OMEGA
-
     def test_str_form(self):
         assert ordinal_to_str(OrdinalCNF.omega_power(3)) == "w^3"
         assert ordinal_to_str(AT_LEAST_OMEGA_OMEGA) == "≥w^w"
 
-    def test_rejects_noncanonical(self):
-        with pytest.raises(SchemaError):
-            parse_ordinal([[1, 1], [3, 2]])  # exponents must decrease
-        with pytest.raises(SchemaError):
-            parse_ordinal("w^w")
-        with pytest.raises(SchemaError):
-            parse_ordinal([[1]])
+
+EVENS_FROM_2 = {"kind": "arithmetic", "start": 2, "step": 2}
+EVENS_CUBE = {"type": "restrict", "base": {"type": "cube", "k": 1}, "to": EVENS_FROM_2}
 
 
 class TestGeneratorsAndBarriers:
-    GENS = (CofiniteAfter(0), CofiniteAfter(4), Arithmetic(2, 2),
-            PrefixThen(FiniteSet((1, 5)), Arithmetic(10, 3)))
+    # each generator with the literal JSON that describes it
+    GENS = (
+        (CofiniteAfter(0), {"kind": "cofinite-after", "n": 0}),
+        (CofiniteAfter(4), {"kind": "cofinite-after", "n": 4}),
+        (Arithmetic(2, 2), EVENS_FROM_2),
+        (PrefixThen(FiniteSet((1, 5)), Arithmetic(10, 3)),
+         {"kind": "prefix-then", "prefix": [1, 5],
+          "tail": {"kind": "arithmetic", "start": 10, "step": 3}}),
+    )
 
-    @pytest.mark.parametrize("g", GENS, ids=repr)
-    def test_generator_round_trip(self, g):
-        assert parse_generator(generator_to_json(g)) == g
+    @pytest.mark.parametrize("g, data", GENS, ids=[repr(g) for g, _ in GENS])
+    def test_generator_round_trip(self, g, data):
+        assert parse_generator(data) == g
 
     def test_naturals_alias(self):
         assert parse_generator({"kind": "naturals"}) == CofiniteAfter(0)
@@ -135,25 +118,41 @@ class TestGeneratorsAndBarriers:
             parse_generator({"kind": "fibonacci"}, "$.to")
         assert "$.to.kind" in str(exc.value)
 
+    def test_invalid_generator_payloads(self):
+        with pytest.raises(SchemaError):
+            parse_generator([2, 4])
+        with pytest.raises(SchemaError) as exc:
+            parse_generator({"kind": "cofinite-after"}, "$.to")
+        assert "$.to.n" in str(exc.value)
+        with pytest.raises(SchemaError):
+            parse_generator({"kind": "arithmetic", "start": 2, "step": 0})
+
     BARRIERS = (
-        Cube(3),
-        Schreier(),
-        Restrict(Cube(2), Arithmetic(2, 2)),
-        Quotient(Cube(3), FiniteSet((2,))),
-        Sum((Cube(1), Cube(2))),
-        Associated(Restrict(Cube(2), Arithmetic(2, 2))),
+        (Cube(3), {"type": "cube", "k": 3}),
+        (Schreier(), {"type": "schreier"}),
+        (Restrict(Cube(2), Arithmetic(2, 2)),
+         {"type": "restrict", "base": {"type": "cube", "k": 2}, "to": EVENS_FROM_2}),
+        (Quotient(Cube(3), FiniteSet((2,))),
+         {"type": "quotient", "base": {"type": "cube", "k": 3}, "s": [2]}),
+        (Sum((Cube(1), Cube(2))),
+         {"type": "sum", "parts": [{"type": "cube", "k": 1}, {"type": "cube", "k": 2}]}),
+        (Associated(Restrict(Cube(2), Arithmetic(2, 2))),
+         {"type": "associated", "base": {"type": "restrict",
+                                         "base": {"type": "cube", "k": 2},
+                                         "to": EVENS_FROM_2}}),
     )
 
-    @pytest.mark.parametrize("b", BARRIERS, ids=lambda b: type(b).__name__)
-    def test_barrier_round_trip(self, b):
-        assert parse_barrier(barrier_to_json(b)) == b
-
-    def test_barrier_shapes(self):
-        assert barrier_to_json(Cube(2)) == {"type": "cube", "k": 2}
-        q = Quotient(Cube(3), FiniteSet((2,)))
-        assert barrier_to_json(q)["s"] == [2]
+    @pytest.mark.parametrize("b, data", BARRIERS,
+                             ids=[type(b).__name__ for b, _ in BARRIERS])
+    def test_barrier_round_trip(self, b, data):
+        assert parse_barrier(data) == b
 
     def test_invalid_barrier_payloads(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_barrier({"type": "tree"})
+        assert "$.type" in str(exc.value)
+        with pytest.raises(SchemaError):
+            parse_barrier("cube")
         with pytest.raises(SchemaError):
             parse_barrier({"type": "cube", "k": "two"})
         with pytest.raises(SchemaError):
@@ -168,15 +167,35 @@ class TestGeneratorsAndBarriers:
 
     def test_family_and_sequence_round_trip(self):
         fam = BlockFamily((Cube(2), Cube(8)))
-        assert parse_family(family_to_json(fam)) == fam
+        assert parse_family([{"type": "cube", "k": 2}, {"type": "cube", "k": 8}]) == fam
         seq = two_two_eights_sequence()
-        assert parse_sequence(sequence_to_json(seq)) == seq
+        assert parse_sequence({"prefix": [{"type": "cube", "k": 2}] * 2,
+                               "tail": {"type": "cube", "k": 8}}) == seq
         assert parse_sequence({"tail": {"type": "cube", "k": 8}}).prefix == ()
+
+    def test_invalid_family_payloads(self):
+        with pytest.raises(SchemaError):
+            parse_family([])
+        with pytest.raises(SchemaError) as exc:
+            parse_family([{"type": "cube", "k": 2}, {"type": "cube"}])
+        assert "$[1].k" in str(exc.value)
+        with pytest.raises(SchemaError) as exc:
+            parse_family([{"type": "cube", "k": 1}, EVENS_CUBE])
+        assert "ground set" in str(exc.value)
 
     def test_sequence_needs_tail(self):
         with pytest.raises(SchemaError) as exc:
             parse_sequence({"prefix": []})
         assert "$.tail" in str(exc.value)
+        with pytest.raises(SchemaError) as exc:
+            parse_sequence({"prefix": {"type": "cube", "k": 2},
+                            "tail": {"type": "cube", "k": 8}})
+        assert "$.prefix" in str(exc.value)
+        with pytest.raises(SchemaError):
+            parse_sequence([{"type": "cube", "k": 8}])
+        with pytest.raises(SchemaError) as exc:
+            parse_sequence({"prefix": [{"type": "cube", "k": 1}], "tail": EVENS_CUBE})
+        assert "ground set" in str(exc.value)
 
 
 class TestSpecsAndVectors:
@@ -189,10 +208,9 @@ class TestSpecsAndVectors:
 
     def test_supfamily_round_trip(self):
         spec = SupFamily((SupTerm(F(3, 4), 2), SupTerm(F(5, 8), 2, "touches-even")))
-        data = spec_to_json(spec)
-        assert data == {"type": "supfamily",
-                        "terms": [{"w": "3/4", "m": 2},
-                                  {"w": "5/8", "m": 2, "filter": "touches-even"}]}
+        data = {"type": "supfamily",
+                "terms": [{"w": "3/4", "m": 2},
+                          {"w": "5/8", "m": 2, "filter": "touches-even"}]}
         assert parse_spec(data) == spec
 
     def test_spec_errors(self):
@@ -203,13 +221,17 @@ class TestSpecsAndVectors:
         with pytest.raises(SchemaError):
             parse_spec({"type": "supfamily",
                         "terms": [{"w": "1/2", "m": 2, "filter": "bogus"}]})
+        with pytest.raises(SchemaError) as exc:
+            parse_spec({"type": "supfamily", "terms": [{"w": "1/2", "m": 2, "filter": 3}]})
+        assert "$.terms[0].filter" in str(exc.value)
+        with pytest.raises(SchemaError):
+            parse_spec(["sup"])
 
     def test_vector_three_forms(self):
         v = Vector({1: F(1), 2: F(1, 2)})
         assert parse_vector({"1": "1", "2": "1/2"}) == v
         assert parse_vector([[1, "1"], [2, "1/2"]]) == v
         assert parse_vector(["1", "1/2"]) == v
-        assert parse_vector(vector_to_json(v)) == v
 
     def test_vector_errors(self):
         with pytest.raises(SchemaError):
@@ -218,6 +240,8 @@ class TestSpecsAndVectors:
             parse_vector("nope")
         with pytest.raises(SchemaError):
             parse_vector([[0, "1"]])
+        with pytest.raises(SchemaError):
+            parse_vector({"0": "1"})
 
     def test_coeffs(self):
         assert parse_coeffs(["1", "1/2", 0]) == (F(1), F(1, 2), F(0))
@@ -241,6 +265,8 @@ class TestColoringsValuesSchedules:
         ])
         assert c.of(FiniteSet((1, 2))) == "a"
         assert c.of(Block((FiniteSet((1,)), FiniteSet((2,))))) == "b"
+        c = parse_coloring({"kind": "table", "entries": [{"object": [1, 2], "color": "a"}]})
+        assert c.of(FiniteSet((1, 2))) == "a"
 
     def test_coloring_errors(self):
         with pytest.raises(SchemaError):
@@ -249,6 +275,10 @@ class TestColoringsValuesSchedules:
             parse_coloring({"kind": "mystery"})
         with pytest.raises(SchemaError):
             parse_coloring([{"object": [1, 2]}])
+        for name in (None, "unheard-of"):
+            with pytest.raises(SchemaError) as exc:
+                parse_coloring({"kind": "rule", "name": name}, "$.c")
+            assert "$.c.name" in str(exc.value)
 
     def test_values_table(self):
         vals = parse_values_table([
@@ -258,13 +288,18 @@ class TestColoringsValuesSchedules:
         assert vals[Block((FiniteSet((1,)), FiniteSet((2,))))] == F(3, 2)
         with pytest.raises(SchemaError):
             parse_values_table([{"block": [[1]]}])
+        with pytest.raises(SchemaError):
+            parse_values_table({"block": [[1]], "value": 1})
 
     def test_schedule_round_trip(self):
         s = ToleranceSchedule(F(1, 3), F(2))
-        assert parse_schedule(schedule_to_json(s)) == s
+        assert parse_schedule({"kind": "geometric", "ratio": "1/3", "scale": "2"}) == s
         assert parse_schedule({}) == ToleranceSchedule()
         with pytest.raises(SchemaError):
             parse_schedule({"ratio": "2"})
+        with pytest.raises(SchemaError) as exc:
+            parse_schedule({"kind": "harmonic"})
+        assert "$.kind" in str(exc.value)
 
 
 class TestDumps:
@@ -280,8 +315,8 @@ class TestDumps:
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
 def test_finite_set_json_is_stable(xs):
     s = FiniteSet(xs)
-    assert parse_finite_set(finite_set_to_json(s)) == s
-    assert finite_set_to_json(s) == sorted(xs)
+    assert parse_finite_set(to_json(s)) == s
+    assert to_json(s) == sorted(xs)
 
 
 @settings(max_examples=100)
@@ -290,12 +325,12 @@ def test_finite_set_json_is_stable(xs):
                        max_size=6))
 def test_vector_json_round_trip(entries):
     v = Vector(entries)
-    assert parse_vector(vector_to_json(v)) == v
+    assert parse_vector([[i, str(c)] for i, c in sorted(entries.items())]) == v
+    assert parse_vector({str(i): str(c) for i, c in entries.items()}) == v
 
 
 class TestToJson:
     def test_leaves(self):
-        from blockosc.serialize import to_json
         assert to_json(F(-3, 4)) == "-3/4"
         assert to_json(F(2)) == "2"
         assert to_json(FiniteSet((5, 2))) == [2, 5]
@@ -306,7 +341,6 @@ class TestToJson:
 
     def test_dataclass_fields_and_properties(self):
         from blockosc.models import ConsistencyReport, ConsistencyViolation
-        from blockosc.serialize import to_json
         rep = ConsistencyReport(3, (ConsistencyViolation(2, (F(1), F(0)), F(3, 2), F(1)),))
         assert to_json(rep) == {
             "checked": 3,
@@ -317,7 +351,6 @@ class TestToJson:
 
     def test_nested_report(self):
         from blockosc.oscillation import OscillationReport
-        from blockosc.serialize import to_json
         pair = (Block((FiniteSet((1,)),)), Block((FiniteSet((2,)),)))
         rep = OscillationReport(F(1, 2), pair, (F(1),), FiniteSet((1, 2)), 4, 2)
         assert to_json(rep) == {
@@ -327,7 +360,6 @@ class TestToJson:
 
     def test_axiom_witnesses_are_rational_arrays(self):
         from blockosc.normspace import AxiomCheck
-        from blockosc.serialize import to_json
         chk = AxiomCheck(True, True, False, True, True,
                          (("homogeneous", (F(1, 2), (F(1), F(0)))),))
         out = to_json(chk)
