@@ -81,7 +81,7 @@ from .closedform import (
     tail_reduced_block_value,
     two_pair_block_value,
 )
-from .ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF, ordinal_compare
+from .ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
 from .oscillation import (
     AsymptoticReport,
     OscillationReport,
@@ -109,7 +109,6 @@ from .sets import (
     FiniteSet,
     PrefixThen,
     SetGenerator,
-    compare_sets,
     evens,
     lex_cmp,
     lex_key,

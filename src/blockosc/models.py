@@ -17,8 +17,8 @@ from .barriers import FRONT_FUEL_DEFAULT, BarrierDescriptor, Cube, front
 from .blocks import Block, BlockFamily
 from .closedform import model_value_8, model_value_228
 from .errors import InternalCheckError, InvalidArgumentError, NotStabilizedError
-from .normspace import NormSpec, is_index_invariant, nonneg_grid, section6_spec
-from .oscillation import psi_eval
+from .normspace import NormSpec, nonneg_grid, section6_spec
+from .oscillation import _value_table
 from .sets import FiniteSet
 
 Rational = Union[Fraction, int]
@@ -85,14 +85,6 @@ def _probe_blocks(seq: BarrierSequenceDescriptor, k: int, tail_offset: int,
 
 
 @lru_cache(maxsize=1024)
-def _first_of_profile(blocks: tuple[Block, ...]) -> tuple[int, ...]:
-    """For each probe, the first probe with the same part sizes."""
-    firsts: dict[tuple[int, ...], int] = {}
-    return tuple(firsts.setdefault(tuple(len(p.elements) for p in b), i)
-                 for i, b in enumerate(blocks))
-
-
-@lru_cache(maxsize=1024)
 def default_tail_offset(seq: BarrierSequenceDescriptor, k: int,
                         fuel: int = FRONT_FUEL_DEFAULT) -> int:
     """Span of a block started at the front of the ground set, plus 8."""
@@ -136,26 +128,38 @@ def model_eval(
     elif tail_offset < 1:
         raise InvalidArgumentError("tail_offset must be >= 1")
     blocks = _probe_blocks(seq, k, tail_offset, probe_count, fuel)
-    if is_index_invariant(spec):
-        # psi reads only the part sizes here: one evaluation per size profile
-        vals: list[Fraction] = []
-        for b, first in zip(blocks, _first_of_profile(blocks)):
-            vals.append(vals[first] if first < len(vals) else psi_eval(spec, b, coeffs))
-    else:
-        vals = [psi_eval(spec, b, coeffs) for b in blocks]
+    cs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
+    rows, den = _value_table(spec, blocks, [cs])
+    vals = [Fraction(row[0], den) for row in rows]
     stabilized = vals.count(vals[0]) == len(vals) or max(vals) - min(vals) <= tolerance
     value = vals[0] if stabilized else sum(vals) / len(vals)
     return ModelValue(value, stabilized, tuple(zip(blocks, vals)), tail_offset)
 
 
-def _stable_value(spec, seq, coeffs, probe_count=3) -> Fraction:
-    mv = model_eval(spec, seq, coeffs, probe_count=probe_count)
-    if not mv.stabilized:
+def _default_probes(spec, seq, tuples) -> list[list[Fraction]]:
+    """The values at each tuple (all of one length) on the probes model_eval
+    takes by default, read off one value table."""
+    if not tuples:
+        return []
+    k = len(tuples[0])
+    blocks = _probe_blocks(seq, k, default_tail_offset(seq, k, FRONT_FUEL_DEFAULT),
+                           3, FRONT_FUEL_DEFAULT)
+    rows, den = _value_table(spec, blocks, tuples)
+    return [[Fraction(row[j], den) for row in rows] for j in range(len(tuples))]
+
+
+def _stable(coeffs, vals: list[Fraction]) -> Fraction:
+    """The model value at coeffs, from its probe values, when they all agree."""
+    if vals.count(vals[0]) != len(vals):
         raise NotStabilizedError(
             f"model value at {coeffs} did not stabilize: "
-            + ", ".join(str(v) for _, v in mv.probes)
+            + ", ".join(str(v) for v in vals)
         )
-    return mv.value
+    return vals[0]
+
+
+def _stable_value(spec, seq, coeffs) -> Fraction:
+    return _stable(coeffs, _default_probes(spec, seq, [coeffs])[0])
 
 
 @dataclass(frozen=True)
@@ -185,9 +189,12 @@ def consistency_check(
     checked = 0
     bad = []
     for k in range(1, k_max):
-        for a in nonneg_grid(k, grid_q):
-            base = _stable_value(spec, seq, a)
-            padded = _stable_value(spec, seq, a + (Fraction(0),))
+        grid = nonneg_grid(k, grid_q)
+        grid0 = [a + (Fraction(0),) for a in grid]
+        for a, a0, vals, vals0 in zip(grid, grid0, _default_probes(spec, seq, grid),
+                                      _default_probes(spec, seq, grid0)):
+            base = _stable(a, vals)
+            padded = _stable(a0, vals0)
             checked += 1
             if padded != base:
                 bad.append(ConsistencyViolation(k, a, padded, base))
@@ -224,20 +231,22 @@ def spreading_check(
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
+    if len(placements) < 1:
+        raise InvalidArgumentError("placement count must be >= 1")
     grid = nonneg_grid(k, grid_q)
-    identity = {a: _stable_value(spec, seq, a) for a in grid}
+    identity = {a: _stable(a, vals) for a, vals in zip(grid, _default_probes(spec, seq, grid))}
     checked = 0
     worst: Optional[SpreadingWitness] = None
     worst_size = Fraction(0)
     for s in placements:
         if len(s) != k:
             raise InvalidArgumentError(f"placement {s} is not a {k}-set")
-        slots = s.elements
-        for a in grid:
-            padded = [0] * s.max
-            for pos, c in zip(slots, a):
-                padded[pos - 1] = c
-            val = _stable_value(spec, seq, padded)
+        padded = [[0] * s.max for _ in grid]
+        for p, a in zip(padded, grid):
+            for pos, c in zip(s.elements, a):
+                p[pos - 1] = c
+        for a, p, vals in zip(grid, padded, _default_probes(spec, seq, padded)):
+            val = _stable(p, vals)
             checked += 1
             if val != identity[a]:
                 size = abs(identity[a] - val)
@@ -260,11 +269,11 @@ def equivalence_constants(
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
     for k in range(1, k_max + 1):
-        for a in nonneg_grid(k, grid_q):
-            if all(c == 0 for c in a):
-                continue
-            v1 = _stable_value(spec, seq1, a)
-            v2 = _stable_value(spec, seq2, a)
+        grid = [a for a in nonneg_grid(k, grid_q) if any(a)]
+        for a, vals1, vals2 in zip(grid, _default_probes(spec, seq1, grid),
+                                   _default_probes(spec, seq2, grid)):
+            v1 = _stable(a, vals1)
+            v2 = _stable(a, vals2)
             if v1 == 0:
                 raise NotStabilizedError(
                     f"first model vanishes at nonzero tuple {a}"
@@ -318,8 +327,9 @@ def verify_section6(
     ):
         first = ""
         for k in range(1, k_max + 1):
-            for a in nonneg_grid(k, grid_q):
-                got = _stable_value(spec, seq, a)
+            grid = nonneg_grid(k, grid_q)
+            for a, vals in zip(grid, _default_probes(spec, seq, grid)):
+                got = _stable(a, vals)
                 want = formula(a)
                 if got != want and not first:
                     first = f"a={a}: {got} != {want}"

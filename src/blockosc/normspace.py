@@ -130,10 +130,6 @@ class SupFamily(NormSpec):
 
     terms: tuple[SupTerm, ...]
 
-    @property
-    def index_invariant(self) -> bool:
-        return all(t.filter is None for t in self.terms)
-
     @cached_property
     def _plan(self) -> "Plan":
         w = math.lcm(*(t.weight.denominator for t in self.terms))
@@ -283,16 +279,6 @@ def _part_runs(plan: Plan, part: FiniteSet, firsts: dict) -> tuple[tuple[int, Op
         first = firsts.setdefault(tuple(pred(i) for pred in plan[2]), i)
         counts[first] = counts.get(first, 0) + 1
     return tuple(sorted((cnt, i) for i, cnt in counts.items()))
-
-
-def is_index_invariant(spec: NormSpec) -> bool:
-    """Whether the spec sees only the multiset of entries, not their indices.
-
-    That is the sup norm and every sup-family without index filters; the
-    value tables evaluate them once per part-size profile.
-    """
-    return isinstance(spec, SupNorm) or (isinstance(spec, SupFamily)
-                                         and spec.index_invariant)
 
 
 def _nth_root_int(n: int, p: int) -> tuple[int, bool]:
@@ -537,6 +523,8 @@ def degenerate_limit_demo(n_max: int = 64, grid_q: int = 8) -> DegenerateLimitRe
     Each member keeps full norm axioms, the grid distance to the limit is
     exactly 1/n (attained at (1, 1)), yet the limit vanishes on the diagonal.
     """
+    if n_max < 1:
+        raise InvalidArgumentError("n_max must be >= 1")
     ones = (Fraction(1), Fraction(1))
     dist = []
     at_ones = []

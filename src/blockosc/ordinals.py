@@ -43,12 +43,6 @@ class OrdinalCNF:
             raise InvalidArgumentError("exponent must be >= 0")
         return OrdinalCNF(((k, 1),))
 
-    @staticmethod
-    def finite(n: int) -> "OrdinalCNF":
-        if n < 0:
-            raise InvalidArgumentError("finite ordinal must be >= 0")
-        return OrdinalCNF(((0, n),)) if n else OrdinalCNF()
-
     def __str__(self) -> str:
         if self.unbounded:
             return ">=w^w"
@@ -65,20 +59,3 @@ class OrdinalCNF:
 
 
 AT_LEAST_OMEGA_OMEGA = OrdinalCNF(unbounded=True)
-
-
-def ordinal_compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
-    """Three-way comparison; the overflow marker dominates every finite form."""
-    if a.unbounded or b.unbounded:
-        if a.unbounded and b.unbounded:
-            return 0
-        return 1 if a.unbounded else -1
-    # CNF order is lexicographic on the (exponent, coefficient) term list.
-    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
-        if e1 != e2:
-            return -1 if e1 < e2 else 1
-        if c1 != c2:
-            return -1 if c1 < c2 else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from .blocks import Block, BlockFamily, enumerate_blocks
@@ -23,7 +23,6 @@ from .normspace import (
     _kernel_plan,
     _part_runs,
     _sup_numerator,
-    is_index_invariant,
     nonneg_grid,
 )
 from .sets import FiniteSet, SetGenerator
@@ -61,22 +60,6 @@ def psi_eval(spec: NormSpec, block: Block, coeffs: Sequence[Rational]) -> Fracti
     cs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
     (row,), den = _value_table(spec, [block], [cs])
     return Fraction(row[0], den)
-
-
-def _coefficient_tuples(spec: NormSpec, k: int, grid_q: int) -> list[tuple[Fraction, ...]]:
-    """Nonnegative grid, plus signed corners when index filters are present.
-
-    The in-scope norms only see absolute entries, so nonnegative tuples carry
-    the search; filtered specs get the sign corners probed anyway since their
-    invariance is asserted rather than derived.
-    """
-    pts = nonneg_grid(k, grid_q)
-    if not is_index_invariant(spec):
-        corners = [tuple(Fraction(x) for x in p)
-                   for p in product((-1, 0, 1), repeat=k)]
-        seen = set(pts)
-        pts = pts + [c for c in corners if c not in seen]
-    return pts
 
 
 def _value_table(
@@ -239,7 +222,7 @@ def oscillation_gap(
         raise InsufficientBlocksError(
             f"only {len(blocks)} block(s) fit inside {universe}"
         )
-    tuples = _coefficient_tuples(spec, len(fam), grid_q)
+    tuples = nonneg_grid(len(fam), grid_q)
     table, den = _value_table(spec, blocks, tuples)
     return _gap_report(spec, blocks, tuples, table, den, universe, grid_q)
 
@@ -284,7 +267,7 @@ def find_stable_subsequence(
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
 
     blocks = enumerate_blocks(fam, universe.max, within=universe)
-    tuples = _coefficient_tuples(spec, len(fam), grid_q)
+    tuples = nonneg_grid(len(fam), grid_q)
     table, den = _value_table(spec, blocks, tuples)
     bound = _ceil_times(epsilon, den)
     elems = universe.elements
@@ -374,7 +357,7 @@ def asymptotic_stability_check(
     blocks = enumerate_blocks(fam, horizon, within=uni)
     if len(blocks) < 2:
         raise InsufficientBlocksError("horizon hosts fewer than two blocks")
-    tuples = _coefficient_tuples(spec, len(fam), grid_q)
+    tuples = nonneg_grid(len(fam), grid_q)
     table, den = _value_table(spec, blocks, tuples)
     mins = [b.min for b in blocks]
 

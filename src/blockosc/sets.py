@@ -76,10 +76,6 @@ class FiniteSet:
             raise InvalidArgumentError("block order needs nonempty sets")
         return self.max < other.min
 
-    def is_initial_segment_of(self, other: "FiniteSet") -> bool:
-        n = len(self.elements)
-        return self.elements == other.elements[:n]
-
     def concat(self, other: "FiniteSet") -> "FiniteSet":
         """Ordered union ``self`` followed by ``other``; requires self < other."""
         if not self.all_below(other):
@@ -111,25 +107,6 @@ def lex_cmp(s: FiniteSet, t: FiniteSet) -> int:
 
 
 lex_key = cmp_to_key(lex_cmp)
-
-
-@dataclass(frozen=True)
-class SetRelation:
-    """Outcome of :func:`compare_sets`: block order, lex order, end-extension."""
-
-    less: bool
-    lex: int  # -1, 0, or 1
-    initial_segment: bool
-
-
-def compare_sets(s: FiniteSet, t: FiniteSet) -> SetRelation:
-    if s.is_empty() or t.is_empty():
-        raise InvalidArgumentError("compare_sets needs nonempty sets")
-    return SetRelation(
-        less=s.max < t.min,
-        lex=lex_cmp(s, t),
-        initial_segment=s.is_initial_segment_of(t),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +219,15 @@ def odds() -> SetGenerator:
     return Arithmetic(1, 2)
 
 
-def probe_equal(g1: SetGenerator, g2: SetGenerator, samples: int = 32) -> bool:
+_PROBE_SAMPLES = 32
+
+
+def probe_equal(g1: SetGenerator, g2: SetGenerator) -> bool:
     """Equality of descriptors up to a finite probe of their enumerations."""
-    return g1.first(samples) == g2.first(samples)
+    return g1.first(_PROBE_SAMPLES) == g2.first(_PROBE_SAMPLES)
 
 
-def probe_subset(g1: SetGenerator, g2: SetGenerator, samples: int = 32) -> bool:
-    """Whether the first ``samples`` elements of ``g1`` all belong to ``g2``."""
-    return all(g2.contains(x) for x in g1.first(samples))
+def probe_subset(g1: SetGenerator, g2: SetGenerator) -> bool:
+    """Whether the first ``_PROBE_SAMPLES`` elements of ``g1`` all belong to ``g2``."""
+    return all(g2.contains(x) for x in g1.first(_PROBE_SAMPLES))
 

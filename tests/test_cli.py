@@ -14,6 +14,8 @@ FIXTURE_FAM = f"[{CUBE1},{CUBE1}]"
 SEQ_228 = f'{{"prefix":[{CUBE2},{CUBE2}],"tail":{CUBE8}}}'
 SECTION6 = '{"type":"section6"}'
 FIXTURE = '{"type":"even-pair"}'
+# No structural rule fits a quotient of a sum, so its rank is probed.
+EMPIRICAL = f'{{"type":"quotient","base":{{"type":"sum","parts":[{CUBE1},{CUBE2}]}},"s":[1]}}'
 
 
 def run(capsys, *argv):
@@ -511,6 +513,12 @@ class TestInputContract:
          "--tail-offset", "0"),
         ("model", "eval", "--spec", SECTION6, "--sequence", SEQ_228, "--coeffs", '["1"]',
          "--tail-offset", "-5"),
+        ("norm", "limit-demo", "--n-max", "0"),
+        ("norm", "limit-demo", "--n-max", "-4"),
+        ("model", "spreading", "--spec", SECTION6, "--sequence", SEQ_228, "--k", "2",
+         "--placements", "[]"),
+        ("barrier", "rank", "--descriptor", EMPIRICAL, "--probe-bound", "0"),
+        ("barrier", "rank", "--descriptor", CUBE2, "--probe-bound", "-1"),
     ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
     def test_vacuous_size_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -2,9 +2,10 @@
 
 ``front`` and ``_front_along_finite`` take Cube and Schreier fronts by a size
 rule; the reference tests every prefix for membership.  ``model_eval``
-evaluates psi once per part-size profile for index-invariant specs and
-caches its default tail offset; the reference builds the probes with the
-reference front and evaluates psi on each one.
+reads its probes off one value table and caches its default tail offset;
+the reference builds the probes with the reference front and evaluates psi
+on each one.  The model checks evaluate each grid of one tuple length with
+one value table; the reference walks the grid one ``model_eval`` at a time.
 """
 
 from fractions import Fraction as F
@@ -26,17 +27,25 @@ from blockosc.barriers import (
     front,
 )
 from blockosc.blocks import Block
-from blockosc.errors import NoFrontFoundError
+from blockosc.errors import NoFrontFoundError, NotStabilizedError
 from blockosc.models import (
     BarrierSequenceDescriptor,
+    ConsistencyReport,
+    ConsistencyViolation,
+    SpreadingReport,
+    SpreadingWitness,
+    consistency_check,
     eights_sequence,
+    equivalence_constants,
     model_eval,
+    spreading_check,
     two_two_eights_sequence,
 )
 from blockosc.normspace import (
     SupNorm,
     even_pair_fixture,
     mn_norm_spec,
+    nonneg_grid,
     section6_spec,
 )
 from blockosc.oscillation import psi_eval
@@ -245,3 +254,93 @@ def test_model_eval_matches_per_probe_psi_seeded(m, dn, coeffs, seq_i, probes):
     seq = SEQUENCES[seq_i]
     got = model_eval(spec, seq, coeffs, probe_count=probes)
     assert as_tuple(got) == ref_model(spec, seq, coeffs, probe_count=probes)
+
+
+# ---------------------------------------------------------------------------
+# The batched model checks against per-tuple model_eval
+
+
+def ref_stable_value(spec, seq, coeffs):
+    mv = model_eval(spec, seq, coeffs)
+    if not mv.stabilized:
+        raise NotStabilizedError(f"model value at {coeffs} did not stabilize: "
+                                 + ", ".join(str(v) for _, v in mv.probes))
+    return mv.value
+
+
+def ref_consistency(spec, seq, k_max, grid_q):
+    checked, bad = 0, []
+    for k in range(1, k_max):
+        for a in nonneg_grid(k, grid_q):
+            base = ref_stable_value(spec, seq, a)
+            padded = ref_stable_value(spec, seq, a + (F(0),))
+            checked += 1
+            if padded != base:
+                bad.append(ConsistencyViolation(k, a, padded, base))
+    return ConsistencyReport(checked, tuple(bad))
+
+
+def ref_spreading(spec, seq, k, placements, grid_q):
+    grid = nonneg_grid(k, grid_q)
+    identity = {a: ref_stable_value(spec, seq, a) for a in grid}
+    checked, worst, worst_size = 0, None, F(0)
+    for s in placements:
+        for a in grid:
+            padded = [0] * s.max
+            for pos, c in zip(s.elements, a):
+                padded[pos - 1] = c
+            val = ref_stable_value(spec, seq, padded)
+            checked += 1
+            if abs(identity[a] - val) > worst_size:
+                worst_size = abs(identity[a] - val)
+                worst = SpreadingWitness(s, a, identity[a], val)
+    return SpreadingReport(worst is None, worst, checked)
+
+
+def ref_equivalence(spec, seq1, seq2, k_max, grid_q):
+    ratios = []
+    for k in range(1, k_max + 1):
+        for a in nonneg_grid(k, grid_q):
+            if any(a):
+                v1 = ref_stable_value(spec, seq1, a)
+                v2 = ref_stable_value(spec, seq2, a)
+                if v1 == 0:
+                    raise NotStabilizedError(f"first model vanishes at nonzero tuple {a}")
+                ratios.append(v2 / v1)
+    return min(ratios), max(ratios)
+
+
+def report_or_error(check, *args):
+    try:
+        return check(*args)
+    except NotStabilizedError as exc:
+        return "NotStabilizedError", str(exc)
+
+
+# Under the even-pair fixture, a one-element prefix then pairs never
+# stabilizes at (1/4, 1/4); a one-element prefix then triples first fails
+# at a padded tuple, (1/2, 1/2, 0) in the consistency check.
+UNSTABLE = BarrierSequenceDescriptor((Cube(1),), Cube(2))
+UNSTABLE_PADDED = BarrierSequenceDescriptor((Cube(1),), Cube(3))
+PLACEMENTS = [FiniteSet((3, 4)), FiniteSet((1, 5)), FiniteSet((2, 3)), FiniteSet((2, 9))]
+CHECKED = [(section6_spec(), eights_sequence()), (section6_spec(), two_two_eights_sequence()),
+           (even_pair_fixture(), eights_sequence()),
+           (even_pair_fixture(), two_two_eights_sequence()), (even_pair_fixture(), UNSTABLE),
+           (even_pair_fixture(), UNSTABLE_PADDED)]
+
+
+@pytest.mark.parametrize("spec,seq", CHECKED,
+                         ids=["section6-eights", "section6-228", "even-pair-eights",
+                              "even-pair-228", "even-pair-unstable", "even-pair-unstable-padded"])
+@pytest.mark.parametrize("grid_q", [2, 4])
+def test_batched_checks_match_per_tuple_model_eval(spec, seq, grid_q):
+    for k_max in (2, 3):
+        assert (report_or_error(consistency_check, spec, seq, k_max, grid_q)
+                == report_or_error(ref_consistency, spec, seq, k_max, grid_q))
+    for k in (1, 2):
+        placements = [p for p in PLACEMENTS if len(p) == k] or [FiniteSet((4,)), FiniteSet((2,))]
+        assert (report_or_error(spreading_check, spec, seq, k, placements, grid_q)
+                == report_or_error(ref_spreading, spec, seq, k, placements, grid_q))
+    for seq1, seq2 in ((eights_sequence(), seq), (seq, eights_sequence())):
+        assert (report_or_error(equivalence_constants, spec, seq1, seq2, 2, grid_q)
+                == report_or_error(ref_equivalence, spec, seq1, seq2, 2, grid_q))

@@ -154,6 +154,15 @@ def test_psi_matches_reference(spec, case):
 
 
 @KERNEL
+@given(SPECS, st.integers(1, 4).flatmap(
+    lambda k: st.tuples(blocks(k), st.tuples(*[COEFFS] * k))))
+def test_psi_reads_only_absolute_coefficients(spec, case):
+    # so the nonnegative grid already holds the column of every sign pattern
+    block, coeffs = case
+    assert psi_eval(spec, block, coeffs) == psi_eval(spec, block, tuple(abs(c) for c in coeffs))
+
+
+@KERNEL
 @given(SPECS, tables())
 def test_value_table_rows_over_one_denominator(spec, case):
     bs, tuples = case

@@ -11,6 +11,8 @@ from blockosc.normspace import (
     SupNorm,
     SupTerm,
     Vector,
+    _kernel_plan,
+    _part_runs,
     block_vector,
     check_seminorm_axioms,
     degenerate_limit_demo,
@@ -75,10 +77,11 @@ class TestSpecConstruction:
         spec = section6_spec()
         assert [(t.weight, t.size) for t in spec.terms] == \
             [(F(3, 4), 2), (F(9, 16), 8)]
-        assert spec.index_invariant
 
     def test_fixture_is_not_index_invariant(self):
-        assert not even_pair_fixture().index_invariant
+        # the fixture's filters split a part into runs of evens and odds
+        runs = _part_runs(_kernel_plan(even_pair_fixture(), "test"), FiniteSet((1, 2, 3, 5)), {})
+        assert runs == ((1, 2), (3, 1))
 
 
 class TestEvaluation:
@@ -229,12 +232,10 @@ def test_filtered_specs_still_obey_triangle(v):
 
 class TestIndexInvarianceAndGrids:
     def test_index_invariant_specs(self):
-        from blockosc.normspace import is_index_invariant
-        assert is_index_invariant(SupNorm())
-        assert is_index_invariant(section6_spec())
-        assert is_index_invariant(mn_norm_spec(2, 3))
-        assert not is_index_invariant(even_pair_fixture())
-        assert not is_index_invariant(LpNorm(1))
+        # without index filters the kernel plan sees a part as one run
+        part = FiniteSet((1, 2, 3, 5))
+        for spec in (SupNorm(), section6_spec(), mn_norm_spec(2, 3), LpNorm(1)):
+            assert _part_runs(_kernel_plan(spec, "test"), part, {}) == ((4, None),)
 
     @pytest.mark.parametrize("q", [0, -1])
     def test_grids_reject_sizes_below_one(self, q):

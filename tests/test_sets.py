@@ -10,7 +10,6 @@ from blockosc.sets import (
     CofiniteAfter,
     FiniteSet,
     PrefixThen,
-    compare_sets,
     evens,
     lex_cmp,
     naturals,
@@ -52,30 +51,24 @@ class TestFiniteSet:
         with pytest.raises(InvalidArgumentError):
             FiniteSet([1, 3]).concat(FiniteSet([3, 5]))
 
-    def test_initial_segment(self):
-        assert FiniteSet([1, 2]).is_initial_segment_of(FiniteSet([1, 2, 5]))
-        assert not FiniteSet([1, 3]).is_initial_segment_of(FiniteSet([1, 2, 3]))
-
 
 class TestCompareSets:
     def test_disjoint_ordered(self):
-        r = compare_sets(FiniteSet([1, 2]), FiniteSet([3, 5]))
-        assert r.less and r.lex < 0 and not r.initial_segment
+        s, t = FiniteSet([1, 2]), FiniteSet([3, 5])
+        assert s.all_below(t) and lex_cmp(s, t) < 0
 
     def test_symmetric_difference_rule(self):
         # min of the symmetric difference is 2, which lives in the left set
-        r = compare_sets(FiniteSet([1, 2]), FiniteSet([1, 3]))
-        assert not r.less and r.lex < 0 and not r.initial_segment
+        s, t = FiniteSet([1, 2]), FiniteSet([1, 3])
+        assert not s.all_below(t) and lex_cmp(s, t) < 0
 
     def test_prefix_case(self):
-        r = compare_sets(FiniteSet([1, 2]), FiniteSet([1, 2, 5]))
-        assert r.initial_segment
         # a strict prefix sorts after its extension
-        assert r.lex > 0
+        assert lex_cmp(FiniteSet([1, 2]), FiniteSet([1, 2, 5])) > 0
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
-            compare_sets(FiniteSet(), FiniteSet([1]))
+            FiniteSet().all_below(FiniteSet([1]))
 
     @given(finite_sets, finite_sets)
     def test_lex_total_and_antisymmetric(self, s, t):
@@ -93,7 +86,7 @@ class TestCompareSets:
 
     @given(finite_sets, finite_sets)
     def test_mutual_prefix_is_equality(self, s, t):
-        if s.is_initial_segment_of(t) and t.is_initial_segment_of(s):
+        if s.prefix(len(t)) == t and t.prefix(len(s)) == s:
             assert s == t
 
 

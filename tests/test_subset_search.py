@@ -19,10 +19,9 @@ from hypothesis import strategies as st
 
 from blockosc.barriers import Cube, enumerate_up_to
 from blockosc.blocks import Block, BlockFamily, enumerate_blocks
-from blockosc.normspace import LpNorm, SupNorm, even_pair_fixture, section6_spec
+from blockosc.normspace import LpNorm, SupNorm, even_pair_fixture, nonneg_grid, section6_spec
 from blockosc.oscillation import (
     ToleranceSchedule,
-    _coefficient_tuples,
     find_stable_subsequence,
     psi_eval,
 )
@@ -185,7 +184,7 @@ SPECS = [even_pair_fixture(), section6_spec(), SupNorm(), LpNorm(1)]
 
 
 def value_rows(spec, fam: BlockFamily, universe: FiniteSet, q: int):
-    tuples = _coefficient_tuples(spec, len(fam), q)
+    tuples = nonneg_grid(len(fam), q)
     blocks = enumerate_blocks(fam, universe.max, within=universe)
     return {b: tuple(psi_eval(spec, b, a) for a in tuples) for b in blocks}
 
