@@ -136,26 +136,27 @@ def model_eval(
     return ModelValue(value, stabilized, tuple(zip(blocks, vals)), tail_offset)
 
 
-def _default_probes(spec, seq, tuples) -> list[list[Fraction]]:
+def _default_probes(spec, seq, tuples) -> list[tuple[tuple[int, ...], int]]:
     """The values at each tuple (all of one length) on the probes model_eval
-    takes by default, read off one value table."""
+    takes by default, read off one value table: (numerators, denominator)."""
     if not tuples:
         return []
     k = len(tuples[0])
     blocks = _probe_blocks(seq, k, default_tail_offset(seq, k, FRONT_FUEL_DEFAULT),
                            3, FRONT_FUEL_DEFAULT)
     rows, den = _value_table(spec, blocks, tuples)
-    return [[Fraction(row[j], den) for row in rows] for j in range(len(tuples))]
+    return [(col, den) for col in zip(*rows)]
 
 
-def _stable(coeffs, vals: list[Fraction]) -> Fraction:
+def _stable(coeffs, probes: tuple[tuple[int, ...], int]) -> Fraction:
     """The model value at coeffs, from its probe values, when they all agree."""
-    if vals.count(vals[0]) != len(vals):
+    nums, den = probes
+    if nums.count(nums[0]) != len(nums):
         raise NotStabilizedError(
             f"model value at {coeffs} did not stabilize: "
-            + ", ".join(str(v) for v in vals)
+            + ", ".join(str(Fraction(v, den)) for v in nums)
         )
-    return vals[0]
+    return Fraction(nums[0], den)
 
 
 def _stable_value(spec, seq, coeffs) -> Fraction:

@@ -418,64 +418,58 @@ class AxiomCheck:
                 and self.triangle and self.positive)
 
 
+# The homogeneity check's scalars: halves of integers, none above 2 in size.
 _SCALARS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(-3, 2))
 
 
 def check_seminorm_axioms(rho: Evaluator, k: int, grid_q: int = 4) -> AxiomCheck:
-    """Grid checks of the norm axioms; failures carry the first witness."""
+    """Grid checks of the norm axioms; failures carry the first witness.
+
+    Each axiom is read over ``signed_grid(k, grid_q)`` in its order, and the
+    first witness is a grid point (nonnegative, positive), a unit vector
+    (normalized), ``(lam, a)`` with lam in ``_SCALARS`` (homogeneous) or a
+    pair ``(a, b)`` (triangle).  ``rho`` is called once at each point a check
+    may read: the box {j/q : |j| <= 2q}^k, which holds the grid, the unit
+    vectors, every sum a + b and every multiple by 0, 1, -1 or 2, and lam*a
+    for lam = 1/2 or -3/2.  All calls come first, so ``rho`` must be pure,
+    returning a Fraction or an int; it may be called at points a check that
+    stops at its first failure never reads.
+    """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    pts = signed_grid(k, grid_q)
-    zero = (Fraction(0),) * k
-    wit: list[tuple[str, tuple]] = []
+    if grid_q < 1:
+        raise InvalidArgumentError(f"grid size q must be >= 1, got {grid_q}")
+    # A point of numerators c_i over 2q, |c_i| <= r = 4q, has the key
+    # sum c_i * b**(k-1-i): keys are one-to-one, and add and scale as points do.
+    r, b = 4 * grid_q, 8 * grid_q + 1
+    axis = {c: Fraction(c, 2 * grid_q) for c in range(-r, r + 1)}
 
-    nonneg = True
-    for a in pts:
-        if rho(a) < 0:
-            nonneg = False
-            wit.append(("nonnegative", a))
-            break
+    def lattice(cs) -> dict[int, tuple[Fraction, ...]]:
+        out = {0: ()}
+        for _ in range(k):
+            out = {x * b + c: p + (axis[c],) for x, p in out.items() for c in cs}
+        return out
 
-    normalized = True
-    for i in range(k):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(k))
-        if rho(e) != 1:
-            normalized = False
-            wit.append(("normalized", e))
-            break
-
-    homogeneous = True
-    for a in pts:
-        base = rho(a)
-        for lam in _SCALARS:
-            scaled = tuple(lam * x for x in a)
-            if rho(scaled) != abs(lam) * base:
-                homogeneous = False
-                wit.append(("homogeneous", (lam, a)))
-                break
-        if not homogeneous:
-            break
-
-    triangle = True
-    for a in pts:
-        ra = rho(a)
-        for b in pts:
-            s = tuple(x + y for x, y in zip(a, b))
-            if rho(s) > ra + rho(b):
-                triangle = False
-                wit.append(("triangle", (a, b)))
-                break
-        if not triangle:
-            break
-
-    positive = True
-    for a in pts:
-        if a != zero and rho(a) == 0:
-            positive = False
-            wit.append(("positive", a))
-            break
-
-    return AxiomCheck(nonneg, normalized, homogeneous, triangle, positive, tuple(wit))
+    lams = [(lam, int(2 * lam)) for lam in _SCALARS]
+    pts = lattice(range(-r, r + 1, 2))
+    for _, l2 in lams:
+        pts.update(lattice([l2 * j for j in range(-grid_q, grid_q + 1)]))
+    vals = {x: rho(p) for x, p in pts.items()}
+    den = math.lcm(*(v.denominator for v in vals.values()))
+    num = {x: v.numerator * (den // v.denominator) for x, v in vals.items()}
+    cells = [(x, num[x]) for x in lattice(range(-2 * grid_q, 2 * grid_q + 1, 2))]
+    first = [(axiom, next(found, None)) for axiom, found in (
+        ("nonnegative", (pts[x] for x, v in cells if v < 0)),
+        ("normalized", (pts[e] for e in (2 * grid_q * b**i for i in reversed(range(k)))
+                        if num[e] != den)),
+        ("homogeneous", ((lam, pts[x]) for x, v in cells for lam, l2 in lams
+                         if 2 * num[l2 * (x // 2)] != abs(l2) * v)),
+        ("triangle", ((pts[x], pts[y]) for x, v in cells for y, w in cells
+                      if num[x + y] > v + w)),
+        ("positive", (pts[x] for x, v in cells if x and not v)),
+    )]
+    return AxiomCheck(*(w is None for _, w in first),
+                      tuple((axiom, w) for axiom, w in first if w is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +516,7 @@ def degenerate_limit_demo(n_max: int = 64, grid_q: int = 8) -> DegenerateLimitRe
 
     Each member keeps full norm axioms, the grid distance to the limit is
     exactly 1/n (attained at (1, 1)), yet the limit vanishes on the diagonal.
+    ``grid_q`` sets the distance grid; the limit's axioms are read at q = 4.
     """
     if n_max < 1:
         raise InvalidArgumentError("n_max must be >= 1")
