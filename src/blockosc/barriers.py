@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InvalidArgumentError, NoFrontFoundError
 from .ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
@@ -255,70 +255,55 @@ def enumerate_up_to(b: BarrierDescriptor, n: int) -> tuple[FiniteSet, ...]:
     """All members with maximum element <= n, in lexicographic order."""
     if n < 0:
         raise InvalidArgumentError("bound must be >= 0")
-    return _enumerate_cached(b, n)
+    return _enumerate_cached(b, tuple(range(1, n + 1)))
 
 
 @lru_cache(maxsize=512)
-def _enumerate_cached(b: BarrierDescriptor, n: int) -> tuple[FiniteSet, ...]:
-    out = _enumerate_impl(b, n)
-    return tuple(sorted(out, key=lex_key))
-
-
-def _enumerate_impl(b: BarrierDescriptor, n: int) -> list[FiniteSet]:
+def _enumerate_cached(b: BarrierDescriptor, pool: tuple[int, ...]) -> tuple[FiniteSet, ...]:
+    """All members inside ``pool``, an increasing tuple, in lexicographic
+    order; only they are built.  Each branch but the sum's emits them in order.
+    """
     if isinstance(b, Cube):
-        return [FiniteSet(c) for c in combinations(range(1, n + 1), b.k)]
-    if isinstance(b, Schreier):
-        out = []
-        for m in range(1, n + 1):
-            if m == 1:
-                out.append(FiniteSet((1,)))
-                continue
-            for rest in combinations(range(m + 1, n + 1), m - 1):
-                out.append(FiniteSet((m,) + rest))
-        return out
-    if isinstance(b, Restrict):
-        return [s for s in enumerate_up_to(b.base, n) if all(b.to.contains(x) for x in s)]
-    if isinstance(b, Quotient):
+        out = [FiniteSet(c) for c in combinations(pool, b.k)]
+    elif isinstance(b, Schreier):
+        out = [FiniteSet((m,) + rest) for i, m in enumerate(pool)
+               for rest in combinations(pool[i + 1:], m - 1)]
+    elif isinstance(b, Restrict):
+        out = _enumerate_cached(b.base, tuple(x for x in pool if b.to.contains(x)))
+    elif isinstance(b, Quotient):
         stem = b.s.elements
-        out = []
-        for u in enumerate_up_to(b.base, n):
-            if len(u) > len(stem) and u.elements[: len(stem)] == stem:
-                out.append(FiniteSet(u.elements[len(stem):]))
-        return out
-    if isinstance(b, Sum):
-        return [FiniteSet(x for p in t for x in p) for t in _stack(b.parts, n)]
-    if isinstance(b, Associated):
-        elems = b.base.ground().first(n)
-        pool = set(elems)
-        index = {x: i + 1 for i, x in enumerate(elems)}
-        bound = elems[-1] if elems else 0
-        out = []
-        for s in enumerate_up_to(b.base, bound):
-            if all(x in pool for x in s):
-                out.append(FiniteSet(index[x] for x in s))
-        return out
-    raise InvalidArgumentError(f"unknown descriptor {b!r}")
+        base = _enumerate_cached(b.base, stem + tuple(x for x in pool if x > stem[-1]))
+        out = [FiniteSet(u.elements[len(stem):]) for u in base
+               if len(u) > len(stem) and u.elements[: len(stem)] == stem]
+    elif isinstance(b, Sum):
+        out = sorted((FiniteSet(x for p in t for x in p) for t in _stack(b.parts, pool)),
+                     key=lex_key)
+    elif isinstance(b, Associated):
+        elems = b.base.ground().first(pool[-1]) if pool else ()
+        index = {elems[i - 1]: i for i in pool}
+        out = [FiniteSet(index[x] for x in s)
+               for s in _enumerate_cached(b.base, tuple(index))]
+    else:
+        raise InvalidArgumentError(f"unknown descriptor {b!r}")
+    return tuple(out)
 
 
-def _stack(
-    parts: tuple[BarrierDescriptor, ...],
-    n: int,
-    keep: Optional[Callable[[FiniteSet], bool]] = None,
-) -> list[tuple[FiniteSet, ...]]:
-    """Every (s1, ..., sk) with si a member of the i-th part, elements <= n,
-    max(si) < min(s(i+1)), and ``keep`` true of each si when it is given.
+def _stack(parts: tuple[BarrierDescriptor, ...],
+           pool: tuple[int, ...]) -> list[tuple[FiniteSet, ...]]:
+    """Every (s1, ..., sk) with si a member of the i-th part inside ``pool``
+    and max(si) < min(s(i+1)).
 
     The tuples come in the order of their s1, then of their s2, and so on,
     each in the lexicographic order of :func:`enumerate_up_to`.
     """
+    members = [_enumerate_cached(p, pool) for p in parts]
     # memoized on (part index, lower bound): heads sharing a max share tails
     memo: dict[tuple[int, int], list[tuple[FiniteSet, ...]]] = {}
 
     def go(i: int, bound: int) -> list[tuple[FiniteSet, ...]]:
         key = (i, bound)
         if key not in memo:
-            heads = [s for s in enumerate_up_to(parts[i], n)
-                     if s.min > bound and (keep is None or keep(s))]
+            heads = [s for s in members[i] if s.min > bound]
             if i == len(parts) - 1:
                 memo[key] = [(h,) for h in heads]
             else:

@@ -9,12 +9,12 @@ because no barrier contains two comparable initial segments of the same set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .barriers import BarrierDescriptor, _peel_fronts, _stack
 from .errors import InvalidArgumentError, NotInSumError
-from .sets import FiniteSet, lex_cmp, probe_equal
+from .sets import FiniteSet, lex_key, probe_equal
 
 
 class Block:
@@ -89,15 +89,10 @@ class BlockFamily:
         return len(self.parts)
 
 
-def _block_cmp(x: Block, y: Block) -> int:
-    """Total order refining the directed order: first-part maxima, then lex."""
-    a, b = x.parts[0].max, y.parts[0].max
-    if a != b:
-        return -1 if a < b else 1
-    return lex_cmp(x.union(), y.union())
-
-
-block_sort_key = cmp_to_key(_block_cmp)
+def block_sort_key(b: Block) -> tuple:
+    """Sort key of the total order refining the directed order: first-part
+    maxima, then the lexicographic order of the unions."""
+    return b.parts[0].max, lex_key(b.union())
 
 
 def enumerate_blocks(
@@ -111,8 +106,8 @@ def enumerate_blocks(
 def _enumerate_blocks_cached(
     fam: BlockFamily, n: int, within: Optional[FiniteSet]
 ) -> tuple[Block, ...]:
-    keep = None if within is None else (lambda s: all(x in within for x in s))
-    out = [Block(t) for t in _stack(fam.parts, n, keep)]
+    pool = tuple(x for x in (range(1, n + 1) if within is None else within) if x <= n)
+    out = [Block(t) for t in _stack(fam.parts, pool)]
     return tuple(sorted(out, key=block_sort_key))
 
 

@@ -391,12 +391,7 @@ def dk_distance(rho1: Evaluator, rho2: Evaluator, k: int, grid_q: int = 8) -> Fr
     The grid {j/q} already contains every sign pattern of 0 and 1, so no
     extra corner set is needed.
     """
-    best = Fraction(0)
-    for a in signed_grid(k, grid_q):
-        d = abs(rho1(a) - rho2(a))
-        if d > best:
-            best = d
-    return best
+    return max(Fraction(0), *(abs(rho1(a) - rho2(a)) for a in signed_grid(k, grid_q)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,16 +516,17 @@ def degenerate_limit_demo(n_max: int = 64, grid_q: int = 8) -> DegenerateLimitRe
     if n_max < 1:
         raise InvalidArgumentError("n_max must be >= 1")
     ones = (Fraction(1), Fraction(1))
+    limit = {a: difference_seminorm(a) for a in signed_grid(2, grid_q)}  # holds ones and e1
     dist = []
     at_ones = []
     for n in range(1, n_max + 1):
         rho = shrinking_pair_norm(n)
-        dist.append((n, dk_distance(rho, difference_seminorm, 2, grid_q)))
+        dist.append((n, dk_distance(rho, limit.__getitem__, 2, grid_q)))
         at_ones.append((n, rho(ones)))
     return DegenerateLimitReport(
         distances=tuple(dist),
         value_at_ones=tuple(at_ones),
-        limit_at_ones=difference_seminorm(ones),
-        limit_at_e1=difference_seminorm((Fraction(1), Fraction(0))),
+        limit_at_ones=limit[ones],
+        limit_at_e1=limit[Fraction(1), Fraction(0)],
         limit_axioms=check_seminorm_axioms(difference_seminorm, 2, grid_q=4),
     )

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 from typing import Callable, Optional, Sequence, Union
 
 from .blocks import Block, BlockFamily, enumerate_blocks
@@ -95,33 +96,20 @@ def _ceil_times(eps: Fraction, den: int) -> int:
     return -(-eps.numerator * den // eps.denominator)
 
 
-def _spread(table: Sequence[Sequence[int]], rows: Sequence[int],
-            stop_at: Optional[int] = None) -> int:
-    """Max over columns of (row max - row min) of an integer table; early
-    exit once past stop_at.  Fewer than two rows disagree nowhere."""
-    worst = 0
+def _spread(table: Sequence[Sequence[int]], rows: Sequence[int]) -> int:
+    """Max over columns of (row max - row min) of an integer table.  Fewer
+    than two rows disagree nowhere."""
     if len(rows) < 2:
-        return worst
-    for j in range(len(table[rows[0]])):
-        hi = lo = table[rows[0]][j]
-        for r in rows[1:]:
-            v = table[r][j]
-            if v > hi:
-                hi = v
-            elif v < lo:
-                lo = v
-        if hi - lo > worst:
-            worst = hi - lo
-            if stop_at is not None and worst >= stop_at:
-                return worst
-    return worst
+        return 0
+    cells = [table[r] for r in rows]
+    return max(map(sub, map(max, *cells), map(min, *cells)))
 
 
 def _inside_masks(elems: Sequence[int], supports: Sequence[FiniteSet]) -> list[tuple[int, int]]:
     """(index, bitmask over the positions of ``elems``) of each support inside ``elems``."""
     bit = {x: 1 << i for i, x in enumerate(elems)}
-    return [(r, sum(bit[x] for x in sup)) for r, sup in enumerate(supports)
-            if all(x in bit for x in sup)]
+    return [(r, sum(map(bit.__getitem__, sup.elements))) for r, sup in enumerate(supports)
+            if all(map(bit.__contains__, sup.elements))]
 
 
 def _rows_inside(masks: Sequence[tuple[int, int]], m: int) -> list[int]:
@@ -132,34 +120,77 @@ def _members(elems: Sequence[int], m: int) -> FiniteSet:
     return FiniteSet(x for i, x in enumerate(elems) if m >> i & 1)
 
 
-def _largest_hereditary(n: int, accept: Callable[[int], bool], floor: int = 1) -> Optional[int]:
+_REJECT = object()
+Step = Callable[[object, int, int], object]
+
+
+def _largest_hereditary(n: int, step: Step, floor: int = 1) -> Optional[int]:
     """The lexicographically least of the largest accepted sets of positions 0..n-1.
 
-    Sets are int bitmasks, and ``accept`` must be closed under subsets.  Only
+    Sets are int bitmasks, and acceptance must be closed under subsets.  Only
     sets of at least ``floor`` positions count; None when none is accepted.
     The search is depth first over the positions, adding each position before
     skipping it, so the first set of a size it reaches is the lexicographically
     least of that size.  A branch ends once its size plus the positions left
     cannot beat the best size so far (Carraghan & Pardalos, Oper. Res. Lett.
-    9(6), 1990).  ``accept`` is only asked about an accepted set with one
-    position added above all of its own.
+    9(6), 1990).  ``step(state, wider, j)`` is only asked about an accepted
+    set with one position j added above all of its own: given the state of
+    the accepted set (None for the empty set), it returns the state of
+    ``wider``, or ``_REJECT``.
     """
     best: Optional[int] = None
     best_size = floor - 1
 
-    def grow(mask: int, size: int, start: int) -> None:
+    def grow(mask: int, state: object, size: int, low: int) -> None:
         nonlocal best, best_size
         if size > best_size:
             best, best_size = mask, size
-        for j in range(start, n):
+        for j in range(low, n):
             if size + (n - 1 - j) < best_size:
                 return  # j and every position after it still make no larger set
             wider = mask | 1 << j
-            if accept(wider):
-                grow(wider, size + 1, j + 1)
+            nxt = step(state, wider, j)
+            if nxt is not _REJECT:
+                grow(wider, nxt, size + 1, j + 1)
 
-    grow(0, 0, 0)
+    grow(0, None, 0, 0)
     return best
+
+
+def _greedy(n: int, step: Step) -> int:
+    """Positions 0..n-1 in turn, each kept when ``step`` accepts it."""
+    mask, state = 0, None
+    for j in range(n):
+        nxt = step(state, mask | 1 << j, j)
+        if nxt is not _REJECT:
+            mask, state = mask | 1 << j, nxt
+    return mask
+
+
+def _by_top(masks: Sequence[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
+    """The (index, mask) pairs grouped by the top position of their mask: the
+    only ones that can come inside a set when that position joins it."""
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for r, s in masks:
+        groups[s.bit_length() - 1].append((r, s))
+    return groups
+
+
+def _spread_step(table: Sequence[Sequence[int]], masks: Sequence[tuple[int, int]],
+                 n: int, bound: int) -> Step:
+    """A step accepting the sets whose rows spread less than ``bound``; its
+    state is the per-column (hi, lo) lists of the rows inside, if any."""
+    by_top = _by_top(masks, n)
+
+    def step(state: Optional[tuple], wider: int, j: int) -> object:
+        rows = [table[r] for r, s in by_top[j] if s | wider == wider]
+        if not rows:
+            return state
+        rows += state or rows[:1]
+        hi, lo = list(map(max, *rows)), list(map(min, *rows))
+        return _REJECT if max(map(sub, hi, lo)) >= bound else (hi, lo)
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -270,11 +301,11 @@ def find_stable_subsequence(
     tuples = nonneg_grid(len(fam), grid_q)
     table, den = _value_table(spec, blocks, tuples)
     bound = _ceil_times(epsilon, den)
-    elems = universe.elements
+    elems, n = universe.elements, len(universe)
     masks = _inside_masks(elems, [b.union() for b in blocks])
 
-    def gap(m: int, stop_at: Optional[int] = None) -> int:
-        return _spread(table, _rows_inside(masks, m), stop_at)
+    def gap(m: int) -> int:
+        return _spread(table, _rows_inside(masks, m))
 
     def finish(m: int) -> StableSubsequenceResult:
         subset, rows = _members(elems, m), _rows_inside(masks, m)
@@ -286,26 +317,22 @@ def find_stable_subsequence(
                                        epsilon, target, strategy)
 
     if strategy == "greedy":
-        chosen = 0
-        for i in range(len(elems)):
-            if gap(chosen | 1 << i, bound) < bound:
-                chosen |= 1 << i
+        chosen = _greedy(n, _spread_step(table, masks, n, bound))
         if chosen.bit_count() >= target:
             return finish(chosen)
-        return StableSubsequenceResult(False, None, None, _members(elems, chosen),
-                                       Fraction(gap(chosen), den), epsilon, target, strategy)
+        subset, g = _members(elems, chosen), gap(chosen)
+        if g >= bound:
+            raise InternalCheckError(f"greedy subset {subset} is not stable under {epsilon}")
+        return StableSubsequenceResult(False, None, None, subset,
+                                       Fraction(g, den), epsilon, target, strategy)
 
-    hit = _largest_hereditary(len(elems), lambda m: gap(m, bound) < bound, target)
+    hit = _largest_hereditary(n, _spread_step(table, masks, n, bound), target)
     if hit is not None:
         return finish(hit)
     # A spread never shrinks as its set grows, so the least gap over the sets
     # of at least target elements is reached at exactly target elements.
-    best_gap: Optional[int] = None
-    for pick in combinations(range(len(elems)), target):
-        g = gap(sum(1 << i for i in pick), best_gap)
-        if best_gap is None or g < best_gap:
-            best_gap = g
-    best = _largest_hereditary(len(elems), lambda m: gap(m) <= best_gap, target)
+    best_gap = min(gap(sum(1 << i for i in pick)) for pick in combinations(range(n), target))
+    best = _largest_hereditary(n, _spread_step(table, masks, n, best_gap + 1), target)
     return StableSubsequenceResult(False, None, None, _members(elems, best),
                                    Fraction(best_gap, den), epsilon, target, strategy)
 
@@ -372,7 +399,7 @@ def asymptotic_stability_check(
             if len(rows) < 2:
                 break
             last_rows = rows
-            if _spread(table, rows, stop_at=bound) < bound:
+            if _spread(table, rows) < bound:
                 result = StageResult(i, eps, n, True, None, None, None)
                 break
         if result is None:

@@ -12,18 +12,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence, Union
 
-from .barriers import BarrierDescriptor, enumerate_up_to
+from .barriers import BarrierDescriptor, _enumerate_cached
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InternalCheckError, InvalidArgumentError
 from .normspace import _over_lcm
 from .oscillation import (
+    _REJECT,
     ToleranceSchedule,
+    _by_top,
     _ceil_times,
+    _greedy,
     _inside_masks,
     _largest_hereditary,
     _members,
     _rows_inside,
     _spread,
+    _spread_step,
 )
 from .sets import FiniteSet
 
@@ -111,33 +115,24 @@ class RamseyResult:
 
 def _domain_objects(
     source: _Domain, universe: FiniteSet
-) -> tuple[list[object], list[int]]:
-    """Colored objects inside the universe, and their supports as bitmasks
-    over the positions of the universe."""
+) -> tuple[Sequence[object], list[tuple[int, int]]]:
+    """Colored objects inside the universe, and their (index, support) pairs,
+    the supports as bitmasks over the positions of the universe."""
     if universe.is_empty():
         raise InvalidArgumentError("universe must be nonempty")
     if isinstance(source, BlockFamily):
         objs: Sequence[object] = enumerate_blocks(source, universe.max, within=universe)
     else:
-        objs = enumerate_up_to(source, universe.max)
-    inside = _inside_masks(universe.elements, [_support(o) for o in objs])
-    return [objs[r] for r, _ in inside], [s for _, s in inside]
+        objs = _enumerate_cached(source, universe.elements)
+    return objs, _inside_masks(universe.elements, [_support(o) for o in objs])
 
 
-def _mono_color(
-    masks: Sequence[int], colors: Sequence[ColorValue], m: int
-) -> tuple[bool, Optional[ColorValue], int]:
-    """Whether all objects inside m share a color; vacuous counts with None."""
-    color: Optional[ColorValue] = None
-    count = 0
-    for sup, c in zip(masks, colors):
-        if sup | m == m:
-            count += 1
-            if color is None:
-                color = c
-            elif c != color:
-                return False, None, count
-    return True, color, count
+def _mono_color(masks: Sequence[tuple[int, int]], colors: Sequence[ColorValue],
+                m: int) -> tuple[bool, Optional[ColorValue], int]:
+    """Whether all objects inside m share a color, that color (None when no
+    object is inside) and how many objects are inside."""
+    inside = [colors[r] for r in _rows_inside(masks, m)]
+    return len(set(inside)) <= 1, (inside[0] if inside else None), len(inside)
 
 
 def find_monochromatic(
@@ -161,17 +156,22 @@ def find_monochromatic(
     objs, masks = _domain_objects(source, universe)
     colors = [coloring.of(obj) for obj in objs]
     elems = universe.elements
+    by_top = _by_top(masks, len(elems))
 
-    def mono(m: int) -> bool:
-        return _mono_color(masks, colors, m)[0]
+    def step(seen: Optional[tuple], wider: int, j: int) -> object:
+        """Extends the 1-tuple of the color of the objects inside, if any."""
+        for r, s in by_top[j]:
+            if s | wider == wider:
+                if not seen:
+                    seen = (colors[r],)
+                elif colors[r] != seen[0]:
+                    return _REJECT
+        return seen
 
     if strategy == "greedy":
-        m = 0
-        for i in range(len(elems)):
-            if mono(m | 1 << i):
-                m |= 1 << i
+        m = _greedy(len(elems), step)
     else:
-        m = _largest_hereditary(len(elems), mono)
+        m = _largest_hereditary(len(elems), step)
         if m is None:
             return RamseyResult(False, None, None, target, strategy)
     ok, color, count = _mono_color(masks, colors, m)
@@ -179,9 +179,8 @@ def find_monochromatic(
     if not ok:
         raise InternalCheckError(f"witness {subset} is not monochromatic")
     wit = MonochromeWitness(subset, color, count)
-    if len(subset) >= target:
-        return RamseyResult(True, wit, wit, target, strategy)
-    return RamseyResult(False, None, wit, target, strategy)
+    found = len(subset) >= target
+    return RamseyResult(found, wit if found else None, wit, target, strategy)
 
 
 def _value_column(values: ValuesLike, blocks: Sequence[Block]) -> tuple[list[list[int]], int]:
@@ -214,6 +213,18 @@ class MetricResult:
     target: int
 
 
+def _stabilized(table: list[list[int]], den: int, unions: Sequence[FiniteSet],
+                pool: FiniteSet, eps: Fraction) -> Optional[MetricWitness]:
+    """The least of the largest subsets of ``pool`` whose blocks' values
+    spread less than eps, with their spread and number of blocks."""
+    masks, n = _inside_masks(pool.elements, unions), len(pool)
+    m = _largest_hereditary(n, _spread_step(table, masks, n, _ceil_times(eps, den)))
+    if m is None:
+        return None
+    rows = _rows_inside(masks, m)
+    return MetricWitness(_members(pool.elements, m), Fraction(_spread(table, rows), den), len(rows))
+
+
 def metric_stabilize(
     fam: BlockFamily,
     values: ValuesLike,
@@ -232,18 +243,9 @@ def metric_stabilize(
         raise InvalidArgumentError("target must be between 1 and the universe size")
     blocks = enumerate_blocks(fam, universe.max, within=universe)
     table, den = _value_column(values, blocks)
-    bound = _ceil_times(epsilon, den)
-    elems = universe.elements
-    masks = _inside_masks(elems, [b.union() for b in blocks])
-    best = _largest_hereditary(
-        len(elems), lambda m: _spread(table, _rows_inside(masks, m), bound) < bound)
-    if best is None:
-        return MetricResult(False, None, None, epsilon, target)
-    rows = _rows_inside(masks, best)
-    wit = MetricWitness(_members(elems, best), Fraction(_spread(table, rows), den), len(rows))
-    if len(wit.subset) >= target:
-        return MetricResult(True, wit, wit, epsilon, target)
-    return MetricResult(False, None, wit, epsilon, target)
+    wit = _stabilized(table, den, [b.union() for b in blocks], universe, epsilon)
+    found = wit is not None and len(wit.subset) >= target
+    return MetricResult(found, wit if found else None, wit, epsilon, target)
 
 
 @dataclass(frozen=True)
@@ -289,17 +291,12 @@ def diagonal_stabilize(
     index = 1
     while not pool.is_empty():
         eps = schedule.at(index)
-        bound = _ceil_times(eps, den)
-        masks = _inside_masks(pool.elements, unions)
-        found = _largest_hereditary(
-            len(pool), lambda m: _spread(table, _rows_inside(masks, m), bound) < bound)
-        if found is None:  # singletons are always stable
+        wit = _stabilized(table, den, unions, pool, eps)
+        if wit is None:  # singletons are always stable
             raise InternalCheckError(f"no stable subset of {pool} at stage {index}")
-        subset = _members(pool.elements, found)
-        m = subset.min
-        stages.append(DiagonalStage(index, eps, pool, subset, m,
-                                    Fraction(_spread(table, _rows_inside(masks, found)), den)))
+        m = wit.subset.min
+        stages.append(DiagonalStage(index, eps, pool, wit.subset, m, wit.max_gap))
         picked.append(m)
-        pool = subset.suffix_after(m)
+        pool = wit.subset.suffix_after(m)
         index += 1
     return DiagonalReport(FiniteSet(picked), tuple(stages), True)

@@ -11,8 +11,8 @@ tail restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import islice
+from math import inf
 from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError
@@ -90,23 +90,20 @@ class FiniteSet:
         return FiniteSet(x for x in self.elements if x > n)
 
 
-def lex_cmp(s: FiniteSet, t: FiniteSet) -> int:
-    """Three-way lexicographic comparison via least symmetric difference.
+def lex_key(s: FiniteSet) -> tuple:
+    """Sort key of the lexicographic order, by least symmetric difference.
 
-    Walk both sorted tuples; at the first disagreement, the set owning the
-    smaller element comes first.  If one tuple is a proper prefix of the
-    other, the longer set owns the least leftover element and comes first.
+    At the first disagreement of the sorted tuples, the set owning the
+    smaller element comes first; a sentinel above every element, appended,
+    puts a proper prefix after its extensions, whose least leftover it lacks.
     """
-    a, b = s.elements, t.elements
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    if len(a) == len(b):
-        return 0
-    return -1 if len(a) > len(b) else 1
+    return s.elements + (inf,)
 
 
-lex_key = cmp_to_key(lex_cmp)
+def lex_cmp(s: FiniteSet, t: FiniteSet) -> int:
+    """Three-way comparison in the order of :func:`lex_key`."""
+    a, b = lex_key(s), lex_key(t)
+    return (a > b) - (a < b)
 
 
 # ---------------------------------------------------------------------------

@@ -245,3 +245,28 @@ def test_cube_enumeration_members_have_right_size(k, n):
        st.integers(2, 14))
 def test_no_comparable_pairs_anywhere(b, n):
     assert sperner_violations(enumerate_up_to(b, n)) == []
+
+
+POOL_DESCRIPTORS = [
+    Cube(1), Cube(2), Cube(3), Schreier(), Restrict(Cube(2), evens()),
+    Quotient(Schreier(), fs(3)), Sum((Cube(1), Cube(2))),
+    Associated(Restrict(Cube(2), evens())),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(POOL_DESCRIPTORS),
+       st.lists(st.integers(1, 16), max_size=10, unique=True).map(sorted))
+def test_pool_enumeration_matches_filtered_range(b, pool):
+    """Members inside a pool with gaps: the filtered enumeration up to the
+    pool's maximum in the same order, lexicographically sorted, and exactly
+    the subsets of the pool that ``contains`` accepts."""
+    from blockosc.barriers import _enumerate_cached
+    from blockosc.sets import lex_key
+    got = _enumerate_cached(b, tuple(pool))
+    inside = set(pool)
+    assert list(got) == [s for s in enumerate_up_to(b, max(pool, default=0))
+                         if set(s) <= inside]
+    assert list(got) == sorted(got, key=lex_key)
+    assert set(got) == {FiniteSet(c) for r in range(1, len(pool) + 1)
+                        for c in combinations(pool, r) if contains(b, FiniteSet(c))}

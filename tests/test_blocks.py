@@ -1,3 +1,5 @@
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from blockosc.blocks import (
     to_concat,
 )
 from blockosc.errors import InvalidArgumentError, NotInSumError
-from blockosc.sets import CofiniteAfter, FiniteSet, PrefixThen, evens
+from blockosc.sets import CofiniteAfter, FiniteSet, PrefixThen, evens, lex_cmp
 
 
 def fs(*xs):
@@ -77,6 +79,16 @@ class TestEnumerate:
             tuple(Restrict(p, gen) for p in fam.parts))
         assert enumerate_blocks(fam, 9, within=m) == \
             enumerate_blocks(restricted, 9)
+
+    def test_sort_key_is_first_part_max_then_lex_of_the_union(self):
+        out = enumerate_blocks(BlockFamily((Schreier(), Cube(1), Cube(2))), 10)
+
+        def cmp(x, y):
+            a, b = x.parts[0].max, y.parts[0].max
+            return (a > b) - (a < b) or lex_cmp(x.union(), y.union())
+
+        shuffled = sorted(out, key=hash)
+        assert sorted(shuffled, key=block_sort_key) == sorted(shuffled, key=cmp_to_key(cmp))
 
     def test_sorted_by_directed_order_then_lex(self):
         fam = BlockFamily((Schreier(), Cube(1)))

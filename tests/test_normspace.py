@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -197,6 +198,23 @@ class TestAxioms:
         assert rep.limit_at_ones == F(0)
         assert rep.limit_at_e1 == F(1)
         assert rep.collapses_exactly_at_positivity
+
+    def test_degenerate_limit_demo_evaluates_each_grid_point_once(self, monkeypatch):
+        import blockosc.normspace as ns
+        real, real_check = ns.difference_seminorm, ns.check_seminorm_axioms
+        calls = Counter()
+
+        def counted(a):
+            calls[a] += 1
+            return real(a)
+
+        monkeypatch.setattr(ns, "difference_seminorm", counted)
+        # the axiom check reads its own q = 4 lattice: count the distances only
+        monkeypatch.setattr(ns, "check_seminorm_axioms",
+                            lambda rho, k, grid_q: real_check(real, k, grid_q=grid_q))
+        rep = ns.degenerate_limit_demo(n_max=64, grid_q=8)
+        assert calls == Counter(ns.signed_grid(2, 8))
+        assert all(d == F(1, n) for n, d in rep.distances)
 
 
 @st.composite

@@ -138,6 +138,15 @@ class TestMonochromatic:
         assert {c.of(m) for m in inside} == {r.witness.color}
         assert len(inside) == r.witness.domain_size
 
+    def test_none_is_a_color(self):
+        # {1} alone is colored None, so it cannot join the red singletons
+        c = Coloring(lambda o: None if 1 in o else "red")
+        assert brute_force_largest_mono(Cube(1), c, U(4)) == FiniteSet((2, 3, 4))
+        r = find_monochromatic(Cube(1), c, U(4), 2)
+        assert (r.best.subset, r.best.color, r.best.domain_size) == (FiniteSet((2, 3, 4)), "red", 3)
+        g = find_monochromatic(Cube(1), c, U(4), 1, "greedy")
+        assert (g.best.subset, g.best.color, g.best.domain_size) == (FiniteSet((1,)), None, 1)
+
 
 class TestMetric:
     def setup_method(self):

@@ -12,6 +12,7 @@ from blockosc.sets import (
     PrefixThen,
     evens,
     lex_cmp,
+    lex_key,
     naturals,
     odds,
     probe_equal,
@@ -83,6 +84,13 @@ class TestCompareSets:
         key = cmp_to_key(lex_cmp)
         x, y, z = sorted([a, b, c], key=key)
         assert lex_cmp(x, z) <= 0
+
+    @given(finite_sets, finite_sets)
+    def test_lex_is_least_symmetric_difference(self, s, t):
+        diff = set(s) ^ set(t)
+        c = lex_cmp(s, t)
+        assert (c < 0, c == 0) == (bool(diff) and min(diff) in s, not diff)
+        assert (lex_key(s) < lex_key(t), lex_key(s) == lex_key(t)) == (c < 0, c == 0)
 
     @given(finite_sets, finite_sets)
     def test_mutual_prefix_is_equality(self, s, t):

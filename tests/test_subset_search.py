@@ -17,7 +17,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockosc.barriers import Cube, enumerate_up_to
+from blockosc.barriers import Associated, Cube, Quotient, Restrict, Schreier, Sum, enumerate_up_to
 from blockosc.blocks import Block, BlockFamily, enumerate_blocks
 from blockosc.normspace import LpNorm, SupNorm, even_pair_fixture, nonneg_grid, section6_spec
 from blockosc.oscillation import (
@@ -31,7 +31,7 @@ from blockosc.ramsey import (
     find_monochromatic,
     metric_stabilize,
 )
-from blockosc.sets import FiniteSet
+from blockosc.sets import FiniteSet, evens
 
 SEARCH = settings(max_examples=60, deadline=None)
 
@@ -121,6 +121,60 @@ def test_greedy_monochromatic_matches_reference(universe, source, seed):
     res = find_monochromatic(source, Coloring.from_table(colors), universe, 1, "greedy")
     assert res.best.subset == FiniteSet(chosen)
     assert res.best.domain_size == len(inside(objs, frozenset(chosen)))
+
+
+OTHER_SOURCES = [
+    Schreier(), Restrict(Cube(2), evens()), Quotient(Schreier(), FiniteSet((3,))),
+    Sum((Cube(1), Cube(2))), Associated(Restrict(Cube(2), evens())),
+] + FAMILIES
+
+
+@st.composite
+def wide_universes(draw):
+    """10 to 14 elements out of 1..28, reaching 28: the benchmark's shape."""
+    n = draw(st.integers(10, 14))
+    elems = draw(st.lists(st.integers(1, 27), min_size=n - 1, max_size=n - 1, unique=True))
+    return FiniteSet(elems + [28])
+
+
+def greedy_mono(objs, colors, universe: FiniteSet) -> list[int]:
+    chosen: list[int] = []
+    for x in universe:
+        if len({colors[o] for o in inside(objs, frozenset(chosen + [x]))}) <= 1:
+            chosen.append(x)
+    return chosen
+
+
+@SEARCH
+@given(universes(), st.sampled_from(OTHER_SOURCES), st.integers(0, 2**32), st.data())
+def test_monochromatic_on_other_sources_matches_reference(universe, source, seed, data):
+    objs, colors = colored_domain(source, universe, seed)
+    target = data.draw(st.integers(1, len(universe)))
+    res = find_monochromatic(source, Coloring.from_table(colors), universe, target)
+    subset, color, count = ref_mono(objs, colors, universe)
+    assert (res.best.subset, res.best.color, res.best.domain_size) == (subset, color, count)
+    assert res.found == (len(subset) >= target)
+    greedy = find_monochromatic(source, Coloring.from_table(colors), universe, 1, "greedy")
+    assert greedy.best.subset == FiniteSet(greedy_mono(objs, colors, universe))
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_universes(), st.sampled_from([Cube(2), Cube(3)] + OTHER_SOURCES),
+       st.integers(0, 2**32), st.sampled_from([0, 1, 3, 8]))
+def test_monochromatic_on_wide_universes_matches_reference(universe, source, seed, blues):
+    """A few blue objects among red ones keep the largest monochromatic sets
+    large, so the brute-force reference stops after a few sizes."""
+    objs, _ = colored_domain(source, universe, seed)
+    rng = random.Random(seed)
+    blue = set(rng.sample(objs, min(blues, len(objs))))
+    colors = {o: "blue" if o in blue else "red" for o in objs}
+    res = find_monochromatic(source, Coloring.from_table(colors), universe, 1)
+    subset, color, count = ref_mono(objs, colors, universe)
+    assert (res.best.subset, res.best.color, res.best.domain_size) == (subset, color, count)
+    greedy = find_monochromatic(source, Coloring.from_table(colors), universe, 1, "greedy")
+    chosen = greedy_mono(objs, colors, universe)
+    assert greedy.best.subset == FiniteSet(chosen)
+    assert greedy.best.domain_size == len(inside(objs, frozenset(chosen)))
 
 
 # ---------------------------------------------------------------------------
