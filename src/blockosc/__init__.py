@@ -32,7 +32,6 @@ from .blocks import (
     to_concat,
 )
 from .errors import (
-    DegenerateBlockError,
     InsufficientBlocksError,
     InvalidArgumentError,
     NoFrontFoundError,
@@ -59,7 +58,6 @@ from .normspace import (
     SupNorm,
     SupTerm,
     Vector,
-    block_vector,
     check_seminorm_axioms,
     degenerate_limit_demo,
     dk_distance,
@@ -110,7 +108,6 @@ from .sets import (
     PrefixThen,
     SetGenerator,
     evens,
-    lex_cmp,
     lex_key,
     naturals,
     odds,

@@ -395,10 +395,6 @@ class RankResult:
     method: str  # "structural" or "empirical"
     probe_bound: Optional[int] = None
 
-    def __str__(self) -> str:
-        flag = "confirmed" if self.confirmed else "unconfirmed"
-        return f"{self.ordinal} ({self.method}, {flag})"
-
 
 _UNBOUNDED = "unbounded"
 

@@ -22,7 +22,6 @@ from . import models, normspace, oscillation, ramsey
 from .barriers import check_axioms, contains, enumerate_up_to, front, rank
 from .blocks import block_compare, enumerate_blocks, from_concat, to_concat
 from .errors import (
-    DegenerateBlockError,
     InsufficientBlocksError,
     InvalidArgumentError,
     NoFrontFoundError,
@@ -33,7 +32,6 @@ from .errors import (
 from .serialize import (
     SCHEMA_VERSION,
     dumps,
-    ordinal_to_str,
     parse_barrier,
     parse_block,
     parse_coeffs,
@@ -138,7 +136,7 @@ def _cmd_barrier(args) -> tuple[int, dict]:
         rep = check_axioms(b, args.bound, seed=args.seed, fuel=args.fuel)
         return (0 if rep.sperner_ok and rep.cover_ok else 1), to_json(rep)
     res = rank(b, probe_bound=args.probe_bound)
-    return 0, {"rank": ordinal_to_str(res.ordinal), "confirmed": res.confirmed,
+    return 0, {"rank": str(res.ordinal), "confirmed": res.confirmed,
                "method": res.method, "probe_bound": res.probe_bound}
 
 
@@ -461,7 +459,6 @@ _INPUT_ERRORS = (
     InvalidArgumentError,
     NoFrontFoundError,
     InsufficientBlocksError,
-    DegenerateBlockError,
     NotStabilizedError,
 )
 

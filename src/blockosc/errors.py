@@ -49,10 +49,6 @@ class NotInSumError(ValueError):
         super().__init__(message)
 
 
-class DegenerateBlockError(ArithmeticError):
-    """A block vector cannot be normalized because its norm is zero."""
-
-
 class InsufficientBlocksError(ValueError):
     """Fewer than two blocks fit inside the universe; no gap is defined."""
 

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import product, repeat
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import DegenerateBlockError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .sets import FiniteSet
 
 Rational = Union[Fraction, int]
@@ -50,14 +50,6 @@ class Vector:
     @staticmethod
     def from_coeffs(coeffs: Sequence[Rational], start: int = 1) -> "Vector":
         return Vector({start + i: Fraction(c) for i, c in enumerate(coeffs)})
-
-    @staticmethod
-    def indicator(s: FiniteSet) -> "Vector":
-        return Vector({i: Fraction(1) for i in s})
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.entries == other.entries
@@ -189,8 +181,12 @@ def even_pair_fixture() -> SupFamily:
 
 
 def norm_eval(spec: NormSpec, v: Vector) -> Fraction:
-    """Exact norm of ``v`` under ``spec`` (approximate only for p > 1 roots)."""
-    return norm_eval_detailed(spec, v)[0]
+    """Exact norm of ``v`` under ``spec``; an inexact p-th root raises."""
+    value, exact = norm_eval_detailed(spec, v)
+    if not exact:
+        raise InvalidArgumentError(f"the l{spec.p} norm of {v} is an inexact root; "
+                                   "norm_eval_detailed gives it flagged as approximate")
+    return value
 
 
 def norm_eval_detailed(spec: NormSpec, v: Vector) -> tuple[Fraction, bool]:
@@ -324,18 +320,7 @@ def _lp_eval(spec: LpNorm, v: Vector) -> tuple[Fraction, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Block vectors and evaluator adapters
-
-
-def block_vector(spec: NormSpec, s: FiniteSet) -> Vector:
-    """The indicator of ``s`` scaled to norm one."""
-    if s.is_empty():
-        raise InvalidArgumentError("block vector needs a nonempty set")
-    v = Vector.indicator(s)
-    d = norm_eval(spec, v)
-    if d == 0:
-        raise DegenerateBlockError(f"indicator of {s} has zero norm")
-    return v.scale(Fraction(1) / d)
+# Evaluator adapters
 
 
 Evaluator = Callable[[tuple[Fraction, ...]], Fraction]
@@ -344,8 +329,7 @@ Evaluator = Callable[[tuple[Fraction, ...]], Fraction]
 def _require_rational(spec: NormSpec, use: str) -> None:
     """Reject an lp spec with p > 1 for a use that reports values as exact.
 
-    Its values are roots, which :func:`norm_eval` returns as bisection
-    approximations without a flag.
+    Its values are roots, which :func:`norm_eval` refuses when inexact.
     """
     if isinstance(spec, LpNorm) and spec.p > 1:
         raise InvalidArgumentError(

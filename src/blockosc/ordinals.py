@@ -45,7 +45,7 @@ class OrdinalCNF:
 
     def __str__(self) -> str:
         if self.unbounded:
-            return ">=w^w"
+            return "≥w^w"
         if not self.terms:
             return "0"
         parts = []

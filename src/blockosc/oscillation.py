@@ -388,24 +388,29 @@ def asymptotic_stability_check(
     table, den = _value_table(spec, blocks, tuples)
     mins = [b.min for b in blocks]
 
+    def tail(n: int) -> list[int]:
+        return [r for r, mn in enumerate(mins) if mn > n]
+
+    # The tail past n shrinks as n grows, so its spread never grows; the
+    # stage bounds never grow either.  So no stage passes below the previous
+    # stage's threshold, and one pointer walks n forward across all stages,
+    # up to the last threshold whose tail holds two blocks.
+    last = sorted(mins)[-2] - 1
+    n, spread, failed = 0, _spread(table, tail(0)), None
     stages = []
     for i in range(1, max_stages + 1):
         eps = schedule.at(i)
         bound = _ceil_times(eps, den)
-        result: Optional[StageResult] = None
-        last_rows: list[int] = []
-        for n in range(0, horizon + 1):
-            rows = [r for r, mn in enumerate(mins) if mn > n]
-            if len(rows) < 2:
-                break
-            last_rows = rows
-            if _spread(table, rows) < bound:
-                result = StageResult(i, eps, n, True, None, None, None)
-                break
-        if result is None:
-            sub = _gap_report(spec, [blocks[r] for r in last_rows], tuples,
-                              [table[r] for r in last_rows], den, uni, grid_q)
-            result = StageResult(i, eps, None, False, sub.witness_pair,
-                                 sub.witness_coeffs, sub.gap)
-        stages.append(result)
+        while spread >= bound and n < last:
+            n += 1
+            spread = _spread(table, tail(n))
+        if spread < bound:
+            stages.append(StageResult(i, eps, n, True, None, None, None))
+            continue
+        if failed is None:  # every failing stage reads the last tail
+            rows = tail(last)
+            failed = _gap_report(spec, [blocks[r] for r in rows], tuples,
+                                 [table[r] for r in rows], den, uni, grid_q)
+        stages.append(StageResult(i, eps, None, False, failed.witness_pair,
+                                  failed.witness_coeffs, failed.gap))
     return AsymptoticReport(tuple(stages), all(s.passed for s in stages), horizon)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from .barriers import BarrierDescriptor, _enumerate_cached
 from .blocks import Block, BlockFamily, enumerate_blocks
@@ -31,7 +31,7 @@ from .oscillation import (
 )
 from .sets import FiniteSet
 
-ColorValue = Hashable
+ColorValue = object  # compared with == only, so a JSON array or object will do
 Rational = Union[Fraction, int]
 if TYPE_CHECKING:  # typing caches a union at run time, which would pin these classes
     _Domain = Union[BarrierDescriptor, BlockFamily]
@@ -45,9 +45,8 @@ def _support(obj: Union[FiniteSet, Block]) -> FiniteSet:
 class Coloring:
     """Total color assignment on barrier members or blocks."""
 
-    def __init__(self, fn: Callable[[object], ColorValue], name: str = "rule"):
+    def __init__(self, fn: Callable[[object], ColorValue]):
         self._fn = fn
-        self.name = name
 
     @classmethod
     def from_table(cls, table: Mapping[object, ColorValue]) -> "Coloring":
@@ -59,7 +58,7 @@ class Coloring:
             except KeyError:
                 raise InvalidArgumentError(f"coloring table has no entry for {obj!r}")
 
-        return cls(look, name="table")
+        return cls(look)
 
     def of(self, obj: object) -> ColorValue:
         return self._fn(obj)
@@ -72,28 +71,20 @@ def builtin_coloring(name: str) -> Coloring:
     and ``constant:C``.  Rules act on the support set of the colored object.
     """
     if name == "parity-of-sum":
-        return Coloring(
-            lambda o: "even" if sum(_support(o)) % 2 == 0 else "odd", name
-        )
+        return Coloring(lambda o: "even" if sum(_support(o)) % 2 == 0 else "odd")
     if name == "parity-of-min":
-        return Coloring(
-            lambda o: "even" if _support(o).min % 2 == 0 else "odd", name
-        )
+        return Coloring(lambda o: "even" if _support(o).min % 2 == 0 else "odd")
     if name == "size-parity":
-        return Coloring(
-            lambda o: "even" if len(_support(o)) % 2 == 0 else "odd", name
-        )
+        return Coloring(lambda o: "even" if len(_support(o)) % 2 == 0 else "odd")
     if name.startswith("contains:"):
         try:
             pivot = int(name.split(":", 1)[1])
         except ValueError:
             raise InvalidArgumentError(f"contains:N needs an integer N, got {name!r}")
-        return Coloring(
-            lambda o: "yes" if pivot in _support(o) else "no", name
-        )
+        return Coloring(lambda o: "yes" if pivot in _support(o) else "no")
     if name.startswith("constant:"):
         value = name.split(":", 1)[1]
-        return Coloring(lambda o: value, name)
+        return Coloring(lambda o: value)
     raise InvalidArgumentError(f"unknown builtin coloring {name!r}")
 
 
@@ -132,7 +123,7 @@ def _mono_color(masks: Sequence[tuple[int, int]], colors: Sequence[ColorValue],
     """Whether all objects inside m share a color, that color (None when no
     object is inside) and how many objects are inside."""
     inside = [colors[r] for r in _rows_inside(masks, m)]
-    return len(set(inside)) <= 1, (inside[0] if inside else None), len(inside)
+    return all(c == inside[0] for c in inside), (inside[0] if inside else None), len(inside)
 
 
 def find_monochromatic(

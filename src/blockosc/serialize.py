@@ -26,14 +26,11 @@ from .errors import InvalidArgumentError, SchemaError
 from .models import BarrierSequenceDescriptor
 from .normspace import LpNorm, SupFamily, SupNorm, SupTerm, mn_norm_spec, \
     even_pair_fixture, section6_spec, NormSpec, Vector
-from .ordinals import OrdinalCNF
 from .oscillation import ToleranceSchedule
 from .ramsey import Coloring, builtin_coloring
 from .sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, SetGenerator
 
 SCHEMA_VERSION = 1
-
-_AT_LEAST_STR = "≥w^w"  # the report marker for ranks at or above w^w
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +72,6 @@ def parse_block(data: Any, path: str = "$") -> Block:
         return Block(parts)
     except InvalidArgumentError as exc:
         raise SchemaError(path, str(exc))
-
-
-def ordinal_to_str(o: OrdinalCNF) -> str:
-    return _AT_LEAST_STR if o.unbounded else str(o)
 
 
 # ---------------------------------------------------------------------------

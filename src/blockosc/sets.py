@@ -100,12 +100,6 @@ def lex_key(s: FiniteSet) -> tuple:
     return s.elements + (inf,)
 
 
-def lex_cmp(s: FiniteSet, t: FiniteSet) -> int:
-    """Three-way comparison in the order of :func:`lex_key`."""
-    a, b = lex_key(s), lex_key(t)
-    return (a > b) - (a < b)
-
-
 # ---------------------------------------------------------------------------
 # Infinite-set descriptors
 

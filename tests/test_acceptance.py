@@ -312,7 +312,7 @@ def test_11_property_suites():
     for _ in range(500):
         u = _random_vector(rng, 6)
         base = norm_eval(SPEC, u)
-        support = list(u.support)
+        support = sorted(u.entries)
         values = [u.entries[i] for i in support]
         flipped = {i: c * rng.choice((-1, 1)) for i, c in u.entries.items()}
         assert norm_eval(SPEC, Vector(flipped)) == base

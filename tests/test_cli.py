@@ -191,6 +191,19 @@ class TestRamsey:
         assert payload["report"]["witness"] == {
             "subset": [1, 3, 5, 7], "color": "even", "domain_size": 6}
 
+    @pytest.mark.parametrize("color", [[1, "a"], {"hue": "red"}], ids=["array", "object"])
+    def test_find_mono_with_unhashable_colors(self, capsys, color):
+        # 1, 2 and 3 share the colour; 4 has another
+        table = json.dumps([{"object": [x], "color": color if x < 4 else "other"}
+                            for x in range(1, 5)])
+        for target, want in ((3, 0), (4, 1)):
+            code, payload = run_json(
+                capsys, "ramsey", "find-mono", "--barrier", CUBE1, "--coloring", table,
+                "--universe", "[1,2,3,4]", "--target", str(target))
+            assert code == want
+            assert payload["report"]["best"] == {"subset": [1, 2, 3], "color": color,
+                                                 "domain_size": 3}
+
     def test_find_mono_miss(self, capsys):
         code, payload = run_json(
             capsys, "ramsey", "find-mono", "--barrier", CUBE2,

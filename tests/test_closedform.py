@@ -25,12 +25,10 @@ from blockosc.closedform import (
 from blockosc.errors import InvalidArgumentError
 from blockosc.normspace import (
     Vector,
-    block_vector,
     nonneg_grid,
     norm_eval,
     section6_spec,
 )
-from blockosc.sets import FiniteSet
 
 
 def combine(sizes, coeffs):
@@ -39,8 +37,8 @@ def combine(sizes, coeffs):
     v = Vector()
     lo = 1
     for size, a in zip(sizes, coeffs):
-        s = FiniteSet(range(lo, lo + size))
-        v = v + block_vector(spec, s).scale(a)
+        x = Vector({i: 1 for i in range(lo, lo + size)})  # the block's indicator
+        v = v + x.scale(a / norm_eval(spec, x))
         lo += size + 3
     return norm_eval(spec, v)
 

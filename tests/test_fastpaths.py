@@ -1,7 +1,9 @@
 """Fast paths checked against the plain definitions they replace.
 
 ``front`` and ``_front_along_finite`` take Cube and Schreier fronts by a size
-rule; the reference tests every prefix for membership.  ``model_eval``
+rule; the reference tests every prefix for membership.  ``contains`` and
+``from_concat`` peel a sum's parts with ``_front_along_finite``; the
+reference peels them with its own prefix scan.  ``model_eval``
 reads its probes off one value table and caches its default tail offset;
 the reference builds the probes with the reference front and evaluates psi
 on each one.  The model checks evaluate each grid of one tuple length with
@@ -26,8 +28,8 @@ from blockosc.barriers import (
     contains,
     front,
 )
-from blockosc.blocks import Block
-from blockosc.errors import NoFrontFoundError, NotStabilizedError
+from blockosc.blocks import Block, BlockFamily, from_concat
+from blockosc.errors import NoFrontFoundError, NotInSumError, NotStabilizedError
 from blockosc.models import (
     BarrierSequenceDescriptor,
     ConsistencyReport,
@@ -49,7 +51,7 @@ from blockosc.normspace import (
     section6_spec,
 )
 from blockosc.oscillation import psi_eval
-from blockosc.sets import Arithmetic, FiniteSet, PrefixThen, evens, naturals, odds
+from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, evens, naturals, odds
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +62,8 @@ def ref_contains(b, s: FiniteSet) -> bool:
     if s.is_empty():
         return False
     if isinstance(b, Sum):
-        rest = s
-        for part in b.parts:
-            piece = ref_front_along_finite(part, rest)
-            if piece is None:
-                return False
-            rest = rest.suffix_after(piece.max)
-        return rest.is_empty()
+        pieces, rest = ref_peel(b.parts, s)
+        return len(pieces) == len(b.parts) and rest.is_empty()
     if isinstance(b, Restrict):
         return all(b.to.contains(x) for x in s) and ref_contains(b.base, s)
     if isinstance(b, Quotient):
@@ -84,6 +81,18 @@ def ref_front_along_finite(b, s: FiniteSet):
         if ref_contains(b, s.prefix(n)):
             return s.prefix(n)
     return None
+
+
+def ref_peel(parts, s: FiniteSet):
+    """The front of each part peeled off s in turn, and what is left."""
+    pieces, rest = [], s
+    for part in parts:
+        piece = ref_front_along_finite(part, rest)
+        if piece is None:
+            break
+        pieces.append(piece)
+        rest = rest.suffix_after(piece.max)
+    return tuple(pieces), rest
 
 
 def ref_front(b, m, fuel):
@@ -143,7 +152,32 @@ def descriptors():
                          st.sets(st.integers(1, 6), min_size=1, max_size=3))
     summed = st.builds(lambda ps: Sum(tuple(ps)), st.lists(leaf, min_size=1, max_size=3))
     associated = st.builds(Associated, st.one_of(leaf, restrict))
-    return st.one_of(leaf, restrict, quotient, summed, associated)
+    return st.one_of(leaf, restrict, quotient, summed, associated, shared_ground_sums())
+
+
+def _grows(leaf, stem: FiniteSet) -> bool:
+    """Whether some member of the leaf strictly extends the stem."""
+    return len(stem) < (leaf.k if isinstance(leaf, Cube) else stem.min)
+
+
+@st.composite
+def shared_ground_sums(draw):
+    """Sums over one ground set G whose parts have no size rule, so that
+    peeling them takes the prefix scan: leaves and associated leaves
+    restricted to G, quotients whose stem ends just below G = (m, oo), and
+    associated restrictions when G is the naturals."""
+    m = draw(st.integers(0, 4))
+    g = draw(st.sampled_from([CofiniteAfter(m), evens(), odds()]))
+    parts = [st.builds(Restrict, _leaf(), st.just(g)),
+             st.builds(lambda b: Restrict(Associated(b), g), _leaf())]
+    if g == naturals():
+        parts.append(st.builds(lambda b, h: Associated(Restrict(b, h)), _leaf(),
+                               st.sampled_from([evens(), odds()])))
+    elif isinstance(g, CofiniteAfter):
+        stems = st.sets(st.integers(1, m), max_size=2).map(lambda xs: FiniteSet(xs | {m}))
+        parts.append(st.builds(lambda b, stem: Quotient(b, stem) if _grows(b, stem)
+                               else Restrict(b, g), _leaf(), stems))
+    return Sum(tuple(draw(st.lists(st.one_of(parts), min_size=1, max_size=3))))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +196,24 @@ def test_front_along_finite_matches_prefix_scan(b, g, n):
     s = FiniteSet(g.first(n))
     assert _front_along_finite(b, s) == ref_front_along_finite(b, s)
     assert contains(b, s) == ref_contains(b, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=shared_ground_sums(), start=st.integers(0, 8), edit=st.integers(-2, 2),
+       n=st.integers(0, 30))
+def test_sum_peel_matches_prefix_scan(b, start, edit, n):
+    g, near = b.ground().after(start), ()
+    for part in b.parts:  # a member of the sum, then a neighbour of it
+        near += ref_front(part, g.after(near[-1] if near else 0), 10**4).elements
+    near = near[:edit] if edit < 0 else near + g.after(near[-1]).first(edit)
+    for s in (FiniteSet(near), FiniteSet(g.first(n))):
+        assert contains(b, s) == ref_contains(b, s)
+        pieces, rest = ref_peel(b.parts, s)
+        try:
+            assert from_concat(BlockFamily(b.parts), s) == Block(pieces)
+            assert len(pieces) == len(b.parts) and rest.is_empty()
+        except NotInSumError as exc:
+            assert (exc.consumed, exc.leftover) == (pieces, rest)
 
 
 @pytest.mark.parametrize("b, g, fuel", [

@@ -85,7 +85,7 @@ def ref_norm(spec, v: Vector) -> F:
 def ref_psi(spec, block: Block, coeffs) -> F:
     entries = {}
     for c, part in zip(coeffs, block):
-        d = ref_norm(spec, Vector.indicator(part))
+        d = ref_norm(spec, Vector({i: 1 for i in part}))
         for i in part:
             entries[i] = F(c) / d
     return ref_norm(spec, Vector(entries))

@@ -4,25 +4,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockosc.barriers import Cube
+from blockosc.barriers import Cube, Schreier
 from blockosc.blocks import Block, BlockFamily, enumerate_blocks
 from blockosc.errors import InsufficientBlocksError, InvalidArgumentError
 from blockosc.normspace import (
     SupNorm,
     Vector,
     even_pair_fixture,
+    mn_norm_spec,
     nonneg_grid,
     norm_eval,
     section6_spec,
 )
 from blockosc.oscillation import (
+    AsymptoticReport,
+    StageResult,
     ToleranceSchedule,
+    _ceil_times,
+    _gap_report,
+    _spread,
+    _value_table,
     asymptotic_stability_check,
     find_stable_subsequence,
     oscillation_gap,
     psi_eval,
 )
-from blockosc.sets import FiniteSet, odds
+from blockosc.sets import Arithmetic, FiniteSet, SetGenerator, evens, odds
 
 
 def U(n):
@@ -250,6 +257,95 @@ class TestAsymptotic:
         with pytest.raises(InsufficientBlocksError):
             asymptotic_stability_check(section6_spec(), BlockFamily((Cube(8),)),
                                        ToleranceSchedule(), horizon=8)
+
+
+def ref_asymptotic(spec, fam, schedule, horizon, universe=None, max_stages=12, grid_q=8):
+    """The stage loop that scans each stage's thresholds from 0 and builds
+    each failing stage's report anew."""
+    if isinstance(universe, SetGenerator):
+        uni = FiniteSet(x for x in range(1, horizon + 1) if universe.contains(x))
+    else:
+        uni = U(horizon) if universe is None else universe
+    blocks = enumerate_blocks(fam, horizon, within=uni)
+    if len(blocks) < 2:
+        raise InsufficientBlocksError("horizon hosts fewer than two blocks")
+    tuples = nonneg_grid(len(fam), grid_q)
+    table, den = _value_table(spec, blocks, tuples)
+    mins = [b.min for b in blocks]
+    stages = []
+    for i in range(1, max_stages + 1):
+        eps = schedule.at(i)
+        bound = _ceil_times(eps, den)
+        result, last_rows = None, []
+        for n in range(0, horizon + 1):
+            rows = [r for r, mn in enumerate(mins) if mn > n]
+            if len(rows) < 2:
+                break
+            last_rows = rows
+            if _spread(table, rows) < bound:
+                result = StageResult(i, eps, n, True, None, None, None)
+                break
+        if result is None:
+            sub = _gap_report(spec, [blocks[r] for r in last_rows], tuples,
+                              [table[r] for r in last_rows], den, uni, grid_q)
+            result = StageResult(i, eps, None, False, sub.witness_pair,
+                                 sub.witness_coeffs, sub.gap)
+        stages.append(result)
+    return AsymptoticReport(tuple(stages), all(s.passed for s in stages), horizon)
+
+
+def report_or_error(check, *args):
+    try:
+        return check(*args)
+    except InsufficientBlocksError as exc:
+        return "InsufficientBlocksError", str(exc)
+
+
+ASYMPTOTIC_CASES = [
+    # passing stages only
+    (section6_spec(), BlockFamily((Cube(8),)), ToleranceSchedule(), 12, None, 4),
+    # a pass at threshold 9, then failing stages
+    (even_pair_fixture(), BlockFamily((Cube(1), Cube(1))), ToleranceSchedule(), 12, None, 6),
+    # thresholds that climb from stage to stage, then failing stages
+    (mn_norm_spec(3, 4), BlockFamily((Schreier(), Cube(1))), ToleranceSchedule(F(3, 4)), 8, None, 12),
+    # three blocks: the first tail is already the last one with two blocks
+    (even_pair_fixture(), BlockFamily((Cube(1), Cube(1))), ToleranceSchedule(), 3, None, 3),
+    # a generator universe: the odds, on which every stage passes
+    (even_pair_fixture(), BlockFamily((Cube(1), Cube(1))), ToleranceSchedule(), 10, odds(), 5),
+]
+
+
+@pytest.mark.parametrize("spec,fam,schedule,horizon,universe,stages", ASYMPTOTIC_CASES)
+def test_asymptotic_matches_per_stage_loop(spec, fam, schedule, horizon, universe, stages):
+    args = spec, fam, schedule, horizon, universe, stages, 4
+    assert asymptotic_stability_check(*args) == ref_asymptotic(*args)
+
+
+def test_asymptotic_cases_cover_pass_climb_and_fail():
+    reports = [asymptotic_stability_check(spec, fam, schedule, horizon, universe=universe,
+                                          max_stages=stages, grid_q=4)
+               for spec, fam, schedule, horizon, universe, stages in ASYMPTOTIC_CASES]
+    thresholds = [[s.threshold for s in rep.stages] for rep in reports]
+    assert reports[0].all_passed
+    assert thresholds[1][0] == 9 and not any(s.passed for s in reports[1].stages[1:])
+    assert thresholds[2][:6] == [0, 0, 0, 1, 2, None]
+    assert thresholds[3] == [0, None, None]  # stage 2 runs out at the first tail
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from([section6_spec(), even_pair_fixture(), SupNorm(), mn_norm_spec(2, 3)]),
+       fam=st.sampled_from([BlockFamily((Cube(1), Cube(1))), BlockFamily((Cube(2),)),
+                            BlockFamily((Cube(1), Cube(2))), BlockFamily((Schreier(), Cube(1)))]),
+       ratio=st.sampled_from([F(1, 2), F(1, 3), F(3, 4), F(7, 8)]),
+       scale=st.sampled_from([F(1), F(1, 4), F(2)]),
+       horizon=st.integers(3, 11),
+       universe=st.sampled_from([None, odds(), evens(), Arithmetic(1, 3)]),
+       stages=st.integers(1, 12), grid_q=st.integers(1, 4))
+def test_asymptotic_matches_per_stage_loop_seeded(spec, fam, ratio, scale, horizon, universe,
+                                                  stages, grid_q):
+    args = spec, fam, ToleranceSchedule(ratio, scale), horizon, universe, stages, grid_q
+    assert (report_or_error(asymptotic_stability_check, *args)
+            == report_or_error(ref_asymptotic, *args))
 
 
 @settings(max_examples=120)

@@ -113,7 +113,7 @@ class TestMonochromatic:
 
     def test_block_domain(self):
         fam = BlockFamily((Cube(1), Cube(1)))
-        c = Coloring(lambda b: b.parts[0].min % 2, name="first-parity")
+        c = Coloring(lambda b: b.parts[0].min % 2)
         r = find_monochromatic(fam, c, U(6), 3)
         assert r.found
         assert len(r.witness.subset) >= 3

@@ -21,7 +21,6 @@ from blockosc.ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
 from blockosc.oscillation import ToleranceSchedule
 from blockosc.serialize import (
     dumps,
-    ordinal_to_str,
     parse_barrier,
     parse_block,
     parse_coeffs,
@@ -87,8 +86,8 @@ class TestSetsAndBlocks:
 
 class TestOrdinals:
     def test_str_form(self):
-        assert ordinal_to_str(OrdinalCNF.omega_power(3)) == "w^3"
-        assert ordinal_to_str(AT_LEAST_OMEGA_OMEGA) == "≥w^w"
+        assert str(OrdinalCNF.omega_power(3)) == "w^3"
+        assert str(AT_LEAST_OMEGA_OMEGA) == "≥w^w"
 
 
 EVENS_FROM_2 = {"kind": "arithmetic", "start": 2, "step": 2}
