@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InvalidArgumentError, NoFrontFoundError
 from .ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
@@ -81,8 +81,10 @@ class Restrict(BarrierDescriptor):
 class Quotient(BarrierDescriptor):
     """Continuations of the stem ``s``: sets ``t`` above ``s`` with ``s + t`` in the base.
 
-    Requires the stem itself to stay outside the base family, otherwise the
-    continuation family would be empty by incomparability.
+    Some member of the base must extend the stem, or the family is empty.
+    For a barrier base that holds exactly when the stem lies in the ground
+    set and no initial segment of it is a member: the stem followed by the
+    rest of the ground set then has a front, longer than the stem.
     """
 
     base: BarrierDescriptor
@@ -91,8 +93,13 @@ class Quotient(BarrierDescriptor):
     def __post_init__(self):
         if self.s.is_empty():
             raise InvalidArgumentError("quotient stem must be nonempty")
-        if contains(self.base, self.s):
+        if not all(map(self.base.ground().contains, self.s)):
+            raise InvalidArgumentError(f"stem {self.s} leaves the base ground set")
+        head = _front(self.base, iter(self.s.elements), len(self.s))
+        if head == self.s:
             raise InvalidArgumentError(f"stem {self.s} already belongs to the base family")
+        if head is not None:
+            raise InvalidArgumentError(f"no member extends stem {self.s}: it starts with {head}")
 
     def ground(self) -> SetGenerator:
         return self.base.ground().after(self.s.max)
@@ -159,36 +166,30 @@ def _relabel_out(base: BarrierDescriptor, positions: FiniteSet) -> FiniteSet:
     return FiniteSet(elems[i - 1] for i in positions)
 
 
-def _front_size(b: BarrierDescriptor, first: int) -> Optional[int]:
-    """Length of the front of any strictly increasing sequence starting at
-    ``first``, for descriptors whose membership reads only that much.
-
-    ``Cube(k)`` takes the first k elements; ``Schreier`` takes as many
-    elements as the first one names.  None leaves the search to a
-    :func:`contains` scan over the prefixes.
+def _front(b: BarrierDescriptor, elems: Iterator[int], limit: int) -> Optional[FiniteSet]:
+    """The shortest initial segment of the strictly increasing ``elems`` in
+    ``b``, unique by incomparability; None if none has at most ``limit``
+    elements.  A ``Cube(k)`` front is the first k elements and a ``Schreier``
+    front as many as the first one names, so for them one set is built; for
+    other descriptors each prefix is tested with :func:`contains`.
     """
-    if isinstance(b, Cube):
-        return b.k
-    if isinstance(b, Schreier):
-        return first
-    return None
-
-
-def _front_along_finite(b: BarrierDescriptor, s: FiniteSet) -> Optional[FiniteSet]:
-    """Shortest initial segment of ``s`` inside ``b``, if any.
-
-    Incomparability makes it unique, so the shortest-first scan is exact.
-    """
-    if s.is_empty():
+    first = next(elems, None)
+    if first is None:
         return None
-    size = _front_size(b, s.min)
-    if size is not None:
-        return s.prefix(size) if size <= len(s) else None
-    for n in range(1, len(s) + 1):
-        p = s.prefix(n)
-        if contains(b, p):
-            return p
-    return None
+    if isinstance(b, (Cube, Schreier)):
+        size = b.k if isinstance(b, Cube) else first
+        if size > limit:
+            return None
+        drawn = [first, *islice(elems, size - 1)]
+        return FiniteSet(drawn) if len(drawn) == size else None
+    drawn = [first]
+    while True:
+        s = FiniteSet(drawn)
+        if contains(b, s):
+            return s
+        if len(drawn) == limit or (x := next(elems, None)) is None:
+            return None
+        drawn.append(x)
 
 
 def _peel_fronts(
@@ -203,7 +204,7 @@ def _peel_fronts(
     pieces = []
     rest = s
     for p in parts:
-        piece = _front_along_finite(p, rest)
+        piece = _front(p, iter(rest.elements), len(rest))
         if piece is None:
             break
         pieces.append(piece)
@@ -220,31 +221,15 @@ def front(b: BarrierDescriptor, m: SetGenerator, fuel: int = FRONT_FUEL_DEFAULT)
 
     ``fuel`` bounds how many elements are drawn from the generator; running
     out signals a descriptor/generator mismatch rather than a long front.
-
-    ``Cube(k)`` and ``Schreier`` fronts follow a size rule (the first k
-    elements; as many elements as the first one names), so no shorter
-    prefix is tested and one :class:`FiniteSet` is built, at the end.  The
-    rule relies on ``m`` being strictly increasing, as every
-    :class:`SetGenerator` is.  Other descriptors test each prefix with
-    :func:`contains`.  A front longer than ``fuel`` raises either way.
+    The scan is :func:`_front`'s; its size rule needs ``m`` strictly
+    increasing, as every :class:`SetGenerator` is.
     """
     if fuel < 1:
         raise InvalidArgumentError("fuel must be positive")
-    it = iter(m)
-    drawn = [next(it)]
-    size = _front_size(b, drawn[0])
-    if size is not None:
-        if size <= fuel:
-            drawn.extend(islice(it, size - 1))
-            return FiniteSet(drawn)
-    else:
-        while True:
-            if contains(b, FiniteSet(drawn)):
-                return FiniteSet(drawn)
-            if len(drawn) == fuel:
-                break
-            drawn.append(next(it))
-    raise NoFrontFoundError(fuel, f"generator {m!r} against {type(b).__name__}")
+    s = _front(b, iter(m), fuel)
+    if s is None:
+        raise NoFrontFoundError(fuel, f"generator {m!r} against {type(b).__name__}")
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,14 @@ from .serialize import (
 OUT_DIR_ENV = "BLOCKOSC_OUT_DIR"
 
 
+def _refuse_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# Python's json module reads NaN and Infinity, which are not JSON.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _load_json(raw: str, flag: str) -> Any:
     """Inline JSON, or @path to a JSON file."""
     if raw.startswith("@"):
@@ -60,8 +68,8 @@ def _load_json(raw: str, flag: str) -> Any:
         except OSError as exc:
             raise SchemaError("$", f"cannot read {flag} file: {exc}")
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
+        return _DECODER.decode(raw)
+    except ValueError as exc:  # JSONDecodeError is one
         raise SchemaError("$", f"invalid JSON for {flag}: {exc}")
 
 
@@ -455,8 +463,7 @@ _HANDLERS = {
 }
 
 _INPUT_ERRORS = (
-    SchemaError,
-    InvalidArgumentError,
+    InvalidArgumentError,  # SchemaError among them
     NoFrontFoundError,
     InsufficientBlocksError,
     NotStabilizedError,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .barriers import FRONT_FUEL_DEFAULT, BarrierDescriptor, Cube, front
+from .barriers import BarrierDescriptor, Cube, front
 from .blocks import Block, BlockFamily
 from .closedform import model_value_8, model_value_228
 from .errors import InternalCheckError, InvalidArgumentError, NotStabilizedError
@@ -60,13 +60,12 @@ def two_two_eights_sequence() -> BarrierSequenceDescriptor:
     return BarrierSequenceDescriptor((Cube(2), Cube(2)), Cube(8))
 
 
-def _build_block(seq: BarrierSequenceDescriptor, k: int, above: int,
-                 fuel: int) -> Block:
+def _build_block(seq: BarrierSequenceDescriptor, k: int, above: int) -> Block:
     parts = []
     last = above
     for i in range(k):
         b = seq.barrier_at(i)
-        s = front(b, b.ground().after(last), fuel)
+        s = front(b, b.ground().after(last))
         parts.append(s)
         last = s.max
     return Block(tuple(parts))
@@ -74,21 +73,20 @@ def _build_block(seq: BarrierSequenceDescriptor, k: int, above: int,
 
 @lru_cache(maxsize=1024)
 def _probe_blocks(seq: BarrierSequenceDescriptor, k: int, tail_offset: int,
-                  probe_count: int, fuel: int) -> tuple[Block, ...]:
+                  probe_count: int) -> tuple[Block, ...]:
     blocks = []
     last = tail_offset - 1
     for _ in range(probe_count):
-        blk = _build_block(seq, k, last, fuel)
+        blk = _build_block(seq, k, last)
         blocks.append(blk)
         last = blk.max
     return tuple(blocks)
 
 
 @lru_cache(maxsize=1024)
-def default_tail_offset(seq: BarrierSequenceDescriptor, k: int,
-                        fuel: int = FRONT_FUEL_DEFAULT) -> int:
+def default_tail_offset(seq: BarrierSequenceDescriptor, k: int) -> int:
     """Span of a block started at the front of the ground set, plus 8."""
-    return _build_block(seq, k, 0, fuel).max + 8
+    return _build_block(seq, k, 0).max + 8
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,6 @@ def model_eval(
     tail_offset: Optional[int] = None,
     probe_count: int = 3,
     tolerance: Rational = 0,
-    fuel: int = FRONT_FUEL_DEFAULT,
 ) -> ModelValue:
     """Evaluate the limit norm at coeffs by probing far-apart blocks.
 
@@ -124,10 +121,10 @@ def model_eval(
     if tolerance < 0:
         raise InvalidArgumentError("tolerance must be >= 0")
     if tail_offset is None:
-        tail_offset = default_tail_offset(seq, k, fuel)
+        tail_offset = default_tail_offset(seq, k)
     elif tail_offset < 1:
         raise InvalidArgumentError("tail_offset must be >= 1")
-    blocks = _probe_blocks(seq, k, tail_offset, probe_count, fuel)
+    blocks = _probe_blocks(seq, k, tail_offset, probe_count)
     cs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
     rows, den = _value_table(spec, blocks, [cs])
     vals = [Fraction(row[0], den) for row in rows]
@@ -142,8 +139,7 @@ def _default_probes(spec, seq, tuples) -> list[tuple[tuple[int, ...], int]]:
     if not tuples:
         return []
     k = len(tuples[0])
-    blocks = _probe_blocks(seq, k, default_tail_offset(seq, k, FRONT_FUEL_DEFAULT),
-                           3, FRONT_FUEL_DEFAULT)
+    blocks = _probe_blocks(seq, k, default_tail_offset(seq, k), 3)
     rows, den = _value_table(spec, blocks, tuples)
     return [(col, den) for col in zip(*rows)]
 

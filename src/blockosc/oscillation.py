@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from operator import sub
 from typing import Callable, Optional, Sequence, Union
 
@@ -329,10 +328,13 @@ def find_stable_subsequence(
     hit = _largest_hereditary(n, _spread_step(table, masks, n, bound), target)
     if hit is not None:
         return finish(hit)
-    # A spread never shrinks as its set grows, so the least gap over the sets
-    # of at least target elements is reached at exactly target elements.
-    best_gap = min(gap(sum(1 << i for i in pick)) for pick in combinations(range(n), target))
-    best = _largest_hereditary(n, _spread_step(table, masks, n, best_gap + 1), target)
+    # Descend on the one scan: each pass finds the least of the largest sets of
+    # at least target elements spreading less than the best gap so far.  The
+    # last set found spreads least, and its scan passed every set that does.
+    best = (1 << n) - 1
+    best_gap = gap(best)
+    while (m := _largest_hereditary(n, _spread_step(table, masks, n, best_gap), target)):
+        best, best_gap = m, gap(m)
     return StableSubsequenceResult(False, None, None, _members(elems, best),
                                    Fraction(best_gap, den), epsilon, target, strategy)
 

@@ -121,9 +121,10 @@ def _domain_objects(
 def _mono_color(masks: Sequence[tuple[int, int]], colors: Sequence[ColorValue],
                 m: int) -> tuple[bool, Optional[ColorValue], int]:
     """Whether all objects inside m share a color, that color (None when no
-    object is inside) and how many objects are inside."""
+    object is inside) and how many objects are inside.  As in the search step,
+    only later colors are compared with the first, so NaN colors one object."""
     inside = [colors[r] for r in _rows_inside(masks, m)]
-    return all(c == inside[0] for c in inside), (inside[0] if inside else None), len(inside)
+    return all(c == inside[0] for c in inside[1:]), (inside[0] if inside else None), len(inside)
 
 
 def find_monochromatic(

@@ -33,6 +33,21 @@ from .sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, SetGenerator
 SCHEMA_VERSION = 1
 
 
+class _at_path:
+    """Reports a library error raised inside as a :class:`SchemaError` at
+    ``path``; a SchemaError from a nested parser keeps its deeper path."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, InvalidArgumentError) and not isinstance(exc, SchemaError):
+            raise SchemaError(self.path, str(exc))
+
+
 # ---------------------------------------------------------------------------
 # Scalars and small containers
 
@@ -56,10 +71,8 @@ def parse_finite_set(data: Any, path: str = "$") -> FiniteSet:
     for i, x in enumerate(data):
         if isinstance(x, bool) or not isinstance(x, int):
             raise SchemaError(f"{path}[{i}]", "expected an integer")
-    try:
+    with _at_path(path):
         return FiniteSet(data)
-    except InvalidArgumentError as exc:
-        raise SchemaError(path, str(exc))
 
 
 def parse_block(data: Any, path: str = "$") -> Block:
@@ -68,10 +81,8 @@ def parse_block(data: Any, path: str = "$") -> Block:
     parts = tuple(
         parse_finite_set(p, f"{path}[{i}]") for i, p in enumerate(data)
     )
-    try:
+    with _at_path(path):
         return Block(parts)
-    except InvalidArgumentError as exc:
-        raise SchemaError(path, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +107,7 @@ def _need_int(data: dict, key: str, path: str) -> int:
 def parse_generator(data: Any, path: str = "$") -> SetGenerator:
     obj = _need_obj(data, path, "generator")
     kind = obj.get("kind")
-    try:
+    with _at_path(path):
         if kind == "naturals":
             return CofiniteAfter(0)
         if kind == "cofinite-after":
@@ -109,8 +120,6 @@ def parse_generator(data: Any, path: str = "$") -> SetGenerator:
                 parse_finite_set(obj.get("prefix"), f"{path}.prefix"),
                 parse_generator(obj.get("tail"), f"{path}.tail"),
             )
-    except InvalidArgumentError as exc:
-        raise SchemaError(path, str(exc))
     raise SchemaError(f"{path}.kind", f"unknown generator kind {kind!r}")
 
 
@@ -121,7 +130,7 @@ def parse_generator(data: Any, path: str = "$") -> SetGenerator:
 def parse_barrier(data: Any, path: str = "$") -> BarrierDescriptor:
     obj = _need_obj(data, path, "barrier descriptor")
     t = obj.get("type")
-    try:
+    with _at_path(path):
         if t == "cube":
             return Cube(_need_int(obj, "k", path))
         if t == "schreier":
@@ -140,8 +149,6 @@ def parse_barrier(data: Any, path: str = "$") -> BarrierDescriptor:
                              for i, p in enumerate(parts)))
         if t == "associated":
             return Associated(parse_barrier(obj.get("base"), f"{path}.base"))
-    except InvalidArgumentError as exc:
-        raise SchemaError(path, str(exc))
     raise SchemaError(f"{path}.type", f"unknown barrier type {t!r}")
 
 
@@ -149,10 +156,8 @@ def parse_family(data: Any, path: str = "$") -> BlockFamily:
     if not isinstance(data, list) or not data:
         raise SchemaError(path, "expected a nonempty array of descriptors")
     parts = tuple(parse_barrier(p, f"{path}[{i}]") for i, p in enumerate(data))
-    try:
+    with _at_path(path):
         return BlockFamily(parts)
-    except InvalidArgumentError as exc:
-        raise SchemaError(path, str(exc))
 
 
 def parse_sequence(data: Any, path: str = "$") -> BarrierSequenceDescriptor:
@@ -165,10 +170,8 @@ def parse_sequence(data: Any, path: str = "$") -> BarrierSequenceDescriptor:
     if "tail" not in obj:
         raise SchemaError(f"{path}.tail", "missing")
     tail = parse_barrier(obj["tail"], f"{path}.tail")
-    try:
+    with _at_path(path):
         return BarrierSequenceDescriptor(parsed, tail)
-    except InvalidArgumentError as exc:
-        raise SchemaError(path, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,7 @@ def parse_sequence(data: Any, path: str = "$") -> BarrierSequenceDescriptor:
 def parse_spec(data: Any, path: str = "$") -> NormSpec:
     obj = _need_obj(data, path, "norm spec")
     t = obj.get("type")
-    try:
+    with _at_path(path):
         if t == "sup":
             return SupNorm()
         if t == "lp":
@@ -205,8 +208,6 @@ def parse_spec(data: Any, path: str = "$") -> NormSpec:
                                       "expected a string")
                 terms.append(SupTerm(w, m, flt))
             return SupFamily(tuple(terms))
-    except InvalidArgumentError as exc:
-        raise SchemaError(path, str(exc))
     raise SchemaError(f"{path}.type", f"unknown spec type {t!r}")
 
 
@@ -219,10 +220,8 @@ def parse_vector(data: Any, path: str = "$") -> Vector:
             except ValueError:
                 raise SchemaError(f"{path}.{key}", "keys must be integer indices")
             entries[idx] = parse_rational(val, f"{path}.{key}")
-        try:
+        with _at_path(path):
             return Vector(entries)
-        except InvalidArgumentError as exc:
-            raise SchemaError(path, str(exc))
     if isinstance(data, list):
         # Either [[index, value], ...] or a dense [value, ...] from slot 1.
         pairs = data and all(
@@ -236,10 +235,8 @@ def parse_vector(data: Any, path: str = "$") -> Vector:
         else:
             for i, val in enumerate(data):
                 entries[i + 1] = parse_rational(val, f"{path}[{i}]")
-        try:
+        with _at_path(path):
             return Vector(entries)
-        except InvalidArgumentError as exc:
-            raise SchemaError(path, str(exc))
     raise SchemaError(path, "expected a vector object or array")
 
 
@@ -255,10 +252,8 @@ def parse_coeffs(data: Any, path: str = "$") -> tuple[Fraction, ...]:
 
 def parse_coloring(data: Any, path: str = "$") -> Coloring:
     if isinstance(data, str):
-        try:
+        with _at_path(path):
             return builtin_coloring(data)
-        except InvalidArgumentError as exc:
-            raise SchemaError(path, str(exc))
     if isinstance(data, list):
         table: dict = {}
         for i, entry in enumerate(data):
@@ -278,10 +273,8 @@ def parse_coloring(data: Any, path: str = "$") -> Coloring:
         name = obj.get("name")
         if not isinstance(name, str):
             raise SchemaError(f"{path}.name", "expected a rule name")
-        try:
+        with _at_path(f"{path}.name"):
             return builtin_coloring(name)
-        except InvalidArgumentError as exc:
-            raise SchemaError(f"{path}.name", str(exc))
     if kind == "table":
         return parse_coloring(obj.get("entries"), f"{path}.entries")
     raise SchemaError(f"{path}.kind", f"unknown coloring kind {kind!r}")
@@ -305,13 +298,11 @@ def parse_schedule(data: Any, path: str = "$") -> ToleranceSchedule:
     kind = obj.get("kind", "geometric")
     if kind != "geometric":
         raise SchemaError(f"{path}.kind", f"unknown schedule kind {kind!r}")
-    try:
+    with _at_path(path):
         return ToleranceSchedule(
             parse_rational(obj.get("ratio", "1/2"), f"{path}.ratio"),
             parse_rational(obj.get("scale", 1), f"{path}.scale"),
         )
-    except InvalidArgumentError as exc:
-        raise SchemaError(path, str(exc))
 
 
 # ---------------------------------------------------------------------------

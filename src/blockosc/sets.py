@@ -11,7 +11,7 @@ tail restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from math import inf
 from typing import Iterable, Iterator
 
@@ -132,10 +132,7 @@ class CofiniteAfter(SetGenerator):
             raise InvalidArgumentError("cofinite-after bound must be >= 0")
 
     def __iter__(self) -> Iterator[int]:
-        x = self.n + 1
-        while True:
-            yield x
-            x += 1
+        return count(self.n + 1)
 
     def contains(self, x: int) -> bool:
         return x > self.n
@@ -156,10 +153,7 @@ class Arithmetic(SetGenerator):
             raise InvalidArgumentError("arithmetic progression needs start >= 1, step >= 1")
 
     def __iter__(self) -> Iterator[int]:
-        x = self.start
-        while True:
-            yield x
-            x += self.step
+        return count(self.start, self.step)
 
     def contains(self, x: int) -> bool:
         return x >= self.start and (x - self.start) % self.step == 0

@@ -56,6 +56,16 @@ class TestContains:
         with pytest.raises(InvalidArgumentError):
             Quotient(Cube(1), fs(3))
 
+    def test_quotient_rejects_stem_nothing_extends(self):
+        # a member starts the stem, so incomparability leaves no continuation
+        for base, stem in ((Schreier(), fs(1, 4)), (Cube(1), fs(3, 4)),
+                           (Sum((Cube(1), Cube(1))), fs(1, 2, 3))):
+            with pytest.raises(InvalidArgumentError, match="no member extends"):
+                Quotient(base, stem)
+        with pytest.raises(InvalidArgumentError, match="leaves the base ground set"):
+            Quotient(Restrict(Cube(3), evens()), fs(2, 3))
+        assert enumerate_up_to(Quotient(Sum((Cube(1), Cube(2))), fs(1, 2)), 4) == (fs(3), fs(4))
+
     def test_quotient_unfolds_definition(self):
         for base, stem in ((Cube(3), fs(2)), (Schreier(), fs(3, 4)),
                            (Cube(4), fs(1, 2))):

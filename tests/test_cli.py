@@ -100,6 +100,42 @@ class TestErrors:
         assert code == 2
         assert "invalid JSON" in json.loads(err)["message"]
 
+    def test_nested_schema_error_keeps_its_path(self, capsys):
+        desc = '{"type":"restrict","base":{"type":"foo"},"to":{"kind":"naturals"}}'
+        code, _, err = run(capsys, "barrier", "members", "--bound", "5",
+                           "--descriptor", desc)
+        assert code == 2
+        detail = json.loads(err)
+        assert detail["path"] == "$.base.type"
+        assert detail["message"] == "$.base.type: unknown barrier type 'foo'"
+        for desc, path in (
+                ('{"type":"sum","parts":[{"type":"cube","k":1},{"type":"cube","k":0}]}',
+                 "$.parts[1]"),
+                ('{"type":"quotient","base":{"type":"cube","k":3},"s":[0]}', "$.s")):
+            code, _, err = run(capsys, "barrier", "rank", "--descriptor", desc)
+            assert (code, json.loads(err)["path"]) == (2, path)
+
+    def test_non_finite_constants_exit_2(self, capsys):
+        for coloring in ('[{"object":[1],"color":NaN}]', '[{"object":[1],"color":-Infinity}]'):
+            code, out, err = run(capsys, "ramsey", "find-mono", "--barrier", CUBE1,
+                                 "--coloring", coloring, "--universe", "[1]",
+                                 "--target", "1")
+            assert (code, out) == (2, "")
+            assert "is not a JSON number" in json.loads(err)["message"]
+
+    def test_overlong_integer_exits_2(self, capsys):
+        code, _, err = run(capsys, "barrier", "rank", "--descriptor", "1" * 5000)
+        assert code == 2
+        assert json.loads(err)["error"] == "SchemaError"
+
+    def test_quotient_stem_nothing_extends_exits_2(self, capsys):
+        desc = '{"type":"quotient","base":{"type":"schreier"},"s":[1,4]}'
+        code, _, err = run(capsys, "barrier", "front", "--descriptor", desc,
+                           "--set", '{"kind":"arithmetic","start":5,"step":1}',
+                           "--fuel", "2000")
+        assert code == 2
+        assert "no member extends" in json.loads(err)["message"]
+
     def test_missing_at_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "barrier", "rank",
                            "--descriptor", f"@{tmp_path}/absent.json")

@@ -1,13 +1,14 @@
 """Fast paths checked against the plain definitions they replace.
 
-``front`` and ``_front_along_finite`` take Cube and Schreier fronts by a size
-rule; the reference tests every prefix for membership.  ``contains`` and
-``from_concat`` peel a sum's parts with ``_front_along_finite``; the
-reference peels them with its own prefix scan.  ``model_eval``
-reads its probes off one value table and caches its default tail offset;
-the reference builds the probes with the reference front and evaluates psi
-on each one.  The model checks evaluate each grid of one tuple length with
-one value table; the reference walks the grid one ``model_eval`` at a time.
+``front`` and ``_front``, the prefix scan it shares with sum peeling, take
+Cube and Schreier fronts by a size rule; the reference tests every prefix for
+membership.  ``contains`` and ``from_concat`` peel a sum's parts with
+``_front`` along the finite set; the reference peels them with its own prefix
+scan.  ``model_eval`` reads its probes off one value table and caches its
+default tail offset; the reference builds the probes with the reference front
+and evaluates psi on each one.  The model checks evaluate each grid of one
+tuple length with one value table; the reference walks the grid one
+``model_eval`` at a time.
 """
 
 from fractions import Fraction as F
@@ -23,7 +24,7 @@ from blockosc.barriers import (
     Restrict,
     Schreier,
     Sum,
-    _front_along_finite,
+    _front,
     _relabel_out,
     contains,
     front,
@@ -139,8 +140,8 @@ def _leaf():
 
 def _quotient(base, stem):
     stem = FiniteSet(stem)
-    if contains(base, stem):
-        return base  # a stem inside the base is rejected; keep the base
+    if _front(base, iter(stem.elements), len(stem)) is not None:
+        return base  # a stem that is or extends a member is rejected; keep the base
     return Quotient(base, stem)
 
 
@@ -194,7 +195,7 @@ def test_front_matches_prefix_scan(b, g, fuel):
 @given(b=descriptors(), g=generators(), n=st.integers(0, 30))
 def test_front_along_finite_matches_prefix_scan(b, g, n):
     s = FiniteSet(g.first(n))
-    assert _front_along_finite(b, s) == ref_front_along_finite(b, s)
+    assert _front(b, iter(s.elements), len(s)) == ref_front_along_finite(b, s)
     assert contains(b, s) == ref_contains(b, s)
 
 

@@ -147,6 +147,13 @@ class TestMonochromatic:
         g = find_monochromatic(Cube(1), c, U(4), 1, "greedy")
         assert (g.best.subset, g.best.color, g.best.domain_size) == (FiniteSet((1,)), None, 1)
 
+    def test_nan_colors_a_single_object(self):
+        # NaN is unequal to itself: no two objects share it, but one alone is monochromatic
+        c = Coloring(lambda o: float("nan"))
+        for strategy in ("exhaustive", "greedy"):
+            r = find_monochromatic(Cube(1), c, U(3), 1, strategy)
+            assert r.found and (r.witness.subset, r.witness.domain_size) == (FiniteSet((1,)), 1)
+
 
 class TestMetric:
     def setup_method(self):

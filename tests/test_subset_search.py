@@ -6,6 +6,7 @@ Each reference scans subset sizes from the whole universe downward, each size
 in ``combinations`` order, and takes the first subset that passes; the
 library reaches the same subset by a pruned depth-first search.  Misses of
 ``find_stable_subsequence`` are checked on their best gap and best subset,
+on random targets and at every target of a few fixed universes,
 and the greedy strategies, which share the bitmask supports, against a
 left-to-right reference.
 """
@@ -14,6 +15,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -271,6 +273,39 @@ def test_stable_subsequence_matches_reference(universe, spec, fam, eps, q, data)
         assert res.subset == subset and res.report.gap == gap
     else:
         assert res.subset is None and res.report is None
+
+
+# Under the even-pair fixture each universe misses at its larger targets, and
+# the least gap takes from one to four descents below the whole universe's.
+EVERY_TARGET = [
+    (FAMILIES[0], F(1, 8), FiniteSet(range(1, 11))),
+    (FAMILIES[0], F(1, 32), FiniteSet((2, 3, 5, 7, 11, 13, 14))),
+    (FAMILIES[2], F(1, 4), FiniteSet(range(1, 11))),
+    (FAMILIES[2], F(1, 64), FiniteSet((1, 2, 3, 5, 8, 9, 12, 14))),
+]
+
+
+@pytest.mark.parametrize("fam, eps, universe", EVERY_TARGET,
+                         ids=["pairs-10", "pairs-7", "one-two-10", "one-two-8"])
+def test_stable_subsequence_matches_reference_at_every_target(fam, eps, universe):
+    spec = even_pair_fixture()
+    rows = value_rows(spec, fam, universe, 2)
+    misses = 0
+    for target in range(1, len(universe) + 1):
+        res = find_stable_subsequence(spec, fam, eps, universe, target, "exhaustive", 2)
+        found, subset, gap = ref_stable(rows, eps, universe, target)
+        assert (res.found, res.best_subset, res.best_gap) == (found, subset, gap)
+        misses += not found
+    assert 0 < misses < len(universe)
+
+
+def test_even_pair_miss_on_sixteen_elements():
+    """Too large for the reference here; the expected gap is the minimum
+    over all 9-element subsets, computed once by brute force."""
+    res = find_stable_subsequence(even_pair_fixture(), FAMILIES[0], F(1, 8),
+                                  FiniteSet(range(1, 17)), 9)
+    assert not res.found
+    assert (res.best_subset, res.best_gap) == (FiniteSet((1, 2, 3, 5, 7, 9, 11, 13, 15)), F(1, 4))
 
 
 def test_stable_subsequence_hit_and_miss_examples():
