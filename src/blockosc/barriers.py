@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, takewhile, tee
 from math import comb
 from typing import Iterable, Iterator, Optional, Union
 
@@ -138,78 +138,66 @@ class Associated(BarrierDescriptor):
 
 
 # ---------------------------------------------------------------------------
-# Membership
+# Membership and fronts: one walk of the descriptor
 
 
 def contains(b: BarrierDescriptor, s: FiniteSet) -> bool:
-    if s.is_empty():
-        return False
-    if isinstance(b, Cube):
-        return len(s) == b.k
-    if isinstance(b, Schreier):
-        return len(s) == s.min
-    if isinstance(b, Restrict):
-        return all(b.to.contains(x) for x in s) and contains(b.base, s)
-    if isinstance(b, Quotient):
-        return b.s.max < s.min and contains(b.base, b.s.concat(s))
-    if isinstance(b, Sum):
-        pieces, rest = _peel_fronts(b.parts, s)
-        return len(pieces) == len(b.parts) and rest.is_empty()
-    if isinstance(b, Associated):
-        return contains(b.base, _relabel_out(b.base, s))
-    raise InvalidArgumentError(f"unknown descriptor {b!r}")
-
-
-def _relabel_out(base: BarrierDescriptor, positions: FiniteSet) -> FiniteSet:
-    """Map position indices to actual elements of the base ground set."""
-    elems = base.ground().first(positions.max)
-    return FiniteSet(elems[i - 1] for i in positions)
+    """Whether ``s`` is a member; no member is an initial segment of another,
+    so exactly when ``s`` is its own front."""
+    return _front(b, iter(s.elements), len(s)) == s
 
 
 def _front(b: BarrierDescriptor, elems: Iterator[int], limit: int) -> Optional[FiniteSet]:
     """The shortest initial segment of the strictly increasing ``elems`` in
     ``b``, unique by incomparability; None if none has at most ``limit``
-    elements.  A ``Cube(k)`` front is the first k elements and a ``Schreier``
-    front as many as the first one names, so for them one set is built; for
-    other descriptors each prefix is tested with :func:`contains`.
+    elements.  A front found draws exactly its own elements from ``elems``.
+    ``Cube(k)`` takes k elements and ``Schreier`` as many as the first names;
+    the other descriptors walk their bases, a restriction up to the first
+    element outside its ``to``, a quotient along its stem first, and an
+    associated family along the ground elements at the drawn positions.
     """
-    first = next(elems, None)
-    if first is None:
-        return None
     if isinstance(b, (Cube, Schreier)):
+        first = next(elems, None)
         size = b.k if isinstance(b, Cube) else first
-        if size > limit:
+        if first is None or size > limit:
             return None
         drawn = [first, *islice(elems, size - 1)]
         return FiniteSet(drawn) if len(drawn) == size else None
-    drawn = [first]
-    while True:
-        s = FiniteSet(drawn)
-        if contains(b, s):
-            return s
-        if len(drawn) == limit or (x := next(elems, None)) is None:
+    if isinstance(b, Restrict):
+        return _front(b.base, takewhile(b.to.contains, elems), limit)
+    if isinstance(b, Quotient):
+        stem = b.s.elements
+        first = next(elems, None)
+        if first is None or first <= stem[-1]:
             return None
-        drawn.append(x)
+        # __post_init__ makes every front of the base along the stem longer than it
+        head = _front(b.base, chain(stem, (first,), elems), limit + len(stem))
+        return None if head is None else FiniteSet(head.elements[len(stem):])
+    if isinstance(b, Sum):
+        pieces = _peel_fronts(b.parts, elems, limit)
+        return FiniteSet(x for p in pieces for x in p) if len(pieces) == len(b.parts) else None
+    if isinstance(b, Associated):
+        positions, feed = tee(elems)
+        ground = enumerate(b.base.ground(), 1)
+        head = _front(b.base, (next(x for j, x in ground if j == i) for i in feed), limit)
+        return None if head is None else FiniteSet(islice(positions, len(head)))
+    raise InvalidArgumentError(f"unknown descriptor {b!r}")
 
 
 def _peel_fronts(
-    parts: tuple[BarrierDescriptor, ...], s: FiniteSet
-) -> tuple[tuple[FiniteSet, ...], FiniteSet]:
-    """Peel the front of each part off ``s`` in turn, stopping at the first
-    part with no front; the pieces peeled and what is left of ``s``.
-
-    ``s`` is a concatenation over the parts exactly when every part yields a
-    piece and nothing is left.
+    parts: tuple[BarrierDescriptor, ...], elems: Iterator[int], limit: int
+) -> tuple[FiniteSet, ...]:
+    """The front of each part along ``elems`` in turn, each within what the
+    pieces before it left of ``limit``; stops at the first part with none.
     """
     pieces = []
-    rest = s
     for p in parts:
-        piece = _front(p, iter(rest.elements), len(rest))
+        piece = _front(p, elems, limit)
         if piece is None:
             break
         pieces.append(piece)
-        rest = rest.suffix_after(piece.max)
-    return tuple(pieces), rest
+        limit -= len(piece)
+    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,8 @@ def from_concat(fam: BlockFamily, s: FiniteSet) -> Block:
     Raises :class:`NotInSumError` with the recovered prefix and the leftover
     when the set is not a concatenation over the family.
     """
-    consumed, rest = _peel_fronts(fam.parts, s)
+    consumed = _peel_fronts(fam.parts, iter(s.elements), len(s))
+    rest = s.suffix_after(consumed[-1].max) if consumed else s
     if len(consumed) < len(fam.parts):
         part = len(consumed) + 1
         if rest.is_empty():

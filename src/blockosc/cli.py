@@ -19,7 +19,7 @@ import sys
 from typing import Any, Optional
 
 from . import models, normspace, oscillation, ramsey
-from .barriers import check_axioms, contains, enumerate_up_to, front, rank
+from .barriers import FRONT_FUEL_DEFAULT, check_axioms, contains, enumerate_up_to, front, rank
 from .blocks import block_compare, enumerate_blocks, from_concat, to_concat
 from .errors import (
     InsufficientBlocksError,
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("front", help="initial segment landing in the family")
     p.add_argument("--descriptor", required=True)
     p.add_argument("--set", required=True, help="infinite set generator JSON")
-    p.add_argument("--fuel", type=int, default=10**6)
+    p.add_argument("--fuel", type=int, default=FRONT_FUEL_DEFAULT)
     _add_common(p)
     p = bsub.add_parser("axioms", help="Sperner and cover checks")
     p.add_argument("--descriptor", required=True)

@@ -48,6 +48,13 @@ class _at_path:
             raise SchemaError(self.path, str(exc))
 
 
+def _put(table: dict, key: Any, value: Any, path: str) -> None:
+    """Enter one table entry; a key given twice is refused at its second path."""
+    if key in table:
+        raise SchemaError(path, f"{key} repeats an earlier entry")
+    table[key] = value
+
+
 # ---------------------------------------------------------------------------
 # Scalars and small containers
 
@@ -219,7 +226,7 @@ def parse_vector(data: Any, path: str = "$") -> Vector:
                 idx = int(key)
             except ValueError:
                 raise SchemaError(f"{path}.{key}", "keys must be integer indices")
-            entries[idx] = parse_rational(val, f"{path}.{key}")
+            _put(entries, idx, parse_rational(val, f"{path}.{key}"), f"{path}.{key}")
         with _at_path(path):
             return Vector(entries)
     if isinstance(data, list):
@@ -231,7 +238,7 @@ def parse_vector(data: Any, path: str = "$") -> Vector:
         entries = {}
         if pairs:
             for i, (idx, val) in enumerate(data):
-                entries[idx] = parse_rational(val, f"{path}[{i}][1]")
+                _put(entries, idx, parse_rational(val, f"{path}[{i}][1]"), f"{path}[{i}][0]")
         else:
             for i, val in enumerate(data):
                 entries[i + 1] = parse_rational(val, f"{path}[{i}]")
@@ -265,7 +272,7 @@ def parse_coloring(data: Any, path: str = "$") -> Coloring:
                 key: object = parse_block(raw, f"{path}[{i}].object")
             else:
                 key = parse_finite_set(raw, f"{path}[{i}].object")
-            table[key] = e["color"]
+            _put(table, key, e["color"], f"{path}[{i}].object")
         return Coloring.from_table(table)
     obj = _need_obj(data, path, "coloring")
     kind = obj.get("kind")
@@ -289,7 +296,7 @@ def parse_values_table(data: Any, path: str = "$") -> dict[Block, Fraction]:
         if "block" not in e or "value" not in e:
             raise SchemaError(f"{path}[{i}]", "needs block and value")
         b = parse_block(e["block"], f"{path}[{i}].block")
-        out[b] = parse_rational(e["value"], f"{path}[{i}].value")
+        _put(out, b, parse_rational(e["value"], f"{path}[{i}].value"), f"{path}[{i}].block")
     return out
 
 

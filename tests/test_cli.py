@@ -123,6 +123,31 @@ class TestErrors:
             assert (code, out) == (2, "")
             assert "is not a JSON number" in json.loads(err)["message"]
 
+    def test_repeated_coloring_entry_exits_2(self, capsys):
+        coloring = ('[{"object":[1],"color":"red"},{"object":[1],"color":"blue"},'
+                    '{"object":[2],"color":"blue"}]')
+        code, out, err = run(capsys, "ramsey", "find-mono", "--barrier", CUBE1,
+                             "--coloring", coloring, "--universe", "[1,2]", "--target", "2")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["path"] == "$[1].object"
+
+    def test_repeated_values_entry_exits_2(self, capsys):
+        values = ('[{"block":[[1]],"value":"0"},{"block":[[2]],"value":"0"},'
+                  '{"block":[[1]],"value":"9"}]')
+        code, out, err = run(capsys, "ramsey", "metric", "--family", f"[{CUBE1}]",
+                             "--values", values, "--epsilon", "1/2",
+                             "--universe", "[1,2]", "--target", "2")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["path"] == "$[2].block"
+
+    @pytest.mark.parametrize("vector, path", [('[[1,"5"],[1,"1/2"]]', "$[1][0]"),
+                                              ('{"1":"5","01":"1/2"}', "$.01")])
+    def test_repeated_vector_index_exits_2(self, capsys, vector, path):
+        code, out, err = run(capsys, "norm", "eval", "--spec", '{"type":"sup"}',
+                             "--vector", vector)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["path"] == path
+
     def test_overlong_integer_exits_2(self, capsys):
         code, _, err = run(capsys, "barrier", "rank", "--descriptor", "1" * 5000)
         assert code == 2

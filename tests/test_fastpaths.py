@@ -1,10 +1,12 @@
 """Fast paths checked against the plain definitions they replace.
 
-``front`` and ``_front``, the prefix scan it shares with sum peeling, take
-Cube and Schreier fronts by a size rule; the reference tests every prefix for
-membership.  ``contains`` and ``from_concat`` peel a sum's parts with
-``_front`` along the finite set; the reference peels them with its own prefix
-scan.  ``model_eval`` reads its probes off one value table and caches its
+``front`` and ``contains`` rest on ``_front``, one walk of the descriptor:
+Cube and Schreier fronts come by a size rule, and every other descriptor walks
+its base along the same iterator, a sum peeling its parts off it in turn.
+``contains`` asks whether a set is its own front, and ``from_concat`` peels a
+sum's parts along the finite set.  The reference tests every prefix for
+membership by the recursive definition and peels sums with that scan.
+``model_eval`` reads its probes off one value table and caches its
 default tail offset; the reference builds the probes with the reference front
 and evaluates psi on each one.  The model checks evaluate each grid of one
 tuple length with one value table; the reference walks the grid one
@@ -25,12 +27,16 @@ from blockosc.barriers import (
     Schreier,
     Sum,
     _front,
-    _relabel_out,
     contains,
     front,
 )
 from blockosc.blocks import Block, BlockFamily, from_concat
-from blockosc.errors import NoFrontFoundError, NotInSumError, NotStabilizedError
+from blockosc.errors import (
+    InvalidArgumentError,
+    NoFrontFoundError,
+    NotInSumError,
+    NotStabilizedError,
+)
 from blockosc.models import (
     BarrierSequenceDescriptor,
     ConsistencyReport,
@@ -52,11 +58,26 @@ from blockosc.normspace import (
     section6_spec,
 )
 from blockosc.oscillation import psi_eval
-from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, evens, naturals, odds
+from blockosc.sets import (
+    Arithmetic,
+    CofiniteAfter,
+    FiniteSet,
+    PrefixThen,
+    evens,
+    naturals,
+    odds,
+    probe_equal,
+)
 
 
 # ---------------------------------------------------------------------------
 # Reference membership and fronts: every prefix tested, nothing skipped
+
+
+def ref_relabel(base, positions: FiniteSet) -> FiniteSet:
+    """The elements of the base ground set at the given positions."""
+    elems = base.ground().first(positions.max)
+    return FiniteSet(elems[i - 1] for i in positions)
 
 
 def ref_contains(b, s: FiniteSet) -> bool:
@@ -70,7 +91,7 @@ def ref_contains(b, s: FiniteSet) -> bool:
     if isinstance(b, Quotient):
         return b.s.max < s.min and ref_contains(b.base, b.s.concat(s))
     if isinstance(b, Associated):
-        return ref_contains(b.base, _relabel_out(b.base, s))
+        return ref_contains(b.base, ref_relabel(b.base, s))
     if isinstance(b, Cube):
         return len(s) == b.k
     assert isinstance(b, Schreier)
@@ -138,22 +159,42 @@ def _leaf():
     return st.one_of(st.builds(Cube, st.integers(1, 5)), st.just(Schreier()))
 
 
-def _quotient(base, stem):
-    stem = FiniteSet(stem)
-    if _front(base, iter(stem.elements), len(stem)) is not None:
-        return base  # a stem that is or extends a member is rejected; keep the base
-    return Quotient(base, stem)
+def _or_base(make, base, *args):
+    """``make(base, *args)``, or ``base`` when it rejects that combination."""
+    try:
+        return make(base, *args)
+    except InvalidArgumentError:
+        return base
+
+
+def _quotient(base, positions):
+    """The quotient of ``base`` by the ground elements at ``positions``; a
+    stem that is or extends a member is rejected, and the base kept."""
+    ground = base.ground().first(max(positions))
+    return _or_base(Quotient, base, FiniteSet(ground[i - 1] for i in positions))
+
+
+def _sum(parts):
+    """The sum of the parts that share the first part's ground set."""
+    return Sum(tuple(p for p in parts if probe_equal(p.ground(), parts[0].ground())))
+
+
+def _nested(children):
+    targets = st.sampled_from([evens(), odds(), Arithmetic(3, 3), Arithmetic(4, 4),
+                               CofiniteAfter(2)])
+    return st.one_of(
+        st.builds(lambda b, to: _or_base(Restrict, b, to), children, targets),
+        st.builds(_quotient, children, st.sets(st.integers(1, 6), min_size=1, max_size=3)),
+        st.builds(_sum, st.lists(children, min_size=1, max_size=3)),
+        st.builds(Associated, children),
+    )
 
 
 def descriptors():
-    leaf = _leaf()
-    restrict = st.builds(Restrict, leaf, st.sampled_from([evens(), odds(),
-                                                          Arithmetic(3, 3)]))
-    quotient = st.builds(_quotient, leaf,
-                         st.sets(st.integers(1, 6), min_size=1, max_size=3))
-    summed = st.builds(lambda ps: Sum(tuple(ps)), st.lists(leaf, min_size=1, max_size=3))
-    associated = st.builds(Associated, st.one_of(leaf, restrict))
-    return st.one_of(leaf, restrict, quotient, summed, associated, shared_ground_sums())
+    """Leaves nested in restrictions, quotients, sums and associations, at
+    most four leaves to a descriptor: ``Restrict(Sum)``, ``Associated(Quotient)``,
+    sums of quotients and so on."""
+    return st.one_of(st.recursive(_leaf(), _nested, max_leaves=4), shared_ground_sums())
 
 
 def _grows(leaf, stem: FiniteSet) -> bool:
@@ -164,7 +205,7 @@ def _grows(leaf, stem: FiniteSet) -> bool:
 @st.composite
 def shared_ground_sums(draw):
     """Sums over one ground set G whose parts have no size rule, so that
-    peeling them takes the prefix scan: leaves and associated leaves
+    peeling them walks a base: leaves and associated leaves
     restricted to G, quotients whose stem ends just below G = (m, oo), and
     associated restrictions when G is the naturals."""
     m = draw(st.integers(0, 4))
@@ -191,12 +232,24 @@ def test_front_matches_prefix_scan(b, g, fuel):
     assert outcome(front, b, g, fuel) == outcome(ref_front, b, g, fuel)
 
 
+def assert_peel_matches(b, s):
+    """``from_concat`` gives the reference's pieces, or fails where it does."""
+    pieces, rest = ref_peel(b.parts, s)
+    try:
+        assert from_concat(BlockFamily(b.parts), s) == Block(pieces)
+        assert len(pieces) == len(b.parts) and rest.is_empty()
+    except NotInSumError as exc:
+        assert (exc.consumed, exc.leftover) == (pieces, rest)
+
+
 @settings(max_examples=300, deadline=None)
 @given(b=descriptors(), g=generators(), n=st.integers(0, 30))
 def test_front_along_finite_matches_prefix_scan(b, g, n):
     s = FiniteSet(g.first(n))
     assert _front(b, iter(s.elements), len(s)) == ref_front_along_finite(b, s)
     assert contains(b, s) == ref_contains(b, s)
+    if isinstance(b, Sum):
+        assert_peel_matches(b, s)
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,12 +262,7 @@ def test_sum_peel_matches_prefix_scan(b, start, edit, n):
     near = near[:edit] if edit < 0 else near + g.after(near[-1]).first(edit)
     for s in (FiniteSet(near), FiniteSet(g.first(n))):
         assert contains(b, s) == ref_contains(b, s)
-        pieces, rest = ref_peel(b.parts, s)
-        try:
-            assert from_concat(BlockFamily(b.parts), s) == Block(pieces)
-            assert len(pieces) == len(b.parts) and rest.is_empty()
-        except NotInSumError as exc:
-            assert (exc.consumed, exc.leftover) == (pieces, rest)
+        assert_peel_matches(b, s)
 
 
 @pytest.mark.parametrize("b, g, fuel", [
@@ -228,6 +276,22 @@ def test_sum_peel_matches_prefix_scan(b, start, edit, n):
 ])
 def test_fuel_edges_match_prefix_scan(b, g, fuel):
     assert outcome(front, b, g, fuel) == outcome(ref_front, b, g, fuel)
+
+
+def test_restricted_miss_stops_at_the_first_element_outside():
+    # the first odd leaves the evens, so no initial segment can land; the
+    # search must say so after that one draw, not scan the whole fuel
+    drawn = []
+
+    def counted():
+        for x in odds():
+            drawn.append(x)
+            yield x
+
+    with pytest.raises(NoFrontFoundError) as exc:
+        front(Restrict(Cube(2), evens()), counted(), 10**6)
+    assert exc.value.fuel == 10**6
+    assert len(drawn) <= 1
 
 
 # ---------------------------------------------------------------------------
