@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .barriers import BarrierDescriptor, Cube, front
+from .barriers import FRONT_FUEL_DEFAULT, BarrierDescriptor, Cube, _peel_fronts
 from .blocks import Block, BlockFamily
 from .closedform import model_value_8, model_value_228
-from .errors import InternalCheckError, InvalidArgumentError, NotStabilizedError
+from .errors import InternalCheckError, InvalidArgumentError, NoFrontFoundError, NotStabilizedError
 from .normspace import NormSpec, nonneg_grid, section6_spec
 from .oscillation import _value_table
 from .sets import FiniteSet
@@ -60,33 +60,26 @@ def two_two_eights_sequence() -> BarrierSequenceDescriptor:
     return BarrierSequenceDescriptor((Cube(2), Cube(2)), Cube(8))
 
 
-def _build_block(seq: BarrierSequenceDescriptor, k: int, above: int) -> Block:
-    parts = []
-    last = above
-    for i in range(k):
-        b = seq.barrier_at(i)
-        s = front(b, b.ground().after(last))
-        parts.append(s)
-        last = s.max
-    return Block(tuple(parts))
-
-
 @lru_cache(maxsize=1024)
 def _probe_blocks(seq: BarrierSequenceDescriptor, k: int, tail_offset: int,
                   probe_count: int) -> tuple[Block, ...]:
-    blocks = []
-    last = tail_offset - 1
-    for _ in range(probe_count):
-        blk = _build_block(seq, k, last)
-        blocks.append(blk)
-        last = blk.max
-    return tuple(blocks)
+    """``probe_count`` blocks of the first ``k`` barriers, peeled in turn as
+    fronts along one walk of the ground set from ``tail_offset``."""
+    parts = tuple(seq.barrier_at(i) for i in range(k))
+    walk = parts * probe_count
+    start = tail_offset - 1
+    pieces = _peel_fronts(walk, iter(parts[0].ground().after(start)), FRONT_FUEL_DEFAULT)
+    if len(pieces) < len(walk):
+        b = walk[len(pieces)]
+        last = pieces[-1].max if pieces else start
+        raise NoFrontFoundError(FRONT_FUEL_DEFAULT,
+                                f"generator {b.ground().after(last)!r} against {type(b).__name__}")
+    return tuple(Block(pieces[i:i + k]) for i in range(0, len(pieces), k))
 
 
-@lru_cache(maxsize=1024)
 def default_tail_offset(seq: BarrierSequenceDescriptor, k: int) -> int:
     """Span of a block started at the front of the ground set, plus 8."""
-    return _build_block(seq, k, 0).max + 8
+    return _probe_blocks(seq, k, 1, 1)[0].max + 8
 
 
 @dataclass(frozen=True)
@@ -133,30 +126,26 @@ def model_eval(
     return ModelValue(value, stabilized, tuple(zip(blocks, vals)), tail_offset)
 
 
-def _default_probes(spec, seq, tuples) -> list[tuple[tuple[int, ...], int]]:
-    """The values at each tuple (all of one length) on the probes model_eval
-    takes by default, read off one value table: (numerators, denominator)."""
+def _stable_values(spec, seq, tuples) -> Iterator[Fraction]:
+    """The model value at each tuple (all of one length) on the probes
+    model_eval takes by default, in order.  The value table is built at the
+    call; NotStabilizedError comes at the first tuple whose probes disagree."""
     if not tuples:
-        return []
+        return iter(())
     k = len(tuples[0])
     blocks = _probe_blocks(seq, k, default_tail_offset(seq, k), 3)
     rows, den = _value_table(spec, blocks, tuples)
-    return [(col, den) for col in zip(*rows)]
 
+    def checked():
+        for coeffs, nums in zip(tuples, zip(*rows)):
+            if nums.count(nums[0]) != len(nums):
+                raise NotStabilizedError(
+                    f"model value at {coeffs} did not stabilize: "
+                    + ", ".join(str(Fraction(v, den)) for v in nums)
+                )
+            yield Fraction(nums[0], den)
 
-def _stable(coeffs, probes: tuple[tuple[int, ...], int]) -> Fraction:
-    """The model value at coeffs, from its probe values, when they all agree."""
-    nums, den = probes
-    if nums.count(nums[0]) != len(nums):
-        raise NotStabilizedError(
-            f"model value at {coeffs} did not stabilize: "
-            + ", ".join(str(Fraction(v, den)) for v in nums)
-        )
-    return Fraction(nums[0], den)
-
-
-def _stable_value(spec, seq, coeffs) -> Fraction:
-    return _stable(coeffs, _default_probes(spec, seq, [coeffs])[0])
+    return checked()
 
 
 @dataclass(frozen=True)
@@ -188,10 +177,8 @@ def consistency_check(
     for k in range(1, k_max):
         grid = nonneg_grid(k, grid_q)
         grid0 = [a + (Fraction(0),) for a in grid]
-        for a, a0, vals, vals0 in zip(grid, grid0, _default_probes(spec, seq, grid),
-                                      _default_probes(spec, seq, grid0)):
-            base = _stable(a, vals)
-            padded = _stable(a0, vals0)
+        for a, base, padded in zip(grid, _stable_values(spec, seq, grid),
+                                   _stable_values(spec, seq, grid0)):
             checked += 1
             if padded != base:
                 bad.append(ConsistencyViolation(k, a, padded, base))
@@ -231,7 +218,7 @@ def spreading_check(
     if len(placements) < 1:
         raise InvalidArgumentError("placement count must be >= 1")
     grid = nonneg_grid(k, grid_q)
-    identity = {a: _stable(a, vals) for a, vals in zip(grid, _default_probes(spec, seq, grid))}
+    identity = dict(zip(grid, _stable_values(spec, seq, grid)))
     checked = 0
     worst: Optional[SpreadingWitness] = None
     worst_size = Fraction(0)
@@ -242,8 +229,7 @@ def spreading_check(
         for p, a in zip(padded, grid):
             for pos, c in zip(s.elements, a):
                 p[pos - 1] = c
-        for a, p, vals in zip(grid, padded, _default_probes(spec, seq, padded)):
-            val = _stable(p, vals)
+        for a, val in zip(grid, _stable_values(spec, seq, padded)):
             checked += 1
             if val != identity[a]:
                 size = abs(identity[a] - val)
@@ -267,10 +253,8 @@ def equivalence_constants(
     hi: Optional[Fraction] = None
     for k in range(1, k_max + 1):
         grid = [a for a in nonneg_grid(k, grid_q) if any(a)]
-        for a, vals1, vals2 in zip(grid, _default_probes(spec, seq1, grid),
-                                   _default_probes(spec, seq2, grid)):
-            v1 = _stable(a, vals1)
-            v2 = _stable(a, vals2)
+        for a, v1, v2 in zip(grid, _stable_values(spec, seq1, grid),
+                             _stable_values(spec, seq2, grid)):
             if v1 == 0:
                 raise NotStabilizedError(
                     f"first model vanishes at nonzero tuple {a}"
@@ -325,23 +309,22 @@ def verify_section6(
         first = ""
         for k in range(1, k_max + 1):
             grid = nonneg_grid(k, grid_q)
-            for a, vals in zip(grid, _default_probes(spec, seq, grid)):
-                got = _stable(a, vals)
+            for a, got in zip(grid, _stable_values(spec, seq, grid)):
                 want = formula(a)
                 if got != want and not first:
                     first = f"a={a}: {got} != {want}"
         add(name, not first, first or f"{what} on all grid tuples, k <= {k_max}")
 
-    v11 = _stable_value(spec, seq228, (1, 1))
-    v0011 = _stable_value(spec, seq228, (0, 0, 1, 1))
+    v11 = next(_stable_values(spec, seq228, [(1, 1)]))
+    v0011 = next(_stable_values(spec, seq228, [(0, 0, 1, 1)]))
     add("named-values", v11 == Fraction(3, 2) and v0011 == Fraction(1),
         f"value(1,1)={v11}, value(0,0,1,1)={v0011}")
 
     try:
         lo, hi = equivalence_constants(spec, seq8, seq228,
                                        min(k_max, 3), grid_q)
-        ratio2 = (_stable_value(spec, seq228, (1, 1, 1))
-                  / _stable_value(spec, seq8, (1, 1, 1)))
+        ratio2 = (next(_stable_values(spec, seq228, [(1, 1, 1)]))
+                  / next(_stable_values(spec, seq8, [(1, 1, 1)])))
         sandwich_ok = Fraction(1) <= lo and hi <= Fraction(2) and ratio2 == 2
         add("sandwich-equivalence", sandwich_ok,
             f"ratio range [{lo}, {hi}], ratio at (1,1,1) = {ratio2}")

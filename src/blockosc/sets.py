@@ -76,15 +76,6 @@ class FiniteSet:
             raise InvalidArgumentError("block order needs nonempty sets")
         return self.max < other.min
 
-    def concat(self, other: "FiniteSet") -> "FiniteSet":
-        """Ordered union ``self`` followed by ``other``; requires self < other."""
-        if not self.all_below(other):
-            raise InvalidArgumentError(f"{self} does not lie entirely below {other}")
-        return FiniteSet(self.elements + other.elements)
-
-    def prefix(self, n: int) -> "FiniteSet":
-        return FiniteSet(self.elements[:n])
-
     def suffix_after(self, n: int) -> "FiniteSet":
         """Elements strictly above ``n``."""
         return FiniteSet(x for x in self.elements if x > n)

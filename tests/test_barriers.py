@@ -75,7 +75,7 @@ class TestContains:
             for size in (1, 2, 3):
                 for pick in combinations(pool, size):
                     t = FiniteSet(pick)
-                    expected = contains(base, stem.concat(t))
+                    expected = contains(base, FiniteSet(stem.elements + t.elements))
                     assert contains(q, t) == expected
 
     def test_restrict_membership(self):
@@ -160,7 +160,7 @@ class TestEnumerate:
             for s1 in enumerate_up_to(parts[0], n):
                 for s2 in enumerate_up_to(parts[1], n):
                     if s1.max < s2.min:
-                        expected.add(s1.concat(s2))
+                        expected.add(FiniteSet(s1.elements + s2.elements))
             assert set(enumerate_up_to(b, n)) == expected
 
     def test_lex_sorted_no_duplicates(self):

@@ -389,6 +389,17 @@ class TestOscillation:
         assert stage2["witness_gap"] == "1/4"
 
 
+# The tail's ground runs through the evens up to 64 and then the odds, where
+# the inner restriction to the evens has no front: the probes starting at 100
+# miss at once, those at 60 after one block of {60} and {62}.
+NO_FRONT_SEQ = json.dumps({"prefix": [], "tail": {
+    "type": "restrict",
+    "base": {"type": "restrict", "base": {"type": "cube", "k": 1},
+             "to": {"kind": "arithmetic", "start": 2, "step": 2}},
+    "to": {"kind": "prefix-then", "prefix": list(range(2, 65, 2)),
+           "tail": {"kind": "arithmetic", "start": 65, "step": 2}}}})
+
+
 class TestModel:
     def test_eval(self, capsys):
         code, payload = run_json(
@@ -407,6 +418,18 @@ class TestModel:
             "--sequence", mixed_seq, "--coeffs", '["1","1"]')
         assert code == 1
         assert payload["report"]["stabilized"] is False
+
+    @pytest.mark.parametrize("offset, start", [("100", 101), ("60", 65)])
+    def test_eval_without_front_exits_2(self, capsys, offset, start):
+        code, out, err = run(capsys, "model", "eval", "--spec", SECTION6,
+                             "--sequence", NO_FRONT_SEQ,
+                             "--coeffs", '["1","1"]', "--tail-offset", offset)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "NoFrontFoundError",
+            "message": "no initial segment found within fuel=1000000 (generator "
+                       f"Arithmetic(start={start}, step=2) against Restrict)"}
 
     def test_consistency(self, capsys):
         code, payload = run_json(

@@ -6,17 +6,17 @@ its base along the same iterator, a sum peeling its parts off it in turn.
 ``contains`` asks whether a set is its own front, and ``from_concat`` peels a
 sum's parts along the finite set.  The reference tests every prefix for
 membership by the recursive definition and peels sums with that scan.
-``model_eval`` reads its probes off one value table and caches its
-default tail offset; the reference builds the probes with the reference front
-and evaluates psi on each one.  The model checks evaluate each grid of one
-tuple length with one value table; the reference walks the grid one
-``model_eval`` at a time.
+``model_eval`` peels its probes' parts in turn along one walk of the ground
+set and reads them off one value table; the reference builds each part with
+the reference front along a fresh walk and evaluates psi on each probe.  The
+model checks evaluate each grid of one tuple length with one value table; the
+reference walks the grid one ``model_eval`` at a time.
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockosc.barriers import (
@@ -44,6 +44,7 @@ from blockosc.models import (
     SpreadingReport,
     SpreadingWitness,
     consistency_check,
+    default_tail_offset,
     eights_sequence,
     equivalence_constants,
     model_eval,
@@ -89,7 +90,7 @@ def ref_contains(b, s: FiniteSet) -> bool:
     if isinstance(b, Restrict):
         return all(b.to.contains(x) for x in s) and ref_contains(b.base, s)
     if isinstance(b, Quotient):
-        return b.s.max < s.min and ref_contains(b.base, b.s.concat(s))
+        return b.s.max < s.min and ref_contains(b.base, FiniteSet(b.s.elements + s.elements))
     if isinstance(b, Associated):
         return ref_contains(b.base, ref_relabel(b.base, s))
     if isinstance(b, Cube):
@@ -100,8 +101,8 @@ def ref_contains(b, s: FiniteSet) -> bool:
 
 def ref_front_along_finite(b, s: FiniteSet):
     for n in range(1, len(s) + 1):
-        if ref_contains(b, s.prefix(n)):
-            return s.prefix(n)
+        if ref_contains(b, FiniteSet(s.elements[:n])):
+            return FiniteSet(s.elements[:n])
     return None
 
 
@@ -371,6 +372,36 @@ def test_model_eval_matches_per_probe_psi_seeded(m, dn, coeffs, seq_i, probes):
     seq = SEQUENCES[seq_i]
     got = model_eval(spec, seq, coeffs, probe_count=probes)
     assert as_tuple(got) == ref_model(spec, seq, coeffs, probe_count=probes)
+
+
+def probes_fit(seq, k, tail_offset, probe_count, fuel=30):
+    """Whether the reference finds every part of the default block and of the
+    probes within ``fuel`` draws; Schreier parts grow with where they start."""
+    try:
+        first = ref_block(seq, k, 0, fuel)
+        last = (first.max + 8 if tail_offset is None else tail_offset) - 1
+        for _ in range(probe_count):
+            last = ref_block(seq, k, last, fuel).max
+    except NoFrontFoundError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=descriptors(), prefix=st.integers(0, 2), k=st.integers(1, 3),
+       tail_offset=st.none() | st.integers(1, 30), probes=st.integers(1, 4),
+       spec=st.sampled_from([section6_spec(), SupNorm(), even_pair_fixture()]),
+       data=st.data())
+def test_model_eval_matches_per_probe_psi_drawn(d, prefix, k, tail_offset, probes, spec, data):
+    # every prefix shares d's ground, so the probes walk one ground set
+    seq = BarrierSequenceDescriptor(((), (d,), (Restrict(Cube(1), d.ground()),))[prefix], d)
+    assume(probes_fit(seq, k, tail_offset, probes))
+    coeffs = data.draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=4),
+                                min_size=k, max_size=k))
+    assert default_tail_offset(seq, k) == ref_block(seq, k, 0).max + 8
+    got = model_eval(spec, seq, coeffs, tail_offset=tail_offset, probe_count=probes)
+    assert as_tuple(got) == ref_model(spec, seq, coeffs, tail_offset=tail_offset,
+                                      probe_count=probes)
 
 
 # ---------------------------------------------------------------------------
