@@ -99,6 +99,8 @@ def enumerate_blocks(
     fam: BlockFamily, n: int, within: Optional[FiniteSet] = None
 ) -> tuple[Block, ...]:
     """All blocks with elements <= n (and inside ``within`` if given)."""
+    if n < 0:
+        raise InvalidArgumentError("bound must be >= 0")
     return _enumerate_blocks_cached(fam, n, within)
 
 

@@ -104,39 +104,36 @@ def _spread(table: Sequence[Sequence[int]], rows: Sequence[int]) -> int:
     return max(map(sub, map(max, *cells), map(min, *cells)))
 
 
-def _inside_masks(elems: Sequence[int], supports: Sequence[FiniteSet]) -> list[tuple[int, int]]:
-    """(index, bitmask over the positions of ``elems``) of each support inside ``elems``."""
-    bit = {x: 1 << i for i, x in enumerate(elems)}
-    return [(r, sum(map(bit.__getitem__, sup.elements))) for r, sup in enumerate(supports)
-            if all(map(bit.__contains__, sup.elements))]
-
-
-def _rows_inside(masks: Sequence[tuple[int, int]], m: int) -> list[int]:
-    return [r for r, s in masks if s | m == m]
-
-
-def _members(elems: Sequence[int], m: int) -> FiniteSet:
-    return FiniteSet(x for i, x in enumerate(elems) if m >> i & 1)
-
-
 _REJECT = object()
-Step = Callable[[object, int, int], object]
+Step = Callable[[object, Sequence[tuple[object, int]], int], object]
 
 
-def _largest_hereditary(n: int, step: Step, floor: int = 1) -> Optional[int]:
-    """The lexicographically least of the largest accepted sets of positions 0..n-1.
+def _search(elems: Sequence[int], supports: Sequence[FiniteSet], values: Sequence[object],
+            step: Step, floor: int = 1,
+            greedy: bool = False) -> Optional[tuple[FiniteSet, list[int]]]:
+    """The lexicographically least of the largest accepted subsets of ``elems``,
+    and the indices, in order, of the supports inside it.
 
-    Sets are int bitmasks, and acceptance must be closed under subsets.  Only
-    sets of at least ``floor`` positions count; None when none is accepted.
-    The search is depth first over the positions, adding each position before
-    skipping it, so the first set of a size it reaches is the lexicographically
-    least of that size.  A branch ends once its size plus the positions left
-    cannot beat the best size so far (Carraghan & Pardalos, Oper. Res. Lett.
-    9(6), 1990).  ``step(state, wider, j)`` is only asked about an accepted
-    set with one position j added above all of its own: given the state of
-    the accepted set (None for the empty set), it returns the state of
-    ``wider``, or ``_REJECT``.
+    Subsets are int bitmasks over the positions of ``elems``, and acceptance
+    must be closed under subsets.  Only sets of at least ``floor`` elements
+    count; None when none is accepted.  The search is depth first over the
+    positions, adding each position before skipping it, so the first set of a
+    size it reaches is the lexicographically least of that size.  A branch
+    ends once its size plus the positions left cannot beat the best size so
+    far (Carraghan & Pardalos, Oper. Res. Lett. 9(6), 1990).  ``greedy``, with
+    floor 1, keeps the first accepted position at each depth: each position in
+    turn that the step accepts.  ``step(state, group, wider)`` is only asked
+    about an accepted set with one position j added above all of its own, and
+    ``group`` holds the (``values[r]``, mask) pairs of the supports whose top
+    position is j.  Given the state of the accepted set (None for the empty
+    set), it returns the state of ``wider``, or ``_REJECT``.
     """
+    bit = {x: 1 << i for i, x in enumerate(elems)}
+    masks = [(r, sum(map(bit.__getitem__, sup.elements))) for r, sup in enumerate(supports)
+             if all(map(bit.__contains__, sup.elements))]
+    n, groups = len(elems), [[] for _ in elems]
+    for r, s in masks:
+        groups[s.bit_length() - 1].append((values[r], s))
     best: Optional[int] = None
     best_size = floor - 1
 
@@ -148,41 +145,26 @@ def _largest_hereditary(n: int, step: Step, floor: int = 1) -> Optional[int]:
             if size + (n - 1 - j) < best_size:
                 return  # j and every position after it still make no larger set
             wider = mask | 1 << j
-            nxt = step(state, wider, j)
+            nxt = step(state, groups[j], wider)
             if nxt is not _REJECT:
                 grow(wider, nxt, size + 1, j + 1)
+                if greedy:
+                    return
 
     grow(0, None, 0, 0)
-    return best
+    if best is None:
+        return None
+    return (FiniteSet(x for i, x in enumerate(elems) if best >> i & 1),
+            [r for r, s in masks if s | best == best])
 
 
-def _greedy(n: int, step: Step) -> int:
-    """Positions 0..n-1 in turn, each kept when ``step`` accepts it."""
-    mask, state = 0, None
-    for j in range(n):
-        nxt = step(state, mask | 1 << j, j)
-        if nxt is not _REJECT:
-            mask, state = mask | 1 << j, nxt
-    return mask
-
-
-def _by_top(masks: Sequence[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
-    """The (index, mask) pairs grouped by the top position of their mask: the
-    only ones that can come inside a set when that position joins it."""
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for r, s in masks:
-        groups[s.bit_length() - 1].append((r, s))
-    return groups
-
-
-def _spread_step(table: Sequence[Sequence[int]], masks: Sequence[tuple[int, int]],
-                 n: int, bound: int) -> Step:
+def _spread_step(bound: int) -> Step:
     """A step accepting the sets whose rows spread less than ``bound``; its
     state is the per-column (hi, lo) lists of the rows inside, if any."""
-    by_top = _by_top(masks, n)
 
-    def step(state: Optional[tuple], wider: int, j: int) -> object:
-        rows = [table[r] for r, s in by_top[j] if s | wider == wider]
+    def step(state: Optional[tuple], group: Sequence[tuple[object, int]],
+             wider: int) -> object:
+        rows = [row for row, s in group if s | wider == wider]
         if not rows:
             return state
         rows += state or rows[:1]
@@ -300,14 +282,13 @@ def find_stable_subsequence(
     tuples = nonneg_grid(len(fam), grid_q)
     table, den = _value_table(spec, blocks, tuples)
     bound = _ceil_times(epsilon, den)
-    elems, n = universe.elements, len(universe)
-    masks = _inside_masks(elems, [b.union() for b in blocks])
+    unions = [b.union() for b in blocks]
 
-    def gap(m: int) -> int:
-        return _spread(table, _rows_inside(masks, m))
+    def search(limit: int, floor: int = target,
+               greedy: bool = False) -> Optional[tuple[FiniteSet, list[int]]]:
+        return _search(universe.elements, unions, table, _spread_step(limit), floor, greedy)
 
-    def finish(m: int) -> StableSubsequenceResult:
-        subset, rows = _members(elems, m), _rows_inside(masks, m)
+    def finish(subset: FiniteSet, rows: list[int]) -> StableSubsequenceResult:
         rep = _gap_report(spec, [blocks[r] for r in rows], tuples,
                           [table[r] for r in rows], den, subset, grid_q)
         if not rep.gap < epsilon:
@@ -316,26 +297,26 @@ def find_stable_subsequence(
                                        epsilon, target, strategy)
 
     if strategy == "greedy":
-        chosen = _greedy(n, _spread_step(table, masks, n, bound))
-        if chosen.bit_count() >= target:
-            return finish(chosen)
-        subset, g = _members(elems, chosen), gap(chosen)
+        subset, rows = search(bound, 1, greedy=True)
+        if len(subset) >= target:
+            return finish(subset, rows)
+        g = _spread(table, rows)
         if g >= bound:
             raise InternalCheckError(f"greedy subset {subset} is not stable under {epsilon}")
         return StableSubsequenceResult(False, None, None, subset,
                                        Fraction(g, den), epsilon, target, strategy)
 
-    hit = _largest_hereditary(n, _spread_step(table, masks, n, bound), target)
+    hit = search(bound)
     if hit is not None:
-        return finish(hit)
+        return finish(*hit)
     # Descend on the one scan: each pass finds the least of the largest sets of
     # at least target elements spreading less than the best gap so far.  The
     # last set found spreads least, and its scan passed every set that does.
-    best = (1 << n) - 1
-    best_gap = gap(best)
-    while (m := _largest_hereditary(n, _spread_step(table, masks, n, best_gap), target)):
-        best, best_gap = m, gap(m)
-    return StableSubsequenceResult(False, None, None, _members(elems, best),
+    best, best_gap = universe, _spread(table, range(len(blocks)))
+    while (hit := search(best_gap)) is not None:
+        best, rows = hit
+        best_gap = _spread(table, rows)
+    return StableSubsequenceResult(False, None, None, best,
                                    Fraction(best_gap, den), epsilon, target, strategy)
 
 

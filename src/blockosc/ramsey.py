@@ -16,19 +16,7 @@ from .barriers import BarrierDescriptor, _enumerate_cached
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InternalCheckError, InvalidArgumentError
 from .normspace import _over_lcm
-from .oscillation import (
-    _REJECT,
-    ToleranceSchedule,
-    _by_top,
-    _ceil_times,
-    _greedy,
-    _inside_masks,
-    _largest_hereditary,
-    _members,
-    _rows_inside,
-    _spread,
-    _spread_step,
-)
+from .oscillation import _REJECT, ToleranceSchedule, _ceil_times, _search, _spread, _spread_step
 from .sets import FiniteSet
 
 ColorValue = object  # compared with == only, so a JSON array or object will do
@@ -104,29 +92,6 @@ class RamseyResult:
     strategy: str
 
 
-def _domain_objects(
-    source: _Domain, universe: FiniteSet
-) -> tuple[Sequence[object], list[tuple[int, int]]]:
-    """Colored objects inside the universe, and their (index, support) pairs,
-    the supports as bitmasks over the positions of the universe."""
-    if universe.is_empty():
-        raise InvalidArgumentError("universe must be nonempty")
-    if isinstance(source, BlockFamily):
-        objs: Sequence[object] = enumerate_blocks(source, universe.max, within=universe)
-    else:
-        objs = _enumerate_cached(source, universe.elements)
-    return objs, _inside_masks(universe.elements, [_support(o) for o in objs])
-
-
-def _mono_color(masks: Sequence[tuple[int, int]], colors: Sequence[ColorValue],
-                m: int) -> tuple[bool, Optional[ColorValue], int]:
-    """Whether all objects inside m share a color, that color (None when no
-    object is inside) and how many objects are inside.  As in the search step,
-    only later colors are compared with the first, so NaN colors one object."""
-    inside = [colors[r] for r in _rows_inside(masks, m)]
-    return all(c == inside[0] for c in inside[1:]), (inside[0] if inside else None), len(inside)
-
-
 def find_monochromatic(
     source: _Domain,
     coloring: Coloring,
@@ -145,32 +110,34 @@ def find_monochromatic(
         raise InvalidArgumentError("target must be between 1 and the universe size")
     if strategy not in ("exhaustive", "greedy"):
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    objs, masks = _domain_objects(source, universe)
+    if isinstance(source, BlockFamily):
+        objs: Sequence[object] = enumerate_blocks(source, universe.max, within=universe)
+    else:
+        objs = _enumerate_cached(source, universe.elements)
     colors = [coloring.of(obj) for obj in objs]
-    elems = universe.elements
-    by_top = _by_top(masks, len(elems))
 
-    def step(seen: Optional[tuple], wider: int, j: int) -> object:
+    def step(seen: Optional[tuple], group: Sequence[tuple[ColorValue, int]],
+             wider: int) -> object:
         """Extends the 1-tuple of the color of the objects inside, if any."""
-        for r, s in by_top[j]:
+        for color, s in group:
             if s | wider == wider:
                 if not seen:
-                    seen = (colors[r],)
-                elif colors[r] != seen[0]:
+                    seen = (color,)
+                elif color != seen[0]:
                     return _REJECT
         return seen
 
-    if strategy == "greedy":
-        m = _greedy(len(elems), step)
-    else:
-        m = _largest_hereditary(len(elems), step)
-        if m is None:
-            return RamseyResult(False, None, None, target, strategy)
-    ok, color, count = _mono_color(masks, colors, m)
-    subset = _members(elems, m)
-    if not ok:
+    hit = _search(universe.elements, [_support(o) for o in objs], colors, step,
+                  greedy=strategy == "greedy")
+    if hit is None:
+        return RamseyResult(False, None, None, target, strategy)
+    subset, rows = hit
+    # Re-check from scratch.  As in the step, only later colors are compared
+    # with the first, so NaN colors one object.
+    inside = [colors[r] for r in rows]
+    if not all(c == inside[0] for c in inside[1:]):
         raise InternalCheckError(f"witness {subset} is not monochromatic")
-    wit = MonochromeWitness(subset, color, count)
+    wit = MonochromeWitness(subset, inside[0] if inside else None, len(inside))
     found = len(subset) >= target
     return RamseyResult(found, wit if found else None, wit, target, strategy)
 
@@ -209,12 +176,11 @@ def _stabilized(table: list[list[int]], den: int, unions: Sequence[FiniteSet],
                 pool: FiniteSet, eps: Fraction) -> Optional[MetricWitness]:
     """The least of the largest subsets of ``pool`` whose blocks' values
     spread less than eps, with their spread and number of blocks."""
-    masks, n = _inside_masks(pool.elements, unions), len(pool)
-    m = _largest_hereditary(n, _spread_step(table, masks, n, _ceil_times(eps, den)))
-    if m is None:
+    hit = _search(pool.elements, unions, table, _spread_step(_ceil_times(eps, den)))
+    if hit is None:
         return None
-    rows = _rows_inside(masks, m)
-    return MetricWitness(_members(pool.elements, m), Fraction(_spread(table, rows), den), len(rows))
+    subset, rows = hit
+    return MetricWitness(subset, Fraction(_spread(table, rows), den), len(rows))
 
 
 def metric_stabilize(

@@ -616,6 +616,7 @@ class TestInputContract:
          "--placements", "[]"),
         ("barrier", "rank", "--descriptor", EMPIRICAL, "--probe-bound", "0"),
         ("barrier", "rank", "--descriptor", CUBE2, "--probe-bound", "-1"),
+        ("blocks", "enumerate", "--family", FIXTURE_FAM, "--bound", "-1"),
     ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
     def test_vacuous_size_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -6,9 +6,12 @@ Each reference scans subset sizes from the whole universe downward, each size
 in ``combinations`` order, and takes the first subset that passes; the
 library reaches the same subset by a pruned depth-first search.  Misses of
 ``find_stable_subsequence`` are checked on their best gap and best subset,
-on random targets and at every target of a few fixed universes,
-and the greedy strategies, which share the bitmask supports, against a
-left-to-right reference.
+on random targets and at every target of a few fixed universes; a few hits
+whose blocks tie for the widest pair are checked against ``oscillation_gap``
+on the subset found, down to which pair the report names.  The greedy strategies run through
+the same search kernel, committing to each accepted element in turn, and
+are checked against a left-to-right reference on barriers and on every
+block family here.
 """
 
 import random
@@ -25,6 +28,7 @@ from blockosc.normspace import LpNorm, SupNorm, even_pair_fixture, nonneg_grid, 
 from blockosc.oscillation import (
     ToleranceSchedule,
     find_stable_subsequence,
+    oscillation_gap,
     psi_eval,
 )
 from blockosc.ramsey import (
@@ -113,16 +117,19 @@ def test_monochromatic_matches_reference(universe, source, seed, data):
 
 
 @SEARCH
-@given(universes(), st.sampled_from([Cube(1), Cube(2), Cube(3)]), st.integers(0, 2**32))
+@given(universes(), st.sampled_from([Cube(1), Cube(2), Cube(3)] + FAMILIES),
+       st.integers(0, 2**32))
 def test_greedy_monochromatic_matches_reference(universe, source, seed):
     objs, colors = colored_domain(source, universe, seed)
     chosen: list[int] = []
     for x in universe:
         if len({colors[o] for o in inside(objs, frozenset(chosen + [x]))}) <= 1:
             chosen.append(x)
+    inner = inside(objs, frozenset(chosen))
     res = find_monochromatic(source, Coloring.from_table(colors), universe, 1, "greedy")
     assert res.best.subset == FiniteSet(chosen)
-    assert res.best.domain_size == len(inside(objs, frozenset(chosen)))
+    assert res.best.color == (colors[inner[0]] if inner else None)
+    assert res.best.domain_size == len(inner)
 
 
 OTHER_SOURCES = [
@@ -322,8 +329,26 @@ def test_stable_subsequence_hit_and_miss_examples():
     assert not find_stable_subsequence(spec, fam, F(1, 4), universe, 5, "exhaustive", 2).found
 
 
+# Found subsets whose blocks tie for the widest pair under the even-pair
+# fixture at tolerance 1/2: the report must pick the pair oscillation_gap picks.
+TIED_WITNESSES = [
+    (FAMILIES[0], FiniteSet((3, 7, 13, 14)), 2, 1),
+    (FAMILIES[2], FiniteSet((3, 4, 5, 6, 8, 9, 14)), 5, 1),
+    (FAMILIES[2], FiniteSet((1, 2, 3, 4, 10, 13)), 1, 3),
+]
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+@pytest.mark.parametrize("fam, universe, target, q", TIED_WITNESSES)
+def test_stable_report_breaks_ties_as_oscillation_gap(fam, universe, target, q, strategy):
+    spec = even_pair_fixture()
+    res = find_stable_subsequence(spec, fam, F(1, 2), universe, target, strategy, q)
+    assert res.found and res.report.gap > 0
+    assert res.report == oscillation_gap(spec, fam, res.subset, q)
+
+
 @settings(max_examples=40, deadline=None)
-@given(universes(max_size=8), st.sampled_from(SPECS), st.sampled_from(FAMILIES[:2]),
+@given(universes(max_size=8), st.sampled_from(SPECS), st.sampled_from(FAMILIES),
        st.sampled_from([F(1, 8), F(1, 4), F(1, 2)]), st.data())
 def test_greedy_stable_subsequence_matches_reference(universe, spec, fam, eps, data):
     target = data.draw(st.integers(1, len(universe)))
