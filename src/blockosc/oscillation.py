@@ -108,25 +108,24 @@ _REJECT = object()
 Step = Callable[[object, Sequence[tuple[object, int]], int], object]
 
 
-def _search(elems: Sequence[int], supports: Sequence[FiniteSet], values: Sequence[object],
-            step: Step, floor: int = 1,
-            greedy: bool = False) -> Optional[tuple[FiniteSet, list[int]]]:
-    """The lexicographically least of the largest accepted subsets of ``elems``,
-    and the indices, in order, of the supports inside it.
+def _search(elems: Sequence[int], supports: Sequence[FiniteSet],
+            values: Sequence[object]) -> Callable[..., Optional[tuple[FiniteSet, list[int]]]]:
+    """``search(step, floor=1, greedy=False)``: the lexicographically least of
+    the largest subsets of ``elems`` that ``step`` accepts, with the indices, in
+    order, of the supports inside it; None when no set of at least ``floor``
+    elements is accepted.  The supports are encoded once, as int bitmasks over
+    the positions of ``elems``.  Acceptance must be closed under subsets.
 
-    Subsets are int bitmasks over the positions of ``elems``, and acceptance
-    must be closed under subsets.  Only sets of at least ``floor`` elements
-    count; None when none is accepted.  The search is depth first over the
-    positions, adding each position before skipping it, so the first set of a
-    size it reaches is the lexicographically least of that size.  A branch
-    ends once its size plus the positions left cannot beat the best size so
-    far (Carraghan & Pardalos, Oper. Res. Lett. 9(6), 1990).  ``greedy``, with
-    floor 1, keeps the first accepted position at each depth: each position in
-    turn that the step accepts.  ``step(state, group, wider)`` is only asked
-    about an accepted set with one position j added above all of its own, and
-    ``group`` holds the (``values[r]``, mask) pairs of the supports whose top
-    position is j.  Given the state of the accepted set (None for the empty
-    set), it returns the state of ``wider``, or ``_REJECT``.
+    The scan is depth first, adding each position before skipping it, so the
+    first set of a size it reaches is the least of that size; a branch ends
+    once its size plus the positions left cannot beat the best size
+    (Carraghan & Pardalos, Oper. Res. Lett. 9(6), 1990).  ``greedy`` passes
+    once over the positions instead, keeping each one the step accepts.
+    ``step(state, group, wider)`` is asked about an accepted set with one
+    position j added above its own, ``group`` holding the (``values[r]``,
+    mask) pairs of the supports whose top position is j.  From the accepted
+    set's state (None when empty) it returns the state of ``wider``, or
+    ``_REJECT``.
     """
     bit = {x: 1 << i for i, x in enumerate(elems)}
     masks = [(r, sum(map(bit.__getitem__, sup.elements))) for r, sup in enumerate(supports)
@@ -134,28 +133,38 @@ def _search(elems: Sequence[int], supports: Sequence[FiniteSet], values: Sequenc
     n, groups = len(elems), [[] for _ in elems]
     for r, s in masks:
         groups[s.bit_length() - 1].append((values[r], s))
-    best: Optional[int] = None
-    best_size = floor - 1
 
-    def grow(mask: int, state: object, size: int, low: int) -> None:
-        nonlocal best, best_size
-        if size > best_size:
-            best, best_size = mask, size
-        for j in range(low, n):
-            if size + (n - 1 - j) < best_size:
-                return  # j and every position after it still make no larger set
-            wider = mask | 1 << j
-            nxt = step(state, groups[j], wider)
-            if nxt is not _REJECT:
-                grow(wider, nxt, size + 1, j + 1)
-                if greedy:
-                    return
+    def search(step: Step, floor: int = 1,
+               greedy: bool = False) -> Optional[tuple[FiniteSet, list[int]]]:
+        best: Optional[int] = None
+        best_size = floor - 1
 
-    grow(0, None, 0, 0)
-    if best is None:
-        return None
-    return (FiniteSet(x for i, x in enumerate(elems) if best >> i & 1),
-            [r for r, s in masks if s | best == best])
+        def grow(mask: int, state: object, size: int, low: int) -> None:
+            nonlocal best, best_size
+            if size > best_size:
+                best, best_size = mask, size
+            for j in range(low, n):
+                if size + (n - 1 - j) < best_size:
+                    return  # j and every position after it still make no larger set
+                wider = mask | 1 << j
+                nxt = step(state, groups[j], wider)
+                if nxt is not _REJECT:
+                    grow(wider, nxt, size + 1, j + 1)
+
+        if greedy:  # a loop, not grow: a greedy set may be too long to recurse along
+            best, state = 0, None
+            for j in range(n):
+                nxt = step(state, groups[j], best | 1 << j)
+                if nxt is not _REJECT:
+                    best, state = best | 1 << j, nxt
+        else:
+            grow(0, None, 0, 0)
+        if best is None or best.bit_count() < floor:
+            return None
+        return (FiniteSet(x for i, x in enumerate(elems) if best >> i & 1),
+                [r for r, s in masks if s | best == best])
+
+    return search
 
 
 def _spread_step(bound: int) -> Step:
@@ -194,16 +203,18 @@ def _gap_report(
     tuples: Sequence[tuple[Fraction, ...]],
     table: list[list[int]],
     den: int,
+    rows: Sequence[int],
     universe: FiniteSet,
     grid_q: int,
 ) -> OscillationReport:
-    if len(blocks) < 2:
-        return OscillationReport(Fraction(0), None, None, universe, grid_q, len(blocks))
+    """The widest pair among the given rows of the table, re-derived."""
+    if len(rows) < 2:
+        return OscillationReport(Fraction(0), None, None, universe, grid_q, len(rows))
     gap = 0
     wit = None
     for j, a in enumerate(tuples):
-        hi_r = lo_r = 0
-        for r in range(1, len(blocks)):
+        hi_r = lo_r = rows[0]
+        for r in rows[1:]:
             v = table[r][j]
             if v > table[hi_r][j]:
                 hi_r = r
@@ -214,13 +225,13 @@ def _gap_report(
             gap = d
             wit = (blocks[hi_r], blocks[lo_r], a)
     if wit is None:
-        return OscillationReport(Fraction(0), None, None, universe, grid_q, len(blocks))
+        return OscillationReport(Fraction(0), None, None, universe, grid_q, len(rows))
     s, t, a = wit
     gap = Fraction(gap, den)
     # Re-derive from scratch before reporting.
     if abs(psi_eval(spec, s, a) - psi_eval(spec, t, a)) != gap:
         raise InternalCheckError(f"witness pair {s}, {t} at {a} does not re-derive gap {gap}")
-    return OscillationReport(gap, (s, t), a, universe, grid_q, len(blocks))
+    return OscillationReport(gap, (s, t), a, universe, grid_q, len(rows))
 
 
 def oscillation_gap(
@@ -236,7 +247,7 @@ def oscillation_gap(
         )
     tuples = nonneg_grid(len(fam), grid_q)
     table, den = _value_table(spec, blocks, tuples)
-    return _gap_report(spec, blocks, tuples, table, den, universe, grid_q)
+    return _gap_report(spec, blocks, tuples, table, den, range(len(blocks)), universe, grid_q)
 
 
 @dataclass(frozen=True)
@@ -282,22 +293,17 @@ def find_stable_subsequence(
     tuples = nonneg_grid(len(fam), grid_q)
     table, den = _value_table(spec, blocks, tuples)
     bound = _ceil_times(epsilon, den)
-    unions = [b.union() for b in blocks]
-
-    def search(limit: int, floor: int = target,
-               greedy: bool = False) -> Optional[tuple[FiniteSet, list[int]]]:
-        return _search(universe.elements, unions, table, _spread_step(limit), floor, greedy)
+    search = _search(universe.elements, [b.union() for b in blocks], table)
 
     def finish(subset: FiniteSet, rows: list[int]) -> StableSubsequenceResult:
-        rep = _gap_report(spec, [blocks[r] for r in rows], tuples,
-                          [table[r] for r in rows], den, subset, grid_q)
+        rep = _gap_report(spec, blocks, tuples, table, den, rows, subset, grid_q)
         if not rep.gap < epsilon:
             raise InternalCheckError(f"stable subset {subset} has gap {rep.gap} >= {epsilon}")
         return StableSubsequenceResult(True, subset, rep, subset, rep.gap,
                                        epsilon, target, strategy)
 
     if strategy == "greedy":
-        subset, rows = search(bound, 1, greedy=True)
+        subset, rows = search(_spread_step(bound), greedy=True)
         if len(subset) >= target:
             return finish(subset, rows)
         g = _spread(table, rows)
@@ -306,14 +312,14 @@ def find_stable_subsequence(
         return StableSubsequenceResult(False, None, None, subset,
                                        Fraction(g, den), epsilon, target, strategy)
 
-    hit = search(bound)
+    hit = search(_spread_step(bound), target)
     if hit is not None:
         return finish(*hit)
     # Descend on the one scan: each pass finds the least of the largest sets of
     # at least target elements spreading less than the best gap so far.  The
     # last set found spreads least, and its scan passed every set that does.
     best, best_gap = universe, _spread(table, range(len(blocks)))
-    while (hit := search(best_gap)) is not None:
+    while (hit := search(_spread_step(best_gap), target)) is not None:
         best, rows = hit
         best_gap = _spread(table, rows)
     return StableSubsequenceResult(False, None, None, best,
@@ -391,9 +397,7 @@ def asymptotic_stability_check(
             stages.append(StageResult(i, eps, n, True, None, None, None))
             continue
         if failed is None:  # every failing stage reads the last tail
-            rows = tail(last)
-            failed = _gap_report(spec, [blocks[r] for r in rows], tuples,
-                                 [table[r] for r in rows], den, uni, grid_q)
+            failed = _gap_report(spec, blocks, tuples, table, den, tail(last), uni, grid_q)
         stages.append(StageResult(i, eps, None, False, failed.witness_pair,
                                   failed.witness_coeffs, failed.gap))
     return AsymptoticReport(tuple(stages), all(s.passed for s in stages), horizon)

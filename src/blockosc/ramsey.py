@@ -127,8 +127,8 @@ def find_monochromatic(
                     return _REJECT
         return seen
 
-    hit = _search(universe.elements, [_support(o) for o in objs], colors, step,
-                  greedy=strategy == "greedy")
+    hit = _search(universe.elements, [_support(o) for o in objs], colors)(
+        step, greedy=strategy == "greedy")
     if hit is None:
         return RamseyResult(False, None, None, target, strategy)
     subset, rows = hit
@@ -176,7 +176,7 @@ def _stabilized(table: list[list[int]], den: int, unions: Sequence[FiniteSet],
                 pool: FiniteSet, eps: Fraction) -> Optional[MetricWitness]:
     """The least of the largest subsets of ``pool`` whose blocks' values
     spread less than eps, with their spread and number of blocks."""
-    hit = _search(pool.elements, unions, table, _spread_step(_ceil_times(eps, den)))
+    hit = _search(pool.elements, unions, table)(_spread_step(_ceil_times(eps, den)))
     if hit is None:
         return None
     subset, rows = hit

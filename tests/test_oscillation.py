@@ -286,8 +286,7 @@ def ref_asymptotic(spec, fam, schedule, horizon, universe=None, max_stages=12, g
                 result = StageResult(i, eps, n, True, None, None, None)
                 break
         if result is None:
-            sub = _gap_report(spec, [blocks[r] for r in last_rows], tuples,
-                              [table[r] for r in last_rows], den, uni, grid_q)
+            sub = _gap_report(spec, blocks, tuples, table, den, last_rows, uni, grid_q)
             result = StageResult(i, eps, None, False, sub.witness_pair,
                                  sub.witness_coeffs, sub.gap)
         stages.append(result)

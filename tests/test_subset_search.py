@@ -8,10 +8,11 @@ library reaches the same subset by a pruned depth-first search.  Misses of
 ``find_stable_subsequence`` are checked on their best gap and best subset,
 on random targets and at every target of a few fixed universes; a few hits
 whose blocks tie for the widest pair are checked against ``oscillation_gap``
-on the subset found, down to which pair the report names.  The greedy strategies run through
-the same search kernel, committing to each accepted element in turn, and
-are checked against a left-to-right reference on barriers and on every
-block family here.
+on the subset found, down to which pair the report names.  The greedy
+strategies run through the same search kernel, committing to each accepted
+element in turn; they are checked against a left-to-right reference on
+barriers and on every block family here, and on a universe of thousands of
+elements that they keep whole.
 """
 
 import random
@@ -361,3 +362,15 @@ def test_greedy_stable_subsequence_matches_reference(universe, spec, fam, eps, d
     res = find_stable_subsequence(spec, fam, eps, universe, target, "greedy", 2)
     assert (res.best_subset, res.best_gap) == (FiniteSet(chosen), gap)
     assert res.found == (len(chosen) >= target)
+
+
+def test_greedy_keeps_thousands_of_elements():
+    """Greedy is the strategy for universes too large to scan: with every
+    element accepted, it keeps all of them, however many there are."""
+    universe = FiniteSet(range(1, 3001))
+    mono = find_monochromatic(Cube(1), Coloring(lambda obj: "a"), universe, 3000, "greedy")
+    assert mono.found and mono.witness.subset == universe
+    assert (mono.witness.color, mono.witness.domain_size) == ("a", 3000)
+    res = find_stable_subsequence(SupNorm(), BlockFamily((Cube(1),)), F(1, 2), universe,
+                                  3000, "greedy", 2)
+    assert res.found and res.subset == universe and res.report.gap == 0
