@@ -246,8 +246,7 @@ def _enumerate_cached(b: BarrierDescriptor, pool: tuple[int, ...]) -> tuple[Fini
     elif isinstance(b, Quotient):
         stem = b.s.elements
         base = _enumerate_cached(b.base, stem + tuple(x for x in pool if x > stem[-1]))
-        out = [FiniteSet(u.elements[len(stem):]) for u in base
-               if len(u) > len(stem) and u.elements[: len(stem)] == stem]
+        out = [FiniteSet(u.elements[len(stem):]) for u in base if u.elements[: len(stem)] == stem]
     elif isinstance(b, Sum):
         out = sorted((FiniteSet(x for p in t for x in p) for t in _stack(b.parts, pool)),
                      key=lex_key)

@@ -95,13 +95,16 @@ def _ceil_times(eps: Fraction, den: int) -> int:
     return -(-eps.numerator * den // eps.denominator)
 
 
+def _envelope(cells: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Per-column max and min of integer rows; no columns without rows."""
+    cols = list(zip(*cells))
+    return list(map(max, cols)), list(map(min, cols))
+
+
 def _spread(table: Sequence[Sequence[int]], rows: Sequence[int]) -> int:
     """Max over columns of (row max - row min) of an integer table.  Fewer
     than two rows disagree nowhere."""
-    if len(rows) < 2:
-        return 0
-    cells = [table[r] for r in rows]
-    return max(map(sub, map(max, *cells), map(min, *cells)))
+    return max(map(sub, *_envelope([table[r] for r in rows])), default=0)
 
 
 _REJECT = object()
@@ -116,11 +119,12 @@ def _search(elems: Sequence[int], supports: Sequence[FiniteSet],
     elements is accepted.  The supports are encoded once, as int bitmasks over
     the positions of ``elems``.  Acceptance must be closed under subsets.
 
-    The scan is depth first, adding each position before skipping it, so the
-    first set of a size it reaches is the least of that size; a branch ends
-    once its size plus the positions left cannot beat the best size
-    (Carraghan & Pardalos, Oper. Res. Lett. 9(6), 1990).  ``greedy`` passes
-    once over the positions instead, keeping each one the step accepts.
+    One loop runs both strategies, on an explicit stack of (mask, state, size,
+    next position) entries.  The exhaustive scan adds each position before
+    skipping it, so the first set of a size it reaches is the least of that
+    size; a branch ends once its size plus the positions left cannot beat the
+    best size (Carraghan & Pardalos, Oper. Res. Lett. 9(6), 1990).  ``greedy``
+    pushes no skips, so it follows the first descent alone.
     ``step(state, group, wider)`` is asked about an accepted set with one
     position j added above its own, ``group`` holding the (``values[r]``,
     mask) pairs of the supports whose top position is j.  From the accepted
@@ -136,30 +140,23 @@ def _search(elems: Sequence[int], supports: Sequence[FiniteSet],
 
     def search(step: Step, floor: int = 1,
                greedy: bool = False) -> Optional[tuple[FiniteSet, list[int]]]:
-        best: Optional[int] = None
-        best_size = floor - 1
-
-        def grow(mask: int, state: object, size: int, low: int) -> None:
-            nonlocal best, best_size
+        best, best_size = 0, floor - 1
+        stack = [(0, None, 0, 0)]
+        while stack:
+            mask, state, size, j = stack.pop()
             if size > best_size:
                 best, best_size = mask, size
-            for j in range(low, n):
-                if size + (n - 1 - j) < best_size:
-                    return  # j and every position after it still make no larger set
+            # The cut; as size <= best_size here, it also stops the scan at j = n.
+            while size + (n - 1 - j) >= best_size:
                 wider = mask | 1 << j
                 nxt = step(state, groups[j], wider)
+                j += 1
                 if nxt is not _REJECT:
-                    grow(wider, nxt, size + 1, j + 1)
-
-        if greedy:  # a loop, not grow: a greedy set may be too long to recurse along
-            best, state = 0, None
-            for j in range(n):
-                nxt = step(state, groups[j], best | 1 << j)
-                if nxt is not _REJECT:
-                    best, state = best | 1 << j, nxt
-        else:
-            grow(0, None, 0, 0)
-        if best is None or best.bit_count() < floor:
+                    if not greedy:
+                        stack.append((mask, state, size, j))
+                    stack.append((wider, nxt, size + 1, j))
+                    break
+        if best_size < floor:
             return None
         return (FiniteSet(x for i, x in enumerate(elems) if best >> i & 1),
                 [r for r, s in masks if s | best == best])
@@ -176,8 +173,7 @@ def _spread_step(bound: int) -> Step:
         rows = [row for row, s in group if s | wider == wider]
         if not rows:
             return state
-        rows += state or rows[:1]
-        hi, lo = list(map(max, *rows)), list(map(min, *rows))
+        hi, lo = _envelope(rows + list(state or ()))
         return _REJECT if max(map(sub, hi, lo)) >= bound else (hi, lo)
 
     return step
@@ -207,27 +203,18 @@ def _gap_report(
     universe: FiniteSet,
     grid_q: int,
 ) -> OscillationReport:
-    """The widest pair among the given rows of the table, re-derived."""
-    if len(rows) < 2:
+    """The widest pair among the given rows of the table, re-derived: at the
+    first widest column, the first rows reaching its max and its min."""
+    cells = [table[r] for r in rows]
+    hi, lo = _envelope(cells)
+    gaps = list(map(sub, hi, lo))
+    gap = max(gaps, default=0)
+    if gap == 0:
         return OscillationReport(Fraction(0), None, None, universe, grid_q, len(rows))
-    gap = 0
-    wit = None
-    for j, a in enumerate(tuples):
-        hi_r = lo_r = rows[0]
-        for r in rows[1:]:
-            v = table[r][j]
-            if v > table[hi_r][j]:
-                hi_r = r
-            elif v < table[lo_r][j]:
-                lo_r = r
-        d = table[hi_r][j] - table[lo_r][j]
-        if d > gap:
-            gap = d
-            wit = (blocks[hi_r], blocks[lo_r], a)
-    if wit is None:
-        return OscillationReport(Fraction(0), None, None, universe, grid_q, len(rows))
-    s, t, a = wit
-    gap = Fraction(gap, den)
+    j = gaps.index(gap)
+    s = next(blocks[r] for r, row in zip(rows, cells) if row[j] == hi[j])
+    t = next(blocks[r] for r, row in zip(rows, cells) if row[j] == lo[j])
+    a, gap = tuples[j], Fraction(gap, den)
     # Re-derive from scratch before reporting.
     if abs(psi_eval(spec, s, a) - psi_eval(spec, t, a)) != gap:
         raise InternalCheckError(f"witness pair {s}, {t} at {a} does not re-derive gap {gap}")
@@ -294,34 +281,28 @@ def find_stable_subsequence(
     table, den = _value_table(spec, blocks, tuples)
     bound = _ceil_times(epsilon, den)
     search = _search(universe.elements, [b.union() for b in blocks], table)
-
-    def finish(subset: FiniteSet, rows: list[int]) -> StableSubsequenceResult:
+    greedy = strategy == "greedy"
+    hit = search(_spread_step(bound), 1 if greedy else target, greedy)
+    if hit is not None and len(hit[0]) >= target:
+        subset, rows = hit
         rep = _gap_report(spec, blocks, tuples, table, den, rows, subset, grid_q)
         if not rep.gap < epsilon:
             raise InternalCheckError(f"stable subset {subset} has gap {rep.gap} >= {epsilon}")
         return StableSubsequenceResult(True, subset, rep, subset, rep.gap,
                                        epsilon, target, strategy)
-
-    if strategy == "greedy":
-        subset, rows = search(_spread_step(bound), greedy=True)
-        if len(subset) >= target:
-            return finish(subset, rows)
-        g = _spread(table, rows)
-        if g >= bound:
-            raise InternalCheckError(f"greedy subset {subset} is not stable under {epsilon}")
-        return StableSubsequenceResult(False, None, None, subset,
-                                       Fraction(g, den), epsilon, target, strategy)
-
-    hit = search(_spread_step(bound), target)
-    if hit is not None:
-        return finish(*hit)
-    # Descend on the one scan: each pass finds the least of the largest sets of
-    # at least target elements spreading less than the best gap so far.  The
-    # last set found spreads least, and its scan passed every set that does.
-    best, best_gap = universe, _spread(table, range(len(blocks)))
-    while (hit := search(_spread_step(best_gap), target)) is not None:
+    if greedy:
         best, rows = hit
         best_gap = _spread(table, rows)
+        if best_gap >= bound:
+            raise InternalCheckError(f"greedy subset {best} is not stable under {epsilon}")
+    else:
+        # Descend on the one scan: each pass finds the least of the largest sets
+        # of at least target elements spreading less than the best gap so far.
+        # The last set found spreads least, and its scan passed every set that does.
+        best, best_gap = universe, _spread(table, range(len(blocks)))
+        while (hit := search(_spread_step(best_gap), target)) is not None:
+            best, rows = hit
+            best_gap = _spread(table, rows)
     return StableSubsequenceResult(False, None, None, best,
                                    Fraction(best_gap, den), epsilon, target, strategy)
 

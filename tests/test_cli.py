@@ -265,6 +265,14 @@ class TestRamsey:
             assert payload["report"]["best"] == {"subset": [1, 2, 3], "color": color,
                                                  "domain_size": 3}
 
+    def test_find_mono_keeps_a_deep_exhaustive_set(self, capsys):
+        # 1,500 levels of the exhaustive scan: past the default recursion limit
+        code, payload = run_json(
+            capsys, "ramsey", "find-mono", "--barrier", CUBE1, "--coloring", '"constant:a"',
+            "--universe", json.dumps(list(range(1, 1501))), "--target", "1500")
+        assert code == 0
+        assert payload["report"]["witness"]["subset"] == list(range(1, 1501))
+
     def test_find_mono_miss(self, capsys):
         code, payload = run_json(
             capsys, "ramsey", "find-mono", "--barrier", CUBE2,

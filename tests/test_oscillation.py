@@ -20,10 +20,6 @@ from blockosc.oscillation import (
     AsymptoticReport,
     StageResult,
     ToleranceSchedule,
-    _ceil_times,
-    _gap_report,
-    _spread,
-    _value_table,
     asymptotic_stability_check,
     find_stable_subsequence,
     oscillation_gap,
@@ -170,6 +166,14 @@ class TestGap:
                     FiniteSet((2, 4, 6, 8)), FiniteSet((2, 3, 5, 8))):
             assert oscillation_gap(spec, fam, sub).gap <= full
 
+    def test_two_blocks_are_compared(self):
+        rep = oscillation_gap(even_pair_fixture(), BlockFamily((Schreier(), Cube(1))),
+                              FiniteSet((1, 2, 3)), grid_q=1)
+        assert rep.block_count == 2 and not rep.vacuous
+        assert rep.gap == F(1, 4)
+        assert rep.witness_pair == (Block((FiniteSet((1,)), FiniteSet((2,)))),
+                                    Block((FiniteSet((1,)), FiniteSet((3,)))))
+
     def test_report_reverifies(self):
         spec = even_pair_fixture()
         rep = oscillation_gap(spec, BlockFamily((Cube(1), Cube(1))), U(6))
@@ -257,11 +261,37 @@ class TestAsymptotic:
         with pytest.raises(InsufficientBlocksError):
             asymptotic_stability_check(section6_spec(), BlockFamily((Cube(8),)),
                                        ToleranceSchedule(), horizon=8)
+        with pytest.raises(InsufficientBlocksError):
+            asymptotic_stability_check(even_pair_fixture(), BlockFamily((Cube(1),)),
+                                       ToleranceSchedule(), horizon=1)
+
+    def test_finite_universe_with_gaps(self):
+        args = (even_pair_fixture(), BlockFamily((Cube(1), Cube(1))), ToleranceSchedule(), 11)
+        gapped = asymptotic_stability_check(*args, universe=FiniteSet((1, 3, 5, 7, 9, 11)),
+                                            max_stages=4)
+        assert gapped == asymptotic_stability_check(*args, universe=odds(), max_stages=4)
+        assert gapped.all_passed
+        assert gapped != asymptotic_stability_check(*args, max_stages=4)
+
+
+def ref_spread(rows) -> F:
+    """Max over columns of (max - min) of Fraction rows."""
+    return max(max(col) - min(col) for col in zip(*rows))
+
+
+def ref_widest(tail, cells, tuples):
+    """The first widest column's first max block and first min block, its
+    coefficients and its spread."""
+    cols = [[cells[b][j] for b in tail] for j in range(len(tuples))]
+    spreads = [max(col) - min(col) for col in cols]
+    j = spreads.index(max(spreads))
+    col = cols[j]
+    return (tail[col.index(max(col))], tail[col.index(min(col))]), tuples[j], spreads[j]
 
 
 def ref_asymptotic(spec, fam, schedule, horizon, universe=None, max_stages=12, grid_q=8):
     """The stage loop that scans each stage's thresholds from 0 and builds
-    each failing stage's report anew."""
+    each failing stage's report anew, on Fraction values from psi_eval."""
     if isinstance(universe, SetGenerator):
         uni = FiniteSet(x for x in range(1, horizon + 1) if universe.contains(x))
     else:
@@ -270,25 +300,21 @@ def ref_asymptotic(spec, fam, schedule, horizon, universe=None, max_stages=12, g
     if len(blocks) < 2:
         raise InsufficientBlocksError("horizon hosts fewer than two blocks")
     tuples = nonneg_grid(len(fam), grid_q)
-    table, den = _value_table(spec, blocks, tuples)
-    mins = [b.min for b in blocks]
+    cells = {b: [psi_eval(spec, b, a) for a in tuples] for b in blocks}
     stages = []
     for i in range(1, max_stages + 1):
         eps = schedule.at(i)
-        bound = _ceil_times(eps, den)
-        result, last_rows = None, []
+        result, last = None, []
         for n in range(0, horizon + 1):
-            rows = [r for r, mn in enumerate(mins) if mn > n]
-            if len(rows) < 2:
+            tail = [b for b in blocks if b.min > n]
+            if len(tail) < 2:
                 break
-            last_rows = rows
-            if _spread(table, rows) < bound:
+            last = tail
+            if ref_spread([cells[b] for b in tail]) < eps:
                 result = StageResult(i, eps, n, True, None, None, None)
                 break
         if result is None:
-            sub = _gap_report(spec, blocks, tuples, table, den, last_rows, uni, grid_q)
-            result = StageResult(i, eps, None, False, sub.witness_pair,
-                                 sub.witness_coeffs, sub.gap)
+            result = StageResult(i, eps, None, False, *ref_widest(last, cells, tuples))
         stages.append(result)
     return AsymptoticReport(tuple(stages), all(s.passed for s in stages), horizon)
 

@@ -9,10 +9,12 @@ library reaches the same subset by a pruned depth-first search.  Misses of
 on random targets and at every target of a few fixed universes; a few hits
 whose blocks tie for the widest pair are checked against ``oscillation_gap``
 on the subset found, down to which pair the report names.  The greedy
-strategies run through the same search kernel, committing to each accepted
+strategies run through the same search loop, committing to each accepted
 element in turn; they are checked against a left-to-right reference on
 barriers and on every block family here, and on a universe of thousands of
-elements that they keep whole.
+elements that they keep whole.  The exhaustive scan keeps sets deeper than
+the default recursion limit whole too, and the number of steps it asks on a
+fixed instance is pinned, so a weaker cut shows.
 """
 
 import random
@@ -28,6 +30,10 @@ from blockosc.blocks import Block, BlockFamily, enumerate_blocks
 from blockosc.normspace import LpNorm, SupNorm, even_pair_fixture, nonneg_grid, section6_spec
 from blockosc.oscillation import (
     ToleranceSchedule,
+    _ceil_times,
+    _search,
+    _spread_step,
+    _value_table,
     find_stable_subsequence,
     oscillation_gap,
     psi_eval,
@@ -374,3 +380,40 @@ def test_greedy_keeps_thousands_of_elements():
     res = find_stable_subsequence(SupNorm(), BlockFamily((Cube(1),)), F(1, 2), universe,
                                   3000, "greedy", 2)
     assert res.found and res.subset == universe and res.report.gap == 0
+
+
+def test_exhaustive_keeps_sets_deeper_than_the_recursion_limit():
+    """With every element accepted, the exhaustive scan descends once per
+    element: 1,500 and 1,200 levels, past the default limit of 1,000."""
+    universe = FiniteSet(range(1, 1501))
+    mono = find_monochromatic(Cube(1), Coloring(lambda obj: "a"), universe, 1500)
+    assert mono.found and mono.witness.subset == universe
+    assert mono.witness.domain_size == 1500
+    universe = FiniteSet(range(1, 1201))
+    res = find_stable_subsequence(SupNorm(), BlockFamily((Cube(1),)), F(1, 2), universe,
+                                  1200, "exhaustive", 2)
+    assert res.found and res.subset == universe and res.report.gap == 0
+
+
+@pytest.mark.parametrize("eps, floor, greedy, calls, subset", [
+    (F(1, 4), 1, False, 116, FiniteSet((1, 3, 5, 7, 9, 11))),
+    (F(1, 8), 7, False, 112, None),
+    (F(1, 4), 1, True, 12, FiniteSet((1, 2))),
+], ids=["hit", "miss", "greedy"])
+def test_scan_step_calls_are_pinned(eps, floor, greedy, calls, subset):
+    """Steps asked by the scan over 1..12 under the even-pair fixture.  The
+    cut size + (n - 1 - j) < best size keeps them at these counts; a weaker
+    cut asks more steps, or steps past the last position."""
+    universe = FiniteSet(range(1, 13))
+    blocks = enumerate_blocks(FAMILIES[0], 12, within=universe)
+    table, den = _value_table(even_pair_fixture(), blocks, nonneg_grid(2, 2))
+    search = _search(universe.elements, [b.union() for b in blocks], table)
+    step, asked = _spread_step(_ceil_times(eps, den)), []
+
+    def counting(*args):
+        asked.append(args)
+        return step(*args)
+
+    hit = search(counting, floor, greedy)
+    assert (hit[0] if hit else None) == subset
+    assert len(asked) == calls
