@@ -12,6 +12,7 @@ axiom spot-checks, and rank classification.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice, takewhile, tee
@@ -96,10 +97,11 @@ class Quotient(BarrierDescriptor):
         if not all(map(self.base.ground().contains, self.s)):
             raise InvalidArgumentError(f"stem {self.s} leaves the base ground set")
         head = _front(self.base, iter(self.s.elements), len(self.s))
-        if head == self.s:
+        if head == self.s.elements:
             raise InvalidArgumentError(f"stem {self.s} already belongs to the base family")
         if head is not None:
-            raise InvalidArgumentError(f"no member extends stem {self.s}: it starts with {head}")
+            raise InvalidArgumentError(
+                f"no member extends stem {self.s}: it starts with {FiniteSet._trusted(head)}")
 
     def ground(self) -> SetGenerator:
         return self.base.ground().after(self.s.max)
@@ -115,9 +117,8 @@ class Sum(BarrierDescriptor):
         if not self.parts:
             raise InvalidArgumentError("sum needs at least one part")
         g0 = self.parts[0].ground()
-        for p in self.parts[1:]:
-            if not probe_equal(g0, p.ground()):
-                raise InvalidArgumentError("sum parts must share a ground set")
+        if not all(probe_equal(g0, p.ground()) for p in self.parts[1:]):
+            raise InvalidArgumentError("sum parts must share a ground set")
 
     def ground(self) -> SetGenerator:
         return self.parts[0].ground()
@@ -144,13 +145,13 @@ class Associated(BarrierDescriptor):
 def contains(b: BarrierDescriptor, s: FiniteSet) -> bool:
     """Whether ``s`` is a member; no member is an initial segment of another,
     so exactly when ``s`` is its own front."""
-    return _front(b, iter(s.elements), len(s)) == s
+    return _front(b, iter(s.elements), len(s)) == s.elements
 
 
-def _front(b: BarrierDescriptor, elems: Iterator[int], limit: int) -> Optional[FiniteSet]:
-    """The shortest initial segment of the strictly increasing ``elems`` in
-    ``b``, unique by incomparability; None if none has at most ``limit``
-    elements.  A front found draws exactly its own elements from ``elems``.
+def _front(b: BarrierDescriptor, elems: Iterator[int], limit: int) -> Optional[tuple[int, ...]]:
+    """The elements of the shortest initial segment of the strictly increasing
+    ``elems`` in ``b``, unique by incomparability; None if none has at most
+    ``limit`` elements.  A front found draws exactly its own elements from ``elems``.
     ``Cube(k)`` takes k elements and ``Schreier`` as many as the first names;
     the other descriptors walk their bases, a restriction up to the first
     element outside its ``to``, a quotient along its stem first, and an
@@ -161,8 +162,8 @@ def _front(b: BarrierDescriptor, elems: Iterator[int], limit: int) -> Optional[F
         size = b.k if isinstance(b, Cube) else first
         if first is None or size > limit:
             return None
-        drawn = [first, *islice(elems, size - 1)]
-        return FiniteSet(drawn) if len(drawn) == size else None
+        drawn = (first, *islice(elems, size - 1))
+        return drawn if len(drawn) == size else None
     if isinstance(b, Restrict):
         return _front(b.base, takewhile(b.to.contains, elems), limit)
     if isinstance(b, Quotient):
@@ -172,24 +173,21 @@ def _front(b: BarrierDescriptor, elems: Iterator[int], limit: int) -> Optional[F
             return None
         # __post_init__ makes every front of the base along the stem longer than it
         head = _front(b.base, chain(stem, (first,), elems), limit + len(stem))
-        return None if head is None else FiniteSet(head.elements[len(stem):])
+        return None if head is None else head[len(stem):]
     if isinstance(b, Sum):
         pieces = _peel_fronts(b.parts, elems, limit)
-        return FiniteSet(x for p in pieces for x in p) if len(pieces) == len(b.parts) else None
+        return sum(pieces, ()) if len(pieces) == len(b.parts) else None
     if isinstance(b, Associated):
         positions, feed = tee(elems)
-        ground = enumerate(b.base.ground(), 1)
-        head = _front(b.base, (next(x for j, x in ground if j == i) for i in feed), limit)
-        return None if head is None else FiniteSet(islice(positions, len(head)))
+        head = _front(b.base, map(b.base.ground().nth, feed), limit)
+        return None if head is None else tuple(islice(positions, len(head)))
     raise InvalidArgumentError(f"unknown descriptor {b!r}")
 
 
-def _peel_fronts(
-    parts: tuple[BarrierDescriptor, ...], elems: Iterator[int], limit: int
-) -> tuple[FiniteSet, ...]:
-    """The front of each part along ``elems`` in turn, each within what the
-    pieces before it left of ``limit``; stops at the first part with none.
-    """
+def _peel_fronts(parts: tuple[BarrierDescriptor, ...], elems: Iterator[int],
+                 limit: int) -> tuple[tuple[int, ...], ...]:
+    """The elements of each part's front along ``elems`` in turn, each within
+    what the pieces before it left of ``limit``; stops at the first part with none."""
     pieces = []
     for p in parts:
         piece = _front(p, elems, limit)
@@ -217,7 +215,7 @@ def front(b: BarrierDescriptor, m: SetGenerator, fuel: int = FRONT_FUEL_DEFAULT)
     s = _front(b, iter(m), fuel)
     if s is None:
         raise NoFrontFoundError(fuel, f"generator {m!r} against {type(b).__name__}")
-    return s
+    return FiniteSet(s)
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +235,23 @@ def _enumerate_cached(b: BarrierDescriptor, pool: tuple[int, ...]) -> tuple[Fini
     order; only they are built.  Each branch but the sum's emits them in order.
     """
     if isinstance(b, Cube):
-        out = [FiniteSet(c) for c in combinations(pool, b.k)]
+        out = list(map(FiniteSet._trusted, combinations(pool, b.k)))
     elif isinstance(b, Schreier):
-        out = [FiniteSet((m,) + rest) for i, m in enumerate(pool)
+        out = [FiniteSet._trusted((m,) + rest) for i, m in enumerate(pool)
                for rest in combinations(pool[i + 1:], m - 1)]
     elif isinstance(b, Restrict):
         out = _enumerate_cached(b.base, tuple(x for x in pool if b.to.contains(x)))
     elif isinstance(b, Quotient):
         stem = b.s.elements
         base = _enumerate_cached(b.base, stem + tuple(x for x in pool if x > stem[-1]))
-        out = [FiniteSet(u.elements[len(stem):]) for u in base if u.elements[: len(stem)] == stem]
+        out = [FiniteSet._trusted(u.elements[len(stem):])
+               for u in base if u.elements[: len(stem)] == stem]
     elif isinstance(b, Sum):
-        out = sorted((FiniteSet(x for p in t for x in p) for t in _stack(b.parts, pool)),
-                     key=lex_key)
+        out = sorted((FiniteSet._trusted(sum((p.elements for p in t), ()))
+                      for t in _stack(b.parts, pool)), key=lex_key)
     elif isinstance(b, Associated):
-        elems = b.base.ground().first(pool[-1]) if pool else ()
-        index = {elems[i - 1]: i for i in pool}
-        out = [FiniteSet(index[x] for x in s)
+        index = dict(zip(map(b.base.ground().nth, pool), pool))
+        out = [FiniteSet._trusted(tuple(map(index.__getitem__, s.elements)))
                for s in _enumerate_cached(b.base, tuple(index))]
     else:
         raise InvalidArgumentError(f"unknown descriptor {b!r}")
@@ -291,14 +289,8 @@ def _stack(parts: tuple[BarrierDescriptor, ...],
 
 def sperner_violations(family: Iterable[FiniteSet]) -> list[tuple[FiniteSet, FiniteSet]]:
     """Pairs (s, t) with s a proper subset of t; empty for genuine barriers."""
-    members = sorted(set(family), key=len)
-    as_sets = [(m, frozenset(m.elements)) for m in members]
-    bad = []
-    for i, (s, fs) in enumerate(as_sets):
-        for t, ft in as_sets[i + 1:]:
-            if len(ft) > len(fs) and fs < ft:
-                bad.append((s, t))
-    return bad
+    as_sets = [(m, frozenset(m.elements)) for m in sorted(set(family), key=len)]
+    return [(s, t) for i, (s, fs) in enumerate(as_sets) for t, ft in as_sets[i + 1:] if fs < ft]
 
 
 @dataclass(frozen=True)
@@ -321,8 +313,7 @@ def check_axioms(
     covering axiom is sampled: fronts are searched along the ground set and
     seven seeded random progressions, each within ``fuel``.
     """
-    fam = enumerate_up_to(b, n)
-    bad = sperner_violations(fam)
+    bad = sperner_violations(enumerate_up_to(b, n))
 
     rng = random.Random(seed)
     gens: list[SetGenerator] = [b.ground()]
@@ -331,28 +322,24 @@ def check_axioms(
         step = rng.randrange(1, 5)
         gens.append(b.ground().after(start) if step == 1 else _thin(b.ground(), start, step))
     outcomes = []
-    ok = True
     for g in gens:
         try:
             f = front(b, g, fuel)
         except NoFrontFoundError:
             f = None
-            ok = False
         outcomes.append((repr(g), f))
     return AxiomReport(
         sperner_ok=not bad,
         violations=tuple(bad),
-        cover_ok=ok,
+        cover_ok=all(f is not None for _, f in outcomes),
         cover_probes=tuple(outcomes),
     )
 
 
 def _thin(g: SetGenerator, start: int, step: int) -> SetGenerator:
-    """A sparse infinite subset of ``g``: every ``step``-th element from ``start``."""
-    xs = g.first(start + step * 40)
-    picked = xs[start - 1 :: step]
-    # Finite slice of the thinned set, then the tail of g far out; still a
-    # subset of g and still infinite.
+    """A sparse infinite subset of ``g``: its elements at positions ``start``,
+    ``start + step``, ... (41 of them), then the tail of ``g`` far beyond them."""
+    picked = [g.nth(start + step * j) for j in range(41)]
     return PrefixThen(FiniteSet(picked), g.after(picked[-1] + step))
 
 
@@ -433,10 +420,7 @@ def empirical_rank(b: BarrierDescriptor, n: int) -> RankResult:
     if not fam:
         return RankResult(AT_LEAST_OMEGA_OMEGA, False, "empirical", n)
     k = max(len(s) for s in fam)
-    count_k: dict[int, int] = {}
-    for s in fam:
-        if len(s) == k:
-            count_k[s.min] = count_k.get(s.min, 0) + 1
+    count_k = Counter(s.min for s in fam if len(s) == k)
     for m in range(0, n - k + 1):
         expected = comb(n - m, k)
         actual = sum(c for mn, c in count_k.items() if mn > m)

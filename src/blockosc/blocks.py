@@ -18,7 +18,8 @@ from .sets import FiniteSet, lex_key, probe_equal
 
 
 class Block:
-    """Immutable stacked tuple of finite sets."""
+    """Immutable stacked tuple of finite sets.  ``_trusted`` skips the checks: only library
+    code calls it, on nonempty valid sets it peeled or stacked, each wholly below the next."""
 
     __slots__ = ("parts", "_hash")
 
@@ -34,6 +35,13 @@ class Block:
                 raise InvalidArgumentError(f"parts out of order: {a} !< {b}")
         object.__setattr__(self, "parts", ps)
         object.__setattr__(self, "_hash", hash(ps))
+
+    @classmethod
+    def _trusted(cls, parts: tuple[FiniteSet, ...]) -> "Block":
+        b = object.__new__(cls)
+        object.__setattr__(b, "parts", parts)
+        object.__setattr__(b, "_hash", hash(parts))
+        return b
 
     def __setattr__(self, name, value):
         raise AttributeError("Block is immutable")
@@ -57,10 +65,7 @@ class Block:
         return "(" + ", ".join(repr(p) for p in self.parts) + ")"
 
     def union(self) -> FiniteSet:
-        out: tuple[int, ...] = ()
-        for p in self.parts:
-            out = out + p.elements
-        return FiniteSet(out)
+        return FiniteSet._trusted(sum((p.elements for p in self.parts), ()))
 
     @property
     def min(self) -> int:
@@ -81,9 +86,8 @@ class BlockFamily:
         if not self.parts:
             raise InvalidArgumentError("a block family needs at least one barrier")
         g0 = self.parts[0].ground()
-        for p in self.parts[1:]:
-            if not probe_equal(g0, p.ground()):
-                raise InvalidArgumentError("family parts must share a ground set")
+        if not all(probe_equal(g0, p.ground()) for p in self.parts[1:]):
+            raise InvalidArgumentError("family parts must share a ground set")
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -109,8 +113,7 @@ def _enumerate_blocks_cached(
     fam: BlockFamily, n: int, within: Optional[FiniteSet]
 ) -> tuple[Block, ...]:
     pool = tuple(x for x in (range(1, n + 1) if within is None else within) if x <= n)
-    out = [Block(t) for t in _stack(fam.parts, pool)]
-    return tuple(sorted(out, key=block_sort_key))
+    return tuple(sorted(map(Block._trusted, _stack(fam.parts, pool)), key=block_sort_key))
 
 
 def to_concat(block: Block) -> FiniteSet:
@@ -124,7 +127,7 @@ def from_concat(fam: BlockFamily, s: FiniteSet) -> Block:
     Raises :class:`NotInSumError` with the recovered prefix and the leftover
     when the set is not a concatenation over the family.
     """
-    consumed = _peel_fronts(fam.parts, iter(s.elements), len(s))
+    consumed = tuple(map(FiniteSet._trusted, _peel_fronts(fam.parts, iter(s.elements), len(s))))
     rest = s.suffix_after(consumed[-1].max) if consumed else s
     if len(consumed) < len(fam.parts):
         part = len(consumed) + 1
@@ -133,7 +136,7 @@ def from_concat(fam: BlockFamily, s: FiniteSet) -> Block:
         raise NotInSumError(consumed, rest, f"no initial segment of {rest} in part {part}")
     if not rest.is_empty():
         raise NotInSumError(consumed, rest, f"leftover {rest} after final part")
-    return Block(consumed)
+    return Block._trusted(consumed)
 
 
 def block_compare(x: Block, y: Block) -> str:

@@ -71,10 +71,11 @@ def _probe_blocks(seq: BarrierSequenceDescriptor, k: int, tail_offset: int,
     pieces = _peel_fronts(walk, iter(parts[0].ground().after(start)), FRONT_FUEL_DEFAULT)
     if len(pieces) < len(walk):
         b = walk[len(pieces)]
-        last = pieces[-1].max if pieces else start
+        last = pieces[-1][-1] if pieces else start
         raise NoFrontFoundError(FRONT_FUEL_DEFAULT,
                                 f"generator {b.ground().after(last)!r} against {type(b).__name__}")
-    return tuple(Block(pieces[i:i + k]) for i in range(0, len(pieces), k))
+    fronts = tuple(map(FiniteSet._trusted, pieces))
+    return tuple(Block._trusted(fronts[i:i + k]) for i in range(0, len(fronts), k))
 
 
 def default_tail_offset(seq: BarrierSequenceDescriptor, k: int) -> int:

@@ -4,12 +4,19 @@ Naturals start at 1 throughout.  A :class:`FiniteSet` is stored as a strictly
 increasing tuple; the lexicographic order used everywhere is the one induced
 by symmetric differences: ``s`` precedes ``t`` when ``min(s ^ t)`` lies in
 ``s``.  Infinite sets never materialize; they are closed descriptors
-(:class:`SetGenerator`) supporting decidable membership, iteration, and
-tail restriction.
+(:class:`SetGenerator`) supporting decidable membership, iteration, indexed
+access and tail restriction.
+
+``FiniteSet._trusted`` and ``Block._trusted`` wrap a tuple unchecked.  Only
+library code calls them, on a tuple it sliced, joined or combined out of valid
+sets, or drew in order from a :class:`SetGenerator`: strictly increasing
+positive ``int``s (for a block, nonempty sets each wholly below the next).
+Input from outside goes through the public constructors, which check it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, islice
 from math import inf
@@ -33,6 +40,14 @@ class FiniteSet:
                 raise InvalidArgumentError(f"duplicate element {a}")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_hash", hash(elems))
+
+    @classmethod
+    def _trusted(cls, elems: tuple[int, ...]) -> "FiniteSet":
+        """The set of ``elems``, unchecked, its slots set directly; see the module docstring."""
+        s = object.__new__(cls)
+        _set_elements(s, elems)
+        _set_hash(s, hash(elems))
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSet is immutable")
@@ -78,7 +93,10 @@ class FiniteSet:
 
     def suffix_after(self, n: int) -> "FiniteSet":
         """Elements strictly above ``n``."""
-        return FiniteSet(x for x in self.elements if x > n)
+        return FiniteSet._trusted(self.elements[bisect_right(self.elements, n):])
+
+
+_set_elements, _set_hash = FiniteSet.elements.__set__, FiniteSet._hash.__set__
 
 
 def lex_key(s: FiniteSet) -> tuple:
@@ -111,6 +129,10 @@ class SetGenerator:
     def first(self, k: int) -> tuple[int, ...]:
         return tuple(islice(iter(self), k))
 
+    def nth(self, i: int) -> int:
+        """The ``i``-th element, counting from 1."""
+        return next(islice(iter(self), i - 1, None))
+
 
 @dataclass(frozen=True)
 class CofiniteAfter(SetGenerator):
@@ -119,14 +141,17 @@ class CofiniteAfter(SetGenerator):
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidArgumentError("cofinite-after bound must be >= 0")
+        if type(self.n) is not int or self.n < 0:
+            raise InvalidArgumentError("cofinite-after bound must be an integer >= 0")
 
     def __iter__(self) -> Iterator[int]:
         return count(self.n + 1)
 
     def contains(self, x: int) -> bool:
         return x > self.n
+
+    def nth(self, i: int) -> int:
+        return self.n + i
 
     def after(self, n: int) -> SetGenerator:
         return CofiniteAfter(max(self.n, n))
@@ -140,14 +165,17 @@ class Arithmetic(SetGenerator):
     step: int
 
     def __post_init__(self):
-        if self.start < 1 or self.step < 1:
-            raise InvalidArgumentError("arithmetic progression needs start >= 1, step >= 1")
+        if not (type(self.start) is type(self.step) is int and self.start >= 1 and self.step >= 1):
+            raise InvalidArgumentError("arithmetic progression needs integers start, step >= 1")
 
     def __iter__(self) -> Iterator[int]:
         return count(self.start, self.step)
 
     def contains(self, x: int) -> bool:
         return x >= self.start and (x - self.start) % self.step == 0
+
+    def nth(self, i: int) -> int:
+        return self.start + (i - 1) * self.step
 
     def after(self, n: int) -> SetGenerator:
         if n < self.start:
@@ -175,6 +203,10 @@ class PrefixThen(SetGenerator):
 
     def contains(self, x: int) -> bool:
         return x in self.prefix or self.tail.contains(x)
+
+    def nth(self, i: int) -> int:
+        k = len(self.prefix)
+        return self.prefix.elements[i - 1] if i <= k else self.tail.nth(i - k)
 
     def after(self, n: int) -> SetGenerator:
         surviving = self.prefix.suffix_after(n)

@@ -11,9 +11,14 @@ set and reads them off one value table; the reference builds each part with
 the reference front along a fresh walk and evaluates psi on each probe.  The
 model checks evaluate each grid of one tuple length with one value table; the
 reference walks the grid one ``model_eval`` at a time.
+
+Sets and blocks the library derives from valid ones skip the checks of the
+public constructors; each must be what those constructors rebuild from it.
+Associated fronts read the ground set by index; the reference walks it.
 """
 
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,9 +33,10 @@ from blockosc.barriers import (
     Sum,
     _front,
     contains,
+    enumerate_up_to,
     front,
 )
-from blockosc.blocks import Block, BlockFamily, from_concat
+from blockosc.blocks import Block, BlockFamily, enumerate_blocks, from_concat
 from blockosc.errors import (
     InvalidArgumentError,
     NoFrontFoundError,
@@ -43,6 +49,7 @@ from blockosc.models import (
     ConsistencyViolation,
     SpreadingReport,
     SpreadingWitness,
+    _probe_blocks,
     consistency_check,
     default_tail_offset,
     eights_sequence,
@@ -76,9 +83,13 @@ from blockosc.sets import (
 
 
 def ref_relabel(base, positions: FiniteSet) -> FiniteSet:
-    """The elements of the base ground set at the given positions."""
-    elems = base.ground().first(positions.max)
-    return FiniteSet(elems[i - 1] for i in positions)
+    """The elements of the base ground set at the given positions, found by
+    walking the ground set once, in order."""
+    ground, out, at = iter(base.ground()), [], 0
+    for i in positions:
+        out.append(next(islice(ground, i - at - 1, None)))
+        at = i
+    return FiniteSet(out)
 
 
 def ref_contains(b, s: FiniteSet) -> bool:
@@ -247,7 +258,8 @@ def assert_peel_matches(b, s):
 @given(b=descriptors(), g=generators(), n=st.integers(0, 30))
 def test_front_along_finite_matches_prefix_scan(b, g, n):
     s = FiniteSet(g.first(n))
-    assert _front(b, iter(s.elements), len(s)) == ref_front_along_finite(b, s)
+    ref = ref_front_along_finite(b, s)
+    assert _front(b, iter(s.elements), len(s)) == (None if ref is None else ref.elements)
     assert contains(b, s) == ref_contains(b, s)
     if isinstance(b, Sum):
         assert_peel_matches(b, s)
@@ -492,3 +504,113 @@ def test_batched_checks_match_per_tuple_model_eval(spec, seq, grid_q):
     for seq1, seq2 in ((eights_sequence(), seq), (seq, eights_sequence())):
         assert (report_or_error(equivalence_constants, spec, seq1, seq2, 2, grid_q)
                 == report_or_error(ref_equivalence, spec, seq1, seq2, 2, grid_q))
+
+
+# ---------------------------------------------------------------------------
+# Indexed access to generators, and Associated fronts far out
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=generators(), i=st.integers(1, 60))
+def test_nth_is_the_ith_element_of_the_walk(g, i):
+    assert g.nth(i) == g.first(i)[-1]
+
+
+FAR_GROUNDS = [naturals(), evens(), PrefixThen(FiniteSet((2, 3)), Arithmetic(7, 3))]
+
+
+@pytest.mark.parametrize("ground", FAR_GROUNDS, ids=["naturals", "evens", "prefix-then"])
+@pytest.mark.parametrize("at", [10**3, 10**5, 10**7])
+def test_associated_far_out_matches_prefix_scan(ground, at):
+    b = Associated(Restrict(Cube(2), ground))
+    g = CofiniteAfter(at)
+    assert outcome(front, b, g, 3) == outcome(ref_front, b, g, 3)
+    for s in (FiniteSet((at, at + 1)), FiniteSet((at,)), FiniteSet((1, at, at + 5))):
+        assert contains(b, s) == ref_contains(b, s)
+
+
+@pytest.mark.parametrize("ground", FAR_GROUNDS, ids=["naturals", "evens", "prefix-then"])
+def test_associated_fronts_read_the_ground_by_index(ground, monkeypatch):
+    # walking a ground set to position 10**7 would raise here
+    b, far = Associated(Restrict(Cube(2), ground)), (10**7, 10**7 + 1, 10**7 + 2)
+    sums = Sum((b, Associated(Cube(1))))
+    for cls in (CofiniteAfter, Arithmetic, PrefixThen):
+        monkeypatch.setattr(cls, "__iter__", lambda self: pytest.fail("walked the ground"))
+    assert _front(b, iter(far), 3) == far[:2]
+    assert contains(b, FiniteSet(far[:2])) and not contains(b, FiniteSet(far))
+    assert _front(sums, iter(far), 3) == far
+
+
+# ---------------------------------------------------------------------------
+# Trusted construction: what the library derives is what the checks rebuild
+
+
+def check_rebuilt(x):
+    """Fail unless ``x`` equals, hashes and prints as its rebuild through the
+    validated constructor, from a tuple of strictly increasing positive ints
+    (for a block, a tuple of such sets, stacked).  It fails by raising, not by
+    assert, so it checks under ``python -O`` as well."""
+    if isinstance(x, Block):
+        for p in x.parts:
+            check_rebuilt(p)
+        raw, rebuilt = x.parts, Block(list(x.parts))
+        ok = raw == rebuilt.parts
+    else:
+        raw, rebuilt = x.elements, FiniteSet(list(x.elements))
+        ok = raw == rebuilt.elements and all(type(e) is int for e in raw)
+    if not (ok and type(raw) is tuple and x == rebuilt and hash(x) == hash(rebuilt)
+            and repr(x) == repr(rebuilt)):
+        pytest.fail(f"{x!r} is not its validated rebuild {rebuilt!r}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=descriptors(), g=generators(), n=st.integers(0, 10), cut=st.integers(0, 12))
+def test_derived_sets_match_validated_rebuild(b, g, n, cut):
+    for m in enumerate_up_to(b, n):
+        check_rebuilt(m)
+    try:
+        check_rebuilt(front(b, g, 40))
+    except NoFrontFoundError:
+        pass
+    s = FiniteSet(g.first(n))
+    check_rebuilt(s.suffix_after(cut))
+    if isinstance(b, Sum):
+        fam = BlockFamily(b.parts)
+        for blk in enumerate_blocks(fam, n):
+            check_rebuilt(blk)
+            check_rebuilt(blk.union())
+            check_rebuilt(from_concat(fam, blk.union()))
+        try:
+            check_rebuilt(from_concat(fam, s))
+        except NotInSumError as exc:
+            for piece in exc.consumed:
+                check_rebuilt(piece)
+            check_rebuilt(exc.leftover)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=descriptors(), k=st.integers(1, 3), tail_offset=st.integers(1, 30),
+       probes=st.integers(1, 4))
+def test_probe_blocks_match_validated_rebuild(d, k, tail_offset, probes):
+    seq = BarrierSequenceDescriptor((), d)
+    assume(probes_fit(seq, k, tail_offset, probes))
+    for blk in _probe_blocks(seq, k, tail_offset, probes):
+        check_rebuilt(blk)
+
+
+def test_contains_builds_no_set(monkeypatch):
+    s, built = FiniteSet((1, 2, 3)), []
+    init, trusted = FiniteSet.__init__, FiniteSet._trusted
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_trusted(elems):
+        built.append(elems)
+        return trusted(elems)
+
+    monkeypatch.setattr(FiniteSet, "__init__", counted_init)
+    monkeypatch.setattr(FiniteSet, "_trusted", counted_trusted)
+    assert contains(Cube(3), s) and not contains(Cube(2), s)
+    assert built == []

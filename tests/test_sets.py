@@ -114,6 +114,14 @@ class TestGenerators:
             if x <= max(first):
                 assert g.contains(x) == (x in first)
 
+    @pytest.mark.parametrize("make", [lambda: CofiniteAfter(1.5), lambda: CofiniteAfter(True),
+                                      lambda: Arithmetic(1.5, 1), lambda: Arithmetic(2, True),
+                                      lambda: Arithmetic(0, 2)])
+    def test_rejects_parameters_that_are_not_integers_in_range(self, make):
+        # their elements are drawn into sets unchecked, so they must be ints
+        with pytest.raises(InvalidArgumentError):
+            make()
+
     def test_prefix_then_orders(self):
         g = PrefixThen(FiniteSet([2, 5]), CofiniteAfter(7))
         assert g.first(5) == (2, 5, 8, 9, 10)
