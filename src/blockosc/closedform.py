@@ -1,15 +1,19 @@
 """Hand-derived piecewise values for block combinations in the worked space.
 
-These formulas are written out branch by branch, with the branch guards kept
-in their original cross-multiplied shape, precisely so they share nothing
-with the generic sup-family evaluator.  Tests play the two against each
-other.  All inputs are nonnegative rationals; callers take absolute values
-first.
+These formulas are written out branch by branch, precisely so they share
+nothing with the generic sup-family evaluator.  Tests play the two against
+each other.  Each public function brings its coefficients once to integer
+numerators over their least common denominator ``d``.  It then evaluates
+every guard with both sides multiplied through by a positive integer
+(``3/2·a1 >= 9/8·(a1 + a2 + 2/3·a3)`` becomes ``4·a1 >= 3·a1 + 3·a2 + 2·a3``),
+and builds one ``Fraction`` for its result.  All inputs are nonnegative
+rationals; callers take absolute values first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InvalidArgumentError
@@ -17,71 +21,67 @@ from .errors import InvalidArgumentError
 _F = Fraction
 
 
-def _check_nonneg(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    if any(c.numerator < 0 for c in out):
+def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the coefficients over their least common denominator."""
+    r = [(c if isinstance(c, Fraction) else Fraction(c)).as_integer_ratio() for c in coeffs]
+    d = lcm(*[q for _, q in r])
+    n = [p * (d // q) for p, q in r]
+    if n and min(n) < 0:
         raise InvalidArgumentError("closed forms take nonnegative coefficients")
-    return out
+    return n, d
 
 
 def flat_norm_sorted(coeffs: Sequence[Fraction]) -> Fraction:
     """Space norm of a vector whose absolute entries arrive sorted descending.
 
     One of three quantities wins: the head entry, 3/4 of the top-2 sum, or
-    9/16 of the top-8 sum.
+    9/16 of the top-8 sum.  Here each is scaled by 16·d.
     """
-    a = _check_nonneg(coeffs)
-    if not a:
+    n, d = _numerators(coeffs)
+    if not n:
         return _F(0)
-    if any(x < y for x, y in zip(a, a[1:])):
+    if any(x < y for x, y in zip(n, n[1:])):
         raise InvalidArgumentError("entries must be sorted descending")
-    head = a[0]
-    pair = _F(3, 4) * sum(a[:2], _F(0))
-    eight = _F(9, 16) * sum(a[:8], _F(0))
+    head, pair, eight = 16 * n[0], 12 * sum(n[:2]), 9 * sum(n[:8])
     if head >= pair and head >= eight:
-        return head
+        return _F(n[0], d)
     if pair >= head and pair >= eight:
-        return pair
-    return eight
+        return _F(pair, 16 * d)
+    return _F(eight, 16 * d)
+
+
+def _two_pair(n: list[int], d: int) -> Fraction:
+    m, s = max(n[0], n[1]), n[0] + n[1]
+    return _F(m, d) if 4 * m >= 3 * s else _F(3 * s, 4 * d)
 
 
 def two_pair_block_value(a1: Fraction, a2: Fraction) -> Fraction:
     """Combination of two normalized pair blocks at coefficients (a1, a2)."""
-    a1, a2 = _check_nonneg([a1, a2])
-    m = max(a1, a2)
-    if _F(3, 2) * m >= _F(9, 8) * (a1 + a2):
-        return m
-    return _F(3, 4) * (a1 + a2)
+    return _two_pair(*_numerators([a1, a2]))
+
+
+def _pair_pair_eight(n: list[int], d: int) -> Fraction:
+    # Orders compare 3·d times a1, a2 and a3/3; mixed is 3·d·(a1 + a2 + 2/3·a3).
+    n1, n2, n3 = n[0], n[1], max(n[2:])
+    mixed = 3 * n1 + 3 * n2 + 2 * n3
+    if 3 * n1 >= 3 * n2 >= n3:
+        return _F(n1, d) if 4 * n1 >= mixed else _F(mixed, 4 * d)
+    if 3 * n1 >= n3 >= 3 * n2:
+        return _F(n1, d) if 4 * n1 >= 3 * (n1 + n3) else _F(3 * (n1 + n3), 4 * d)
+    if 3 * n2 >= 3 * n1 >= n3:
+        return _F(n2, d) if 4 * n2 >= mixed else _F(mixed, 4 * d)
+    if 3 * n2 >= n3 >= 3 * n1:
+        return _F(n2, d) if 4 * n2 >= 3 * (n2 + n3) else _F(3 * (n2 + n3), 4 * d)
+    # a3/3 dominates both pair coefficients.
+    return _F(n3, d)
 
 
 def pair_pair_eight_block_value(a1: Fraction, a2: Fraction, a3: Fraction) -> Fraction:
     """Combination of two pair blocks and one 8-block.
 
-    Nine branches over the relative order of a1, a2 and a3/3, each guarded
-    the way the derivation leaves them.
+    Nine branches over the relative order of a1, a2 and a3/3.
     """
-    a1, a2, a3 = _check_nonneg([a1, a2, a3])
-    third = _F(1, 3) * a3
-    mixed = a1 + a2 + _F(2, 3) * a3
-
-    if a1 >= a2 >= third:
-        if _F(3, 2) * a1 >= _F(9, 8) * mixed:
-            return a1
-        return _F(3, 4) * mixed
-    if a1 >= third >= a2:
-        if _F(3, 2) * a1 >= _F(9, 8) * (a1 + a3):
-            return a1
-        return _F(3, 4) * (a1 + a3)
-    if a2 >= a1 >= third:
-        if _F(3, 2) * a2 >= _F(9, 8) * mixed:
-            return a2
-        return _F(3, 4) * mixed
-    if a2 >= third >= a1:
-        if _F(3, 2) * a2 >= _F(9, 8) * (a2 + a3):
-            return a2
-        return _F(3, 4) * (a2 + a3)
-    # a3/3 dominates both pair coefficients.
-    return a3
+    return _pair_pair_eight(*_numerators([a1, a2, a3]))
 
 
 def tail_reduced_block_value(coeffs: Sequence[Fraction]) -> Fraction:
@@ -90,30 +90,28 @@ def tail_reduced_block_value(coeffs: Sequence[Fraction]) -> Fraction:
     Only the largest tail coefficient can reach the top-8 window, so the
     value collapses to the three-block formula.
     """
-    a = _check_nonneg(coeffs)
-    if len(a) < 3:
+    n, d = _numerators(coeffs)
+    if len(n) < 3:
         raise InvalidArgumentError("need at least three coefficients")
-    return pair_pair_eight_block_value(a[0], a[1], max(a[2:]))
+    return _pair_pair_eight(n, d)
 
 
 def eights_block_value(coeffs: Sequence[Fraction]) -> Fraction:
     """Combination of normalized 8-blocks: plainly the largest coefficient."""
-    a = _check_nonneg(coeffs)
-    if not a:
+    n, d = _numerators(coeffs)
+    if not n:
         raise InvalidArgumentError("need at least one coefficient")
-    return max(a)
+    return _F(max(n), d)
 
 
 def model_value_228(coeffs: Sequence[Fraction]) -> Fraction:
     """Limit norm along the (pair, pair, eights...) block sequence."""
-    a = _check_nonneg(coeffs)
-    if not a:
+    n, d = _numerators(coeffs)
+    if not n:
         raise InvalidArgumentError("need at least one coefficient")
-    if len(a) == 1:
-        return a[0]
-    if len(a) == 2:
-        return two_pair_block_value(a[0], a[1])
-    return tail_reduced_block_value(a)
+    if len(n) == 1:
+        return _F(n[0], d)
+    return _two_pair(n, d) if len(n) == 2 else _pair_pair_eight(n, d)
 
 
 def model_value_8(coeffs: Sequence[Fraction]) -> Fraction:

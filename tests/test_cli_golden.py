@@ -101,6 +101,7 @@ CASES = {
                           "--seq1", SEQ_8, "--seq2", SEQ_228,
                           "--k-max", "2", "--grid-q", "2"),
     "verify-section6": ("verify-section6", "--k-max", "2", "--grid-q", "2"),
+    "verify-section6 failing": ("verify-section6", "--spec", FIXTURE),
 }
 
 # Reports with nested objects or arrays of objects, whose CSV rows carry
