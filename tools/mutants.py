@@ -1,7 +1,7 @@
 """Mutation sweep: flip one comparison or one ``± 1`` at a time, run the tests.
 
     python tools/mutants.py src/blockosc/closedform.py tests/test_closedform.py \
-        [more test files ...] [--lines 20-120] [--timeout 600] [--workdir DIR]
+        [more test files ...]
 
 Each mutant changes exactly one thing in the module:
 
@@ -9,10 +9,11 @@ Each mutant changes exactly one thing in the module:
   ``is``/``is not``); each operator of a chained comparison is its own mutant;
 - or one ``x + 1`` / ``x - 1`` becomes ``x + 0`` / ``x - 0``.
 
-The script copies ``src/`` and ``tests/`` to a scratch directory, writes each
+The script copies ``src/`` and ``tests/`` to a temporary directory, writes each
 mutant there (as ``ast.unparse`` of the mutated tree, so comments and layout
 are dropped), and runs the named test files against it with ``pytest -x``.
-A mutant survives when every test passes.  Before the mutants it runs the
+A mutant survives when every test passes; one that runs longer than
+``TIMEOUT`` seconds counts as killed.  Before the mutants it runs the
 unmutated, unparsed module as a control, which must pass.  The repository
 itself is never written to.  The exit status is 0 when no mutant survives.
 """
@@ -30,12 +31,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600.0  # seconds per test run
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 
 
-def sites(tree: ast.AST, lines: range) -> list[tuple[int, int, int, str]]:
+def sites(tree: ast.AST) -> list[tuple[int, int, int, str]]:
     """Every mutation site as (line, node index in ast.walk order, operand, mutant).
 
     The operand is the index of the flipped operator of a comparison, or -1
@@ -43,8 +45,6 @@ def sites(tree: ast.AST, lines: range) -> list[tuple[int, int, int, str]]:
     """
     out = []
     for i, node in enumerate(ast.walk(tree)):
-        if getattr(node, "lineno", 0) not in lines:
-            continue
         if isinstance(node, ast.Compare):
             ops = [j for j, op in enumerate(node.ops) if type(op) in FLIPS]
         elif (isinstance(node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub)
@@ -72,11 +72,11 @@ def mutate(source: str, index: int, operand: int) -> str:
     return ast.unparse(tree)
 
 
-def run_tests(work: Path, tests: list[str], timeout: float) -> str:
+def run_tests(work: Path, tests: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     return "SURVIVED" if done.returncode == 0 else "killed"
@@ -86,24 +86,14 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("module", help="module to mutate, relative to the repository root")
     ap.add_argument("tests", nargs="+", help="test files to run against each mutant")
-    ap.add_argument("--lines", default=None, help="only mutate lines A-B (inclusive)")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
-    ap.add_argument("--workdir", default=None,
-                    help="scratch directory to keep (default: a temporary one, removed after)")
     args = ap.parse_args(argv)
 
-    lo, hi = map(int, args.lines.split("-")) if args.lines else (1, 10**9)
     source = (ROOT / args.module).read_text(encoding="utf-8")
-    found = sites(ast.parse(source), range(lo, hi + 1))
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        return sweep(Path(args.workdir or tmp).resolve() / "tree", args.module, source,
-                     found, args.tests, args.timeout)
+        return sweep(Path(tmp).resolve(), args.module, source, args.tests)
 
 
-def sweep(work: Path, module: str, source: str, found: list[tuple[int, int, int, str]],
-          tests: list[str], timeout: float) -> int:
-    if work.exists():
-        shutil.rmtree(work)
+def sweep(work: Path, module: str, source: str, tests: list[str]) -> int:
     junk = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, work / part, ignore=junk)
@@ -114,17 +104,18 @@ def sweep(work: Path, module: str, source: str, found: list[tuple[int, int, int,
     where = subprocess.run([sys.executable, "-c", f"import {name}; print({name}.__file__)"],
                            cwd=work, env=env, capture_output=True, text=True).stdout.strip()
     if Path(where) != target:
-        print(f"{name} imports from {where or 'nowhere'}, not from the scratch copy")
+        print(f"{name} imports from {where or 'nowhere'}, not from the temporary copy")
         return 2
     target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
-    if run_tests(work, tests, timeout) != "SURVIVED":
+    if run_tests(work, tests) != "SURVIVED":
         print("control run failed: the unmutated module does not pass these tests")
         return 2
 
+    found = sites(ast.parse(source))
     survived = 0
     for line, index, operand, shown in found:
         target.write_text(mutate(source, index, operand), encoding="utf-8")
-        verdict = run_tests(work, tests, timeout)
+        verdict = run_tests(work, tests)
         survived += verdict == "SURVIVED"
         print(f"{module}:{line}: {shown}  {verdict}", flush=True)
     print(f"{survived} of {len(found)} mutants survived")
