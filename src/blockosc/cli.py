@@ -5,6 +5,14 @@ and writes its result, encoded by ``serialize.to_json``, as a deterministic
 report: JSON with sorted keys or a flat CSV of dotted key/value rows.  Exit
 codes: 0 success, 1 legitimate negative outcome (no witness, not stabilized,
 failed checks), 2 invalid input.
+
+Each subcommand is declared once, by ``_command`` on its handler.  The
+keyword options, in order, are its flags and the order they are decoded in.
+A flag is read by a serialize parser (inline or @path JSON), ``int``, a
+tuple of choices, ``Fraction`` (``parse_rational`` on the raw text at
+``$.name``), or ``str``: raw JSON text that the handler decodes itself.
+``(kind, default)`` makes a flag optional.  The handler takes the decoded
+values and returns ``(exit_code, report)``.
 """
 
 from __future__ import annotations
@@ -16,37 +24,18 @@ import io
 import json
 import os
 import sys
-from typing import Any, Optional
+from fractions import Fraction
+from typing import Any, Callable, NamedTuple, Optional
 
-from . import models, normspace, oscillation, ramsey
+from . import models, normspace, oscillation, ramsey, serialize
 from .barriers import FRONT_FUEL_DEFAULT, check_axioms, contains, enumerate_up_to, front, rank
 from .blocks import block_compare, enumerate_blocks, from_concat, to_concat
-from .errors import (
-    InsufficientBlocksError,
-    InvalidArgumentError,
-    NoFrontFoundError,
-    NotInSumError,
-    NotStabilizedError,
-    SchemaError,
-)
-from .serialize import (
-    SCHEMA_VERSION,
-    dumps,
-    parse_barrier,
-    parse_block,
-    parse_coeffs,
-    parse_coloring,
-    parse_family,
-    parse_finite_set,
-    parse_generator,
-    parse_rational,
-    parse_schedule,
-    parse_sequence,
-    parse_spec,
-    parse_values_table,
-    parse_vector,
-    to_json,
-)
+from .errors import (InsufficientBlocksError, InvalidArgumentError, NoFrontFoundError,
+                     NotInSumError, NotStabilizedError, SchemaError)
+from .serialize import (SCHEMA_VERSION, dumps, parse_barrier, parse_block, parse_coeffs,
+                        parse_coloring, parse_family, parse_finite_set, parse_generator,
+                        parse_placements, parse_rational, parse_schedule, parse_sequence,
+                        parse_spec, parse_values_table, parse_vector, to_json)
 
 OUT_DIR_ENV = "BLOCKOSC_OUT_DIR"
 
@@ -65,11 +54,11 @@ def _load_json(raw: str, flag: str) -> Any:
         try:
             with open(raw[1:], "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError("$", f"cannot read {flag} file: {exc}")
     try:
         return _DECODER.decode(raw)
-    except ValueError as exc:  # JSONDecodeError is one
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError("$", f"invalid JSON for {flag}: {exc}")
 
 
@@ -107,384 +96,296 @@ def _emit(report: dict, command: str, args) -> None:
         base = os.environ.get(OUT_DIR_ENV)
         if base and not os.path.isabs(path):
             path = os.path.join(base, path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot write --out file: {exc}")
     else:
         sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers; each returns (exit_code, report)
+# Subcommands; each handler returns (exit_code, report)
+
+
+class _Command(NamedTuple):
+    name: str
+    help: str
+    flags: dict  # flag name -> kind, or (kind, default)
+    handler: Callable[..., tuple[int, dict]]
+
+
+_COMMANDS: list[_Command] = []
+_STRATEGY = (("exhaustive", "greedy"), "exhaustive")
+_GEOMETRIC = (parse_schedule, '{"kind":"geometric"}')
+
+
+def _command(name: str, help: str, **flags):
+    """Declare the subcommand ``name`` on its handler (see the module docstring)."""
+    def declare(handler):
+        _COMMANDS.append(_Command(name, help, flags, handler))
+        return handler
+    return declare
 
 
 def _check_block_in_family(blk, fam) -> None:
     """Raise unless each part of the block is a member of its barrier."""
     if len(blk.parts) != len(fam.parts):
         raise InvalidArgumentError(
-            f"block has {len(blk.parts)} parts, family expects "
-            f"{len(fam.parts)}"
-        )
+            f"block has {len(blk.parts)} parts, family expects {len(fam.parts)}")
     for i, (part, part_fam) in enumerate(zip(blk.parts, fam.parts)):
         if not contains(part_fam, part):
-            raise InvalidArgumentError(
-                f"block part {i + 1} ({part}) is not a member of its "
-                f"family"
-            )
+            raise InvalidArgumentError(f"block part {i + 1} ({part}) is not a member of its family")
 
 
-def _cmd_barrier(args) -> tuple[int, dict]:
-    b = parse_barrier(_load_json(args.descriptor, "--descriptor"))
-    if args.action == "members":
-        members = enumerate_up_to(b, args.bound)
-        return 0, {"members": to_json(members), "count": len(members)}
-    if args.action == "front":
-        g = parse_generator(_load_json(args.set, "--set"))
-        return 0, {"front": to_json(front(b, g, args.fuel))}
-    if args.action == "axioms":
-        rep = check_axioms(b, args.bound, seed=args.seed, fuel=args.fuel)
-        return (0 if rep.sperner_ok and rep.cover_ok else 1), to_json(rep)
-    res = rank(b, probe_bound=args.probe_bound)
+@_command("barrier members", "enumerate members up to a bound",
+          descriptor=parse_barrier, bound=int)
+def _barrier_members(descriptor, bound):
+    members = enumerate_up_to(descriptor, bound)
+    return 0, {"members": to_json(members), "count": len(members)}
+
+
+@_command("barrier front", "initial segment landing in the family "
+                           "(--set: an infinite set generator JSON)",
+          descriptor=parse_barrier, set=parse_generator, fuel=(int, FRONT_FUEL_DEFAULT))
+def _barrier_front(descriptor, set, fuel):
+    return 0, {"front": to_json(front(descriptor, set, fuel))}
+
+
+@_command("barrier axioms", "Sperner and cover checks", descriptor=parse_barrier,
+          bound=(int, 12), seed=(int, 0), fuel=(int, 10_000))
+def _barrier_axioms(descriptor, bound, seed, fuel):
+    rep = check_axioms(descriptor, bound, seed=seed, fuel=fuel)
+    return (0 if rep.sperner_ok and rep.cover_ok else 1), to_json(rep)
+
+
+@_command("barrier rank", "lexicographic rank", descriptor=parse_barrier,
+          probe_bound=(int, None))
+def _barrier_rank(descriptor, probe_bound):
+    res = rank(descriptor, probe_bound=probe_bound)
     return 0, {"rank": str(res.ordinal), "confirmed": res.confirmed,
                "method": res.method, "probe_bound": res.probe_bound}
 
 
-def _cmd_blocks(args) -> tuple[int, dict]:
-    if args.action == "compare":
-        x = parse_block(_load_json(args.left, "--left"))
-        y = parse_block(_load_json(args.right, "--right"))
-        return 0, {"relation": block_compare(x, y)}
-    fam = parse_family(_load_json(args.family, "--family"))
-    if args.action == "enumerate":
-        within = (parse_finite_set(_load_json(args.within, "--within"))
-                  if args.within else None)
-        blocks = enumerate_blocks(fam, args.bound, within=within)
-        return 0, {"blocks": to_json(blocks), "count": len(blocks)}
-    if args.action == "join":
-        blk = parse_block(_load_json(args.block, "--block"))
-        _check_block_in_family(blk, fam)
-        return 0, {"set": to_json(to_concat(blk))}
-    s = parse_finite_set(_load_json(args.set, "--set"))
+@_command("blocks enumerate", "all blocks up to a bound", family=parse_family,
+          bound=int, within=(parse_finite_set, None))
+def _blocks_enumerate(family, bound, within):
+    blocks = enumerate_blocks(family, bound, within=within)
+    return 0, {"blocks": to_json(blocks), "count": len(blocks)}
+
+
+@_command("blocks compare", "directed block order", left=parse_block, right=parse_block)
+def _blocks_compare(left, right):
+    return 0, {"relation": block_compare(left, right)}
+
+
+@_command("blocks join", "block to concatenation set", family=parse_family,
+          block=parse_block)
+def _blocks_join(family, block):
+    _check_block_in_family(block, family)
+    return 0, {"set": to_json(to_concat(block))}
+
+
+@_command("blocks split", "concatenation set back to a block", family=parse_family,
+          set=parse_finite_set)
+def _blocks_split(family, set):
     try:
-        blk = from_concat(fam, s)
+        blk = from_concat(family, set)
     except NotInSumError as exc:
         return 1, {"error": "not-in-sum", "consumed": to_json(exc.consumed),
                    "leftover": to_json(exc.leftover), "message": str(exc)}
     return 0, {"block": to_json(blk)}
 
 
-def _cmd_ramsey(args) -> tuple[int, dict]:
-    universe = parse_finite_set(_load_json(args.universe, "--universe"))
-    if args.action == "find-mono":
-        if (args.barrier is None) == (args.family is None):
-            raise InvalidArgumentError(
-                "exactly one of --barrier or --family is required"
-            )
-        source = (parse_barrier(_load_json(args.barrier, "--barrier"))
-                  if args.barrier else
-                  parse_family(_load_json(args.family, "--family")))
-        coloring = parse_coloring(_load_json(args.coloring, "--coloring"))
-        res = ramsey.find_monochromatic(source, coloring, universe,
-                                        args.target, args.strategy)
-        return (0 if res.found else 1), to_json(res)
-    fam = parse_family(_load_json(args.family, "--family"))
-    values = parse_values_table(_load_json(args.values, "--values"))
-    if args.action == "metric":
-        eps = parse_rational(args.epsilon, "$.epsilon")
-        res = ramsey.metric_stabilize(fam, values, eps, universe, args.target)
-        return (0 if res.found else 1), to_json(res)
-    schedule = parse_schedule(_load_json(args.schedule, "--schedule"))
-    return 0, to_json(ramsey.diagonal_stabilize(fam, values, schedule, universe))
+@_command("ramsey find-mono", "monochromatic subset search", barrier=(str, None),
+          family=(str, None), coloring=str, universe=parse_finite_set, target=int,
+          strategy=_STRATEGY)
+def _ramsey_find_mono(barrier, family, coloring, universe, target, strategy):
+    # The source is checked before --barrier, --family or --coloring is read.
+    if (barrier is None) == (family is None):
+        raise InvalidArgumentError("exactly one of --barrier or --family is required")
+    source = (parse_barrier(_load_json(barrier, "--barrier")) if family is None
+              else parse_family(_load_json(family, "--family")))
+    coloring = parse_coloring(_load_json(coloring, "--coloring"))
+    res = ramsey.find_monochromatic(source, coloring, universe, target, strategy)
+    return (0 if res.found else 1), to_json(res)
 
 
-def _cmd_norm(args) -> tuple[int, dict]:
-    if args.action == "limit-demo":
-        return 0, to_json(normspace.degenerate_limit_demo(args.n_max, args.grid_q))
-    spec = parse_spec(_load_json(args.spec, "--spec"))
-    if args.action == "eval":
-        v = parse_vector(_load_json(args.vector, "--vector"))
-        value, exact = normspace.norm_eval_detailed(spec, v)
-        return 0, {"value": to_json(value), "exact": exact}
-    chk = normspace.check_seminorm_axioms(
-        normspace.spec_evaluator(spec, args.k), args.k, args.grid_q
-    )
+@_command("ramsey metric", "stabilize a rational block coloring",
+          universe=parse_finite_set, family=parse_family, values=parse_values_table,
+          epsilon=Fraction, target=int)
+def _ramsey_metric(universe, family, values, epsilon, target):
+    res = ramsey.metric_stabilize(family, values, epsilon, universe, target)
+    return (0 if res.found else 1), to_json(res)
+
+
+@_command("ramsey diagonal", "schedule-driven diagonalization",
+          universe=parse_finite_set, family=parse_family, values=parse_values_table,
+          schedule=_GEOMETRIC)
+def _ramsey_diagonal(universe, family, values, schedule):
+    return 0, to_json(ramsey.diagonal_stabilize(family, values, schedule, universe))
+
+
+@_command("norm eval", "evaluate a spec on a vector", spec=parse_spec,
+          vector=parse_vector)
+def _norm_eval(spec, vector):
+    value, exact = normspace.norm_eval_detailed(spec, vector)
+    return 0, {"value": to_json(value), "exact": exact}
+
+
+@_command("norm axioms", "norm axioms on a grid sample", spec=parse_spec, k=int,
+          grid_q=(int, 4))
+def _norm_axioms(spec, k, grid_q):
+    chk = normspace.check_seminorm_axioms(normspace.spec_evaluator(spec, k), k, grid_q)
     return (0 if chk.all_pass else 1), to_json(chk)
 
 
-def _cmd_oscillation(args) -> tuple[int, dict]:
-    spec = parse_spec(_load_json(args.spec, "--spec"))
-    fam = parse_family(_load_json(args.family, "--family"))
-    if args.action == "psi":
-        blk = parse_block(_load_json(args.block, "--block"))
-        coeffs = parse_coeffs(_load_json(args.coeffs, "--coeffs"))
-        _check_block_in_family(blk, fam)
-        return 0, {"value": to_json(oscillation.psi_eval(spec, blk, coeffs))}
-    if args.action == "gap":
-        universe = parse_finite_set(_load_json(args.universe, "--universe"))
-        return 0, to_json(oscillation.oscillation_gap(spec, fam, universe,
-                                                      args.grid_q))
-    if args.action == "stabilize":
-        universe = parse_finite_set(_load_json(args.universe, "--universe"))
-        eps = parse_rational(args.epsilon, "$.epsilon")
-        res = oscillation.find_stable_subsequence(
-            spec, fam, eps, universe, args.target, args.strategy, args.grid_q
-        )
-        return (0 if res.found else 1), to_json(res)
-    schedule = parse_schedule(_load_json(args.schedule, "--schedule"))
-    universe = (parse_generator(_load_json(args.universe, "--universe"))
-                if args.universe else None)
+@_command("norm limit-demo", "norm sequence collapsing to a seminorm",
+          n_max=(int, 64), grid_q=(int, 8))
+def _norm_limit_demo(n_max, grid_q):
+    return 0, to_json(normspace.degenerate_limit_demo(n_max, grid_q))
+
+
+@_command("oscillation psi", "norm of a coefficient block combination",
+          spec=parse_spec, family=parse_family, block=parse_block, coeffs=parse_coeffs)
+def _oscillation_psi(spec, family, block, coeffs):
+    _check_block_in_family(block, family)
+    return 0, {"value": to_json(oscillation.psi_eval(spec, block, coeffs))}
+
+
+@_command("oscillation gap", "largest pairwise disagreement", spec=parse_spec,
+          family=parse_family, universe=parse_finite_set, grid_q=(int, 8))
+def _oscillation_gap(spec, family, universe, grid_q):
+    return 0, to_json(oscillation.oscillation_gap(spec, family, universe, grid_q))
+
+
+@_command("oscillation stabilize", "search for a stable subset", spec=parse_spec,
+          family=parse_family, universe=parse_finite_set, epsilon=Fraction,
+          target=int, strategy=_STRATEGY, grid_q=(int, 8))
+def _oscillation_stabilize(spec, family, universe, epsilon, target, strategy, grid_q):
+    res = oscillation.find_stable_subsequence(spec, family, epsilon, universe, target,
+                                              strategy, grid_q)
+    return (0 if res.found else 1), to_json(res)
+
+
+@_command("oscillation asymptotic", "tail stabilization per stage (--universe: an "
+                                    "optional generator JSON restricting the ground set)",
+          spec=parse_spec, family=parse_family, horizon=int, schedule=_GEOMETRIC,
+          universe=(parse_generator, None), stages=(int, 12), grid_q=(int, 8))
+def _oscillation_asymptotic(spec, family, horizon, schedule, universe, stages, grid_q):
     rep = oscillation.asymptotic_stability_check(
-        spec, fam, schedule, args.horizon, universe=universe,
-        max_stages=args.stages, grid_q=args.grid_q,
-    )
+        spec, family, schedule, horizon, universe=universe, max_stages=stages,
+        grid_q=grid_q)
     return (0 if rep.all_passed else 1), to_json(rep)
 
 
-def _cmd_model(args) -> tuple[int, dict]:
-    spec = parse_spec(_load_json(args.spec, "--spec"))
-    if args.action == "equivalence":
-        seq1 = parse_sequence(_load_json(args.seq1, "--seq1"))
-        seq2 = parse_sequence(_load_json(args.seq2, "--seq2"))
-        lo, hi = models.equivalence_constants(spec, seq1, seq2,
-                                              args.k_max, args.grid_q)
-        return 0, {"lo": to_json(lo), "hi": to_json(hi)}
-    seq = parse_sequence(_load_json(args.sequence, "--sequence"))
-    if args.action == "eval":
-        coeffs = parse_coeffs(_load_json(args.coeffs, "--coeffs"))
-        tol = parse_rational(args.tolerance, "$.tolerance")
-        mv = models.model_eval(spec, seq, coeffs, tail_offset=args.tail_offset,
-                               probe_count=args.probes, tolerance=tol)
-        probes = [{"block": to_json(b), "value": to_json(v)} for b, v in mv.probes]
-        return (0 if mv.stabilized else 1), {**to_json(mv), "probes": probes}
-    if args.action == "consistency":
-        rep = models.consistency_check(spec, seq, args.k_max, args.grid_q)
-        return (0 if rep.holds else 1), to_json(rep)
-    raw = _load_json(args.placements, "--placements")
-    if not isinstance(raw, list):
-        raise SchemaError("$", "--placements expects an array of integer arrays")
-    placements = [parse_finite_set(p, f"$[{i}]") for i, p in enumerate(raw)]
-    rep = models.spreading_check(spec, seq, args.k, placements, args.grid_q)
+@_command("model eval", "evaluate the limit norm at coefficients", spec=parse_spec,
+          sequence=parse_sequence, coeffs=parse_coeffs, tail_offset=(int, None),
+          probes=(int, 3), tolerance=(Fraction, "0"))
+def _model_eval(spec, sequence, coeffs, tail_offset, probes, tolerance):
+    mv = models.model_eval(spec, sequence, coeffs, tail_offset=tail_offset,
+                           probe_count=probes, tolerance=tolerance)
+    probes = [{"block": to_json(b), "value": to_json(v)} for b, v in mv.probes]
+    return (0 if mv.stabilized else 1), {**to_json(mv), "probes": probes}
+
+
+@_command("model consistency", "appended zeros change nothing", spec=parse_spec,
+          sequence=parse_sequence, k_max=int, grid_q=(int, 4))
+def _model_consistency(spec, sequence, k_max, grid_q):
+    rep = models.consistency_check(spec, sequence, k_max, grid_q)
     return (0 if rep.holds else 1), to_json(rep)
 
 
-def _cmd_verify_section6(args) -> tuple[int, dict]:
-    spec = parse_spec(_load_json(args.spec, "--spec")) if args.spec else None
-    rep = models.verify_section6(spec, k_max=args.k_max, grid_q=args.grid_q)
+@_command("model spreading", "relocation invariance check", spec=parse_spec,
+          sequence=parse_sequence, k=int, placements=parse_placements, grid_q=(int, 4))
+def _model_spreading(spec, sequence, k, placements, grid_q):
+    rep = models.spreading_check(spec, sequence, k, placements, grid_q)
+    return (0 if rep.holds else 1), to_json(rep)
+
+
+@_command("model equivalence", "empirical equivalence constants", spec=parse_spec,
+          seq1=parse_sequence, seq2=parse_sequence, k_max=int, grid_q=(int, 4))
+def _model_equivalence(spec, seq1, seq2, k_max, grid_q):
+    lo, hi = models.equivalence_constants(spec, seq1, seq2, k_max, grid_q)
+    return 0, {"lo": to_json(lo), "hi": to_json(hi)}
+
+
+@_command("verify-section6", "aggregate check of the worked two-model example",
+          spec=(parse_spec, None), k_max=(int, 4), grid_q=(int, 4))
+def _verify_section6(spec, k_max, grid_q):
+    rep = models.verify_section6(spec, k_max=k_max, grid_q=grid_q)
     return (0 if rep.all_passed else 1), to_json(rep)
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Parser and dispatch
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output file (relative paths join "
-                                 f"${OUT_DIR_ENV} when set)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+_GROUPS = {"barrier": "barrier families", "blocks": "blocks of barrier tuples",
+           "ramsey": "finite Ramsey searches", "norm": "norm spec evaluation",
+           "oscillation": "block oscillation measurements",
+           "model": "limit norms along barrier sequences"}
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on first use and shared by later calls."""
+    """The argparse tree of the declared subcommands, built on first use and
+    shared by later calls."""
     top = argparse.ArgumentParser(
         prog="blockosc",
         description="Barrier combinatorics, block norms, and limit models "
                     "with exact rational arithmetic.",
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
-
-    barrier = sub.add_parser("barrier", help="barrier families")
-    bsub = barrier.add_subparsers(dest="action", required=True)
-    p = bsub.add_parser("members", help="enumerate members up to a bound")
-    p.add_argument("--descriptor", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    _add_common(p)
-    p = bsub.add_parser("front", help="initial segment landing in the family")
-    p.add_argument("--descriptor", required=True)
-    p.add_argument("--set", required=True, help="infinite set generator JSON")
-    p.add_argument("--fuel", type=int, default=FRONT_FUEL_DEFAULT)
-    _add_common(p)
-    p = bsub.add_parser("axioms", help="Sperner and cover checks")
-    p.add_argument("--descriptor", required=True)
-    p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuel", type=int, default=10_000)
-    _add_common(p)
-    p = bsub.add_parser("rank", help="lexicographic rank")
-    p.add_argument("--descriptor", required=True)
-    p.add_argument("--probe-bound", type=int, default=None)
-    _add_common(p)
-
-    blocks = sub.add_parser("blocks", help="blocks of barrier tuples")
-    blsub = blocks.add_subparsers(dest="action", required=True)
-    p = blsub.add_parser("enumerate", help="all blocks up to a bound")
-    p.add_argument("--family", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--within", default=None)
-    _add_common(p)
-    p = blsub.add_parser("compare", help="directed block order")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    _add_common(p)
-    p = blsub.add_parser("join", help="block to concatenation set")
-    p.add_argument("--family", required=True)
-    p.add_argument("--block", required=True)
-    _add_common(p)
-    p = blsub.add_parser("split", help="concatenation set back to a block")
-    p.add_argument("--family", required=True)
-    p.add_argument("--set", required=True)
-    _add_common(p)
-
-    rams = sub.add_parser("ramsey", help="finite Ramsey searches")
-    rsub = rams.add_subparsers(dest="action", required=True)
-    p = rsub.add_parser("find-mono", help="monochromatic subset search")
-    p.add_argument("--barrier", default=None)
-    p.add_argument("--family", default=None)
-    p.add_argument("--coloring", required=True)
-    p.add_argument("--universe", required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--strategy", choices=("exhaustive", "greedy"),
-                   default="exhaustive")
-    _add_common(p)
-    p = rsub.add_parser("metric", help="stabilize a rational block coloring")
-    p.add_argument("--family", required=True)
-    p.add_argument("--values", required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--universe", required=True)
-    p.add_argument("--target", type=int, required=True)
-    _add_common(p)
-    p = rsub.add_parser("diagonal", help="schedule-driven diagonalization")
-    p.add_argument("--family", required=True)
-    p.add_argument("--values", required=True)
-    p.add_argument("--schedule", default='{"kind":"geometric"}')
-    p.add_argument("--universe", required=True)
-    _add_common(p)
-
-    norm = sub.add_parser("norm", help="norm spec evaluation")
-    nsub = norm.add_subparsers(dest="action", required=True)
-    p = nsub.add_parser("eval", help="evaluate a spec on a vector")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--vector", required=True)
-    _add_common(p)
-    p = nsub.add_parser("axioms", help="norm axioms on a grid sample")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--grid-q", type=int, default=4)
-    _add_common(p)
-    p = nsub.add_parser("limit-demo",
-                        help="norm sequence collapsing to a seminorm")
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--grid-q", type=int, default=8)
-    _add_common(p)
-
-    osc = sub.add_parser("oscillation", help="block oscillation measurements")
-    osub = osc.add_subparsers(dest="action", required=True)
-    p = osub.add_parser("psi", help="norm of a coefficient block combination")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--block", required=True)
-    p.add_argument("--coeffs", required=True)
-    _add_common(p)
-    p = osub.add_parser("gap", help="largest pairwise disagreement")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--universe", required=True)
-    p.add_argument("--grid-q", type=int, default=8)
-    _add_common(p)
-    p = osub.add_parser("stabilize", help="search for a stable subset")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--universe", required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--strategy", choices=("exhaustive", "greedy"),
-                   default="exhaustive")
-    p.add_argument("--grid-q", type=int, default=8)
-    _add_common(p)
-    p = osub.add_parser("asymptotic", help="tail stabilization per stage")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--schedule", default='{"kind":"geometric"}')
-    p.add_argument("--universe", default=None,
-                   help="optional generator JSON restricting the ground set")
-    p.add_argument("--stages", type=int, default=12)
-    p.add_argument("--grid-q", type=int, default=8)
-    _add_common(p)
-
-    model = sub.add_parser("model", help="limit norms along barrier sequences")
-    msub = model.add_subparsers(dest="action", required=True)
-    p = msub.add_parser("eval", help="evaluate the limit norm at coefficients")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--sequence", required=True)
-    p.add_argument("--coeffs", required=True)
-    p.add_argument("--tail-offset", type=int, default=None)
-    p.add_argument("--probes", type=int, default=3)
-    p.add_argument("--tolerance", default="0")
-    _add_common(p)
-    p = msub.add_parser("consistency", help="appended zeros change nothing")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--sequence", required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--grid-q", type=int, default=4)
-    _add_common(p)
-    p = msub.add_parser("spreading", help="relocation invariance check")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--sequence", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--placements", required=True)
-    p.add_argument("--grid-q", type=int, default=4)
-    _add_common(p)
-    p = msub.add_parser("equivalence", help="empirical equivalence constants")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--seq1", required=True)
-    p.add_argument("--seq2", required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--grid-q", type=int, default=4)
-    _add_common(p)
-
-    p = sub.add_parser("verify-section6",
-                       help="aggregate check of the worked two-model example")
-    p.add_argument("--spec", default=None)
-    p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--grid-q", type=int, default=4)
-    _add_common(p)
-
+    groups: dict[str, Any] = {}
+    for cmd in _COMMANDS:
+        group, _, action = cmd.name.partition(" ")
+        if action and group not in groups:
+            groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="action", required=True)
+        p = (groups[group] if action else sub).add_parser(action or group, help=cmd.help,
+                                                          description=cmd.help)
+        for flag, spec in cmd.flags.items():
+            kind, *default = spec if isinstance(spec, tuple) else (spec,)
+            p.add_argument("--" + flag.replace("_", "-"), required=not default,
+                           default=default[0] if default else None,
+                           **({"type": int} if kind is int else
+                              {"choices": kind} if isinstance(kind, tuple) else {}))
+        p.add_argument("--out", help="output file (relative paths join "
+                                     f"${OUT_DIR_ENV} when set)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(command=cmd)
     return top
 
 
-_HANDLERS = {
-    "barrier": _cmd_barrier,
-    "blocks": _cmd_blocks,
-    "ramsey": _cmd_ramsey,
-    "norm": _cmd_norm,
-    "oscillation": _cmd_oscillation,
-    "model": _cmd_model,
-    "verify-section6": _cmd_verify_section6,
-}
-
-_INPUT_ERRORS = (
-    InvalidArgumentError,  # SchemaError among them
-    NoFrontFoundError,
-    InsufficientBlocksError,
-    NotStabilizedError,
-)
+# SchemaError is an InvalidArgumentError
+_INPUT_ERRORS = (InvalidArgumentError, NoFrontFoundError, InsufficientBlocksError,
+                 NotStabilizedError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.subcommand
-    if getattr(args, "action", None):
-        command = f"{command} {args.action}"
+    args = build_parser().parse_args(argv)
+    cmd = args.command
     try:
-        code, report = _HANDLERS[args.subcommand](args)
+        values = {}
+        for name, spec in cmd.flags.items():
+            kind = spec[0] if isinstance(spec, tuple) else spec
+            raw = values[name] = getattr(args, name)
+            if raw is None or kind in (int, str) or isinstance(kind, tuple):
+                continue  # absent, or passed on as argparse read it
+            if kind is Fraction:
+                values[name] = parse_rational(raw, f"$.{name}")
+            else:  # by name: perfbench's tracer wraps parsers by rebinding them
+                parse = getattr(serialize, kind.__name__)
+                values[name] = parse(_load_json(raw, "--" + name.replace("_", "-")))
+        code, report = cmd.handler(**values)
+        _emit(report, cmd.name, args)
     except _INPUT_ERRORS as exc:
         detail = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SchemaError):
             detail["path"] = exc.path
         sys.stderr.write(dumps(detail))
         return 2
-    _emit(report, command, args)
     return code
 
 

@@ -82,6 +82,12 @@ def parse_finite_set(data: Any, path: str = "$") -> FiniteSet:
         return FiniteSet(data)
 
 
+def parse_placements(data: Any, path: str = "$") -> list[FiniteSet]:
+    if not isinstance(data, list):
+        raise SchemaError(path, "--placements expects an array of integer arrays")
+    return [parse_finite_set(p, f"{path}[{i}]") for i, p in enumerate(data)]
+
+
 def parse_block(data: Any, path: str = "$") -> Block:
     if not isinstance(data, list) or not data:
         raise SchemaError(path, "expected a nonempty array of integer arrays")
@@ -222,11 +228,9 @@ def parse_vector(data: Any, path: str = "$") -> Vector:
     if isinstance(data, dict):
         entries = {}
         for key, val in data.items():
-            try:
-                idx = int(key)
-            except ValueError:
+            if not (key.isascii() and key.isdigit()):  # int() also reads "+3", "1_0", "٣"
                 raise SchemaError(f"{path}.{key}", "keys must be integer indices")
-            _put(entries, idx, parse_rational(val, f"{path}.{key}"), f"{path}.{key}")
+            _put(entries, int(key), parse_rational(val, f"{path}.{key}"), f"{path}.{key}")
         with _at_path(path):
             return Vector(entries)
     if isinstance(data, list):
@@ -257,8 +261,17 @@ def parse_coeffs(data: Any, path: str = "$") -> tuple[Fraction, ...]:
 # Colorings, values tables, schedules
 
 
+def _writable(color: Any, path: str) -> None:
+    """Refuse a colour no report could encode: one holding a lone surrogate."""
+    try:
+        json.dumps(color, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(path, "a colour must not hold a lone surrogate")
+
+
 def parse_coloring(data: Any, path: str = "$") -> Coloring:
     if isinstance(data, str):
+        _writable(data, path)
         with _at_path(path):
             return builtin_coloring(data)
     if isinstance(data, list):
@@ -273,6 +286,7 @@ def parse_coloring(data: Any, path: str = "$") -> Coloring:
             else:
                 key = parse_finite_set(raw, f"{path}[{i}].object")
             _put(table, key, e["color"], f"{path}[{i}].object")
+            _writable(e["color"], f"{path}[{i}].color")
         return Coloring.from_table(table)
     obj = _need_obj(data, path, "coloring")
     kind = obj.get("kind")
@@ -280,8 +294,7 @@ def parse_coloring(data: Any, path: str = "$") -> Coloring:
         name = obj.get("name")
         if not isinstance(name, str):
             raise SchemaError(f"{path}.name", "expected a rule name")
-        with _at_path(f"{path}.name"):
-            return builtin_coloring(name)
+        return parse_coloring(name, f"{path}.name")
     if kind == "table":
         return parse_coloring(obj.get("entries"), f"{path}.entries")
     raise SchemaError(f"{path}.kind", f"unknown coloring kind {kind!r}")

@@ -1,10 +1,12 @@
+import argparse
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from blockosc.cli import main
+from blockosc.cli import build_parser, main
 
 CUBE1 = '{"type":"cube","k":1}'
 CUBE2 = '{"type":"cube","k":2}'
@@ -167,12 +169,90 @@ class TestErrors:
         assert code == 2
         assert "cannot read" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("target", ["missing/rank.json", "."])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "barrier", "rank", "--descriptor", CUBE1,
+                             "--out", target)
+        assert (code, out) == (2, "")
+        detail = json.loads(err)
+        assert detail["error"] == "InvalidArgumentError"
+        assert detail["message"].startswith("cannot write --out file: ")
+
+    def test_non_utf8_at_file_exits_2(self, capsys, tmp_path):
+        desc = tmp_path / "barrier.json"
+        desc.write_bytes(b'{"type":"cube","k":1,"note":"\xff"}')
+        code, out, err = run(capsys, "barrier", "rank", "--descriptor", f"@{desc}")
+        assert (code, out) == (2, "")
+        assert "cannot read --descriptor file" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("coloring, path", [
+        ('"constant:\\ud800"', "$"),
+        ('[{"object":[1],"color":{"\\ud800":1}}]', "$[0].color"),
+        ('{"kind":"rule","name":"constant:\\udfff"}', "$.name"),
+    ])
+    def test_lone_surrogate_colour_exits_2(self, capsys, coloring, path):
+        code, out, err = run(capsys, "ramsey", "find-mono", "--barrier", CUBE1,
+                             "--coloring", coloring, "--universe", "[1]", "--target", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["path"] == path
+
+    @pytest.mark.parametrize("argv", [
+        ("barrier", "rank", "--descriptor", "[" * 5000 + "]" * 5000),
+        ("ramsey", "find-mono", "--barrier", "", "--coloring", '"parity-of-sum"',
+         "--universe", "[1]", "--target", "1"),
+    ], ids=["nested-past-the-recursion-limit", "empty-barrier"])
+    def test_unreadable_json_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "invalid JSON" in json.loads(err)["message"]
+
     def test_mono_requires_one_source(self, capsys):
         code, _, err = run(capsys, "ramsey", "find-mono",
                            "--coloring", '"parity-of-sum"',
                            "--universe", "[1,2,3]", "--target", "2")
         assert code == 2
         assert json.loads(err)["error"] == "InvalidArgumentError"
+
+
+def _surface(parser, prefix=""):
+    """Each subcommand's flags: required, default, choices and int type."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for action in subs:
+        for name, sub in action.choices.items():
+            table.update(_surface(sub, f"{prefix} {name}".strip()))
+    if not subs:
+        table[prefix] = {
+            a.option_strings[-1]: {"required": a.required, "default": a.default,
+                                   "choices": list(a.choices) if a.choices else None,
+                                   "int": a.type is int}
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    return table
+
+
+class TestSurface:
+    def test_flags_match_the_pinned_table(self):
+        pinned = pathlib.Path(__file__).parent / "data" / "cli_surface.json"
+        assert _surface(build_parser()) == json.loads(pinned.read_text(encoding="utf-8"))
+
+    def test_first_decoded_fault_is_named(self, capsys):
+        code, out, err = run(capsys, "oscillation", "psi", "--spec", '{"type":"bogus"}',
+                             "--family", '{"bad":1}', "--block", "[[1,2]]",
+                             "--coeffs", '["1"]')
+        assert (code, out, json.loads(err)["path"]) == (2, "", "$.type")
+
+    @pytest.mark.parametrize("sources", [
+        ("--barrier", '{"type":"z"}', "--family", "[1]", "--coloring", '"parity-of-sum"'),
+        ("--coloring", '"bogus"'),
+    ], ids=["both", "neither"])
+    def test_mono_checks_its_source_before_decoding(self, capsys, sources):
+        code, out, err = run(capsys, "ramsey", "find-mono", *sources,
+                             "--universe", "[1,2,3]", "--target", "2")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "InvalidArgumentError",
+            "message": "exactly one of --barrier or --family is required"}
 
 
 class TestBarrier:

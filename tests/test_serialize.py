@@ -241,6 +241,12 @@ class TestSpecsAndVectors:
             parse_vector([[0, "1"]])
         with pytest.raises(SchemaError):
             parse_vector({"0": "1"})
+        # int() reads all of these but ""; an index is ASCII digits only
+        for key in ("1_0", " 2 ", "+3", "-1", "\u0663", ""):
+            with pytest.raises(SchemaError) as exc:
+                parse_vector({key: "1"})
+            assert exc.value.path == f"$.{key}"
+        assert parse_vector({"01": "1"}) == Vector({1: F(1)})
 
     def test_coeffs(self):
         assert parse_coeffs(["1", "1/2", 0]) == (F(1), F(1, 2), F(0))
