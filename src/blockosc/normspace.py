@@ -297,7 +297,7 @@ def _nth_root_int(n: int, p: int) -> tuple[int, bool]:
     return r, r**p == n
 
 
-_LP_PRECISION = Fraction(1, 2**48)
+_LP_BITS = 48  # an inexact root is reported to within 2**-48
 
 
 def _lp_eval(spec: LpNorm, v: Vector) -> tuple[Fraction, bool]:
@@ -309,14 +309,17 @@ def _lp_eval(spec: LpNorm, v: Vector) -> tuple[Fraction, bool]:
     rd, okd = _nth_root_int(s.denominator, p)
     if okn and okd:
         return Fraction(rn, rd), True
-    lo, hi = Fraction(0), s + 1
-    while hi - lo > _LP_PRECISION:
-        mid = (lo + hi) / 2
-        if mid**p <= s:
-            lo = mid
-        else:
-            hi = mid
-    return lo, False
+    # The lower end of [0, s + 1] bisected to a width of at most 2**-48: the
+    # largest multiple j*h of h = (s + 1) / 2**n with (j*h)**p <= s, for the
+    # least n with h <= 2**-48.  With s + 1 = a / b, j is the floor p-th root
+    # of floor(s * 2**(n*p) / (s + 1)**p).
+    a, b = s.numerator + s.denominator, s.denominator
+    n = a.bit_length() - b.bit_length()  # a > b, and 2**n < a / b below this
+    while b << n < a:
+        n += 1
+    n += _LP_BITS
+    j = _nth_root_int((s.numerator * b ** (p - 1) << n * p) // a**p, p)[0]
+    return Fraction(j * a, b << n), False
 
 
 # ---------------------------------------------------------------------------

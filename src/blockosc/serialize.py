@@ -32,6 +32,11 @@ from .sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, SetGenerator
 
 SCHEMA_VERSION = 1
 
+# Parsing, and then walking, a descriptor or generator recurses once or more
+# per level: one 600 levels deep exhausts Python's recursion limit, while no
+# real input comes near 100 levels.
+_MAX_NESTING = 100
+
 
 class _at_path:
     """Reports a library error raised inside as a :class:`SchemaError` at
@@ -103,6 +108,8 @@ def parse_block(data: Any, path: str = "$") -> Block:
 
 
 def _need_obj(data: Any, path: str, what: str) -> dict:
+    if path.count(".") + path.count("[") > _MAX_NESTING:  # one .key or [i] per level
+        raise SchemaError(path, f"nested more than {_MAX_NESTING} levels deep")
     if not isinstance(data, dict):
         raise SchemaError(path, f"expected a {what} object")
     return data

@@ -131,7 +131,7 @@ class SetGenerator:
 
     def nth(self, i: int) -> int:
         """The ``i``-th element, counting from 1."""
-        return next(islice(iter(self), i - 1, None))
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,16 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "invalid JSON" in json.loads(err)["message"]
 
+    def test_a_descriptor_nested_600_deep_exits_2(self, capsys):
+        desc = '{"type":"cube","k":2}'
+        for _ in range(600):
+            desc = f'{{"type":"associated","base":{desc}}}'
+        code, out, err = run(capsys, "barrier", "members", "--bound", "4",
+                             "--descriptor", desc)
+        assert (code, out) == (2, "")
+        detail = json.loads(err)
+        assert (detail["error"], detail["path"]) == ("SchemaError", "$" + ".base" * 101)
+
     def test_mono_requires_one_source(self, capsys):
         code, _, err = run(capsys, "ramsey", "find-mono",
                            "--coloring", '"parity-of-sum"',

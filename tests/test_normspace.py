@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockosc.errors import InvalidArgumentError
@@ -244,6 +244,46 @@ def test_filtered_specs_still_obey_triangle(v):
     spec = even_pair_fixture()
     w = Vector({i + 1: c for i, c in v.entries.items()})
     assert norm_eval(spec, v + w) <= norm_eval(spec, v) + norm_eval(spec, w)
+
+
+def _ref_root(n, p):
+    """Floor p-th root of n >= 0 by bisection over the integers."""
+    lo, hi = 0, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**p <= n else (lo, mid)
+    return lo
+
+
+def ref_lp_eval(spec, v):
+    """``_lp_eval`` as it was: an exact root when there is one, else the
+    bisection of [0, s + 1] down to width 2**-48, keeping the lower end's
+    p-th power <= s."""
+    p = spec.p
+    s = sum((abs(c) ** p for c in v.entries.values()), F(0))
+    rn, rd = _ref_root(s.numerator, p), _ref_root(s.denominator, p)
+    if F(rn, rd) ** p == s:
+        return F(rn, rd), True
+    lo, hi = F(0), s + 1
+    while hi - lo > F(1, 2**48):
+        mid = (lo + hi) / 2
+        if mid**p <= s:
+            lo = mid
+        else:
+            hi = mid
+    return lo, False
+
+
+@settings(max_examples=150)
+@given(small_vectors(), st.integers(1, 12))
+@example(Vector({1: 1, 2: 1, 3: 1}), 2)  # s + 1 = 4 is a power of two
+def test_lp_root_matches_the_bisection(v, p):
+    assert norm_eval_detailed(LpNorm(p), v) == ref_lp_eval(LpNorm(p), v)
+
+
+def test_an_inexact_root_at_p_1000():
+    val, exact = norm_eval_detailed(LpNorm(1000), Vector({1: 2, 2: 3}))
+    assert not exact and val**1000 <= 2**1000 + 3**1000 < (val + F(1, 2**48))**1000
 
 
 class TestIndexInvarianceAndGrids:

@@ -5,10 +5,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
 
+import blockosc
 from blockosc import models
 from blockosc.errors import InternalCheckError
 from blockosc.models import equivalence_constants, eights_sequence
@@ -40,13 +42,18 @@ def test_verify_section6_under_optimize_matches_golden():
 
 
 RELOAD = """
-import gc, importlib, sys, weakref
-importlib.import_module("blockosc")
+import gc, importlib, pkgutil, sys, weakref
+
+def load_every_module():
+    for info in pkgutil.iter_modules(importlib.import_module("blockosc").__path__):
+        importlib.import_module("blockosc." + info.name)
+
+load_every_module()
 stale = weakref.ref(sys.modules["blockosc.blocks"].Block)
 for name in [n for n in sys.modules if n == "blockosc" or n.startswith("blockosc.")]:
     del sys.modules[name]
 gc.collect()
-importlib.import_module("blockosc")
+load_every_module()
 gc.collect()
 print(stale() is None)
 """
@@ -61,6 +68,13 @@ def test_a_reimport_frees_the_previous_copy():
                           env=env, timeout=120, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
+
+
+def test_the_package_binds_only_its_modules():
+    # each public name has one import path: the module that defines it
+    public = {n: v for n, v in vars(blockosc).items() if not n.startswith("_")}
+    assert public and all(isinstance(v, types.ModuleType) and v.__name__ == f"blockosc.{n}"
+                          for n, v in public.items()), sorted(public)
 
 
 def test_internal_check_error_is_raised_not_asserted(monkeypatch):

@@ -164,6 +164,20 @@ class TestGeneratorsAndBarriers:
                            "s": [3]})
         assert "belongs to the base" in str(exc.value)
 
+    def test_nesting_is_bounded(self):
+        # 100 levels below the top pass; one level more is refused where it starts
+        barrier, generator = {"type": "cube", "k": 2}, {"kind": "cofinite-after", "n": 100}
+        for i in range(100):
+            barrier = {"type": "associated", "base": barrier}
+            generator = {"kind": "prefix-then", "prefix": [100 - i], "tail": generator}
+        assert parse_barrier(barrier) is not None
+        assert parse_generator(generator) is not None
+        for data, parse, key in ((barrier, parse_barrier, "base"),
+                                 (generator, parse_generator, "tail")):
+            with pytest.raises(SchemaError) as exc:
+                parse(data, "$.x")
+            assert exc.value.path == "$.x" + f".{key}" * 100
+
     def test_family_and_sequence_round_trip(self):
         fam = BlockFamily((Cube(2), Cube(8)))
         assert parse_family([{"type": "cube", "k": 2}, {"type": "cube", "k": 8}]) == fam

@@ -125,8 +125,10 @@ class TestGenerators:
     def test_prefix_then_orders(self):
         g = PrefixThen(FiniteSet([2, 5]), CofiniteAfter(7))
         assert g.first(5) == (2, 5, 8, 9, 10)
-        with pytest.raises(InvalidArgumentError):
-            PrefixThen(FiniteSet([9]), CofiniteAfter(7))
+        assert [g.nth(i) for i in (1, 2, 3, 4)] == [2, 5, 8, 9]
+        for prefix in ([9], [2, 8]):  # the tail starts at 8: past or at the prefix's end
+            with pytest.raises(InvalidArgumentError):
+                PrefixThen(FiniteSet(prefix), CofiniteAfter(7))
 
     @given(st.integers(0, 40), st.integers(1, 60))
     def test_after_drops_small_elements(self, n, probe):
