@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice, takewhile, tee
 from math import comb
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InvalidArgumentError, NoFrontFoundError
+from .frozen import frozen
 from .ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
 from .sets import (
     FiniteSet,
@@ -41,7 +41,7 @@ class BarrierDescriptor:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@frozen
 class Cube(BarrierDescriptor):
     """All subsets of the ground set of a fixed size ``k``."""
 
@@ -55,7 +55,7 @@ class Cube(BarrierDescriptor):
         return naturals()
 
 
-@dataclass(frozen=True)
+@frozen
 class Schreier(BarrierDescriptor):
     """Sets whose cardinality equals their minimum."""
 
@@ -63,7 +63,7 @@ class Schreier(BarrierDescriptor):
         return naturals()
 
 
-@dataclass(frozen=True)
+@frozen
 class Restrict(BarrierDescriptor):
     """Members of ``base`` that live inside the infinite set ``to``."""
 
@@ -78,7 +78,7 @@ class Restrict(BarrierDescriptor):
         return self.to
 
 
-@dataclass(frozen=True)
+@frozen
 class Quotient(BarrierDescriptor):
     """Continuations of the stem ``s``: sets ``t`` above ``s`` with ``s + t`` in the base.
 
@@ -107,7 +107,7 @@ class Quotient(BarrierDescriptor):
         return self.base.ground().after(self.s.max)
 
 
-@dataclass(frozen=True)
+@frozen
 class Sum(BarrierDescriptor):
     """Concatenations s1 + ... + sk with each si drawn from the i-th part."""
 
@@ -124,7 +124,7 @@ class Sum(BarrierDescriptor):
         return self.parts[0].ground()
 
 
-@dataclass(frozen=True)
+@frozen
 class Associated(BarrierDescriptor):
     """The base family relabeled through positions of its ground set.
 
@@ -290,10 +290,11 @@ def _stack(parts: tuple[BarrierDescriptor, ...],
 def sperner_violations(family: Iterable[FiniteSet]) -> list[tuple[FiniteSet, FiniteSet]]:
     """Pairs (s, t) with s a proper subset of t; empty for genuine barriers."""
     as_sets = [(m, frozenset(m.elements)) for m in sorted(set(family), key=len)]
-    return [(s, t) for i, (s, fs) in enumerate(as_sets) for t, ft in as_sets[i + 1:] if fs < ft]
+    longer = {len(s): i for i, (s, _) in enumerate(as_sets, 1)}  # first strictly longer member
+    return [(s, t) for s, fs in as_sets for t, ft in as_sets[longer[len(s)]:] if fs < ft]
 
 
-@dataclass(frozen=True)
+@frozen
 class AxiomReport:
     sperner_ok: bool
     violations: tuple[tuple[FiniteSet, FiniteSet], ...]
@@ -347,7 +348,7 @@ def _thin(g: SetGenerator, start: int, step: int) -> SetGenerator:
 # Rank
 
 
-@dataclass(frozen=True)
+@frozen
 class RankResult:
     ordinal: OrdinalCNF
     confirmed: bool

@@ -8,12 +8,12 @@ because no barrier contains two comparable initial segments of the same set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from .barriers import BarrierDescriptor, _peel_fronts, _stack
 from .errors import InvalidArgumentError, NotInSumError
+from .frozen import frozen
 from .sets import FiniteSet, lex_key, probe_equal
 
 
@@ -76,7 +76,7 @@ class Block:
         return self.parts[-1].max
 
 
-@dataclass(frozen=True)
+@frozen
 class BlockFamily:
     """The barrier tuple blocks are drawn from."""
 

@@ -8,7 +8,6 @@ once the blocks are disjoint, so the limit is computed, not estimated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
@@ -17,6 +16,7 @@ from .barriers import FRONT_FUEL_DEFAULT, BarrierDescriptor, Cube, _peel_fronts
 from .blocks import Block, BlockFamily
 from .closedform import model_value_8, model_value_228
 from .errors import InternalCheckError, InvalidArgumentError, NoFrontFoundError, NotStabilizedError
+from .frozen import frozen
 from .normspace import NormSpec, nonneg_grid, section6_spec
 from .oscillation import _value_table
 from .sets import FiniteSet
@@ -24,7 +24,7 @@ from .sets import FiniteSet
 Rational = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
+@frozen
 class BarrierSequenceDescriptor:
     """Finite prefix of barriers followed by one barrier repeated forever."""
 
@@ -83,7 +83,7 @@ def default_tail_offset(seq: BarrierSequenceDescriptor, k: int) -> int:
     return _probe_blocks(seq, k, 1, 1)[0].max + 8
 
 
-@dataclass(frozen=True)
+@frozen
 class ModelValue:
     value: Fraction
     stabilized: bool
@@ -149,7 +149,7 @@ def _stable_values(spec, seq, tuples) -> Iterator[Fraction]:
     return checked()
 
 
-@dataclass(frozen=True)
+@frozen
 class ConsistencyViolation:
     k: int
     coeffs: tuple[Fraction, ...]
@@ -157,7 +157,7 @@ class ConsistencyViolation:
     base_value: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class ConsistencyReport:
     checked: int
     violations: tuple[ConsistencyViolation, ...]
@@ -186,7 +186,7 @@ def consistency_check(
     return ConsistencyReport(checked, tuple(bad))
 
 
-@dataclass(frozen=True)
+@frozen
 class SpreadingWitness:
     placement: FiniteSet
     coeffs: tuple[Fraction, ...]
@@ -194,7 +194,7 @@ class SpreadingWitness:
     placed_value: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class SpreadingReport:
     holds: bool
     witness: Optional[SpreadingWitness]
@@ -268,14 +268,14 @@ def equivalence_constants(
     return lo, hi
 
 
-@dataclass(frozen=True)
+@frozen
 class Section6Check:
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Section6Report:
     checks: tuple[Section6Check, ...]
     all_passed: bool

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidArgumentError
+from .frozen import frozen
 from .sets import FiniteSet
 
 Rational = Union[Fraction, int]
@@ -96,7 +96,7 @@ _FILTERS: dict[str, tuple[str, Callable[[int], bool]]] = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class SupTerm:
     weight: Fraction
     size: int
@@ -116,7 +116,7 @@ class NormSpec:
     """Marker base for norm specifications."""
 
 
-@dataclass(frozen=True)
+@frozen
 class SupFamily(NormSpec):
     """Max of the implicit singleton term and each weighted top-m sum."""
 
@@ -130,12 +130,12 @@ class SupFamily(NormSpec):
         return w, terms, tuple(f[1] for _, _, f in terms if f)
 
 
-@dataclass(frozen=True)
+@frozen
 class SupNorm(NormSpec):
     """Plain supremum of absolute entries."""
 
 
-@dataclass(frozen=True)
+@frozen
 class LpNorm(NormSpec):
     """Integer-exponent p-sum norm; exact only for p = 1 or lucky roots."""
 
@@ -385,7 +385,7 @@ def dk_distance(rho1: Evaluator, rho2: Evaluator, k: int, grid_q: int = 8) -> Fr
 # Seminorm samples and axiom checks
 
 
-@dataclass(frozen=True)
+@frozen
 class AxiomCheck:
     nonnegative: bool
     normalized: bool
@@ -478,7 +478,7 @@ def difference_seminorm(a: tuple[Fraction, ...]) -> Fraction:
     return abs(a[0] - a[1])
 
 
-@dataclass(frozen=True)
+@frozen
 class DegenerateLimitReport:
     distances: tuple[tuple[int, Fraction], ...]  # (n, d2(norm_n, limit))
     value_at_ones: tuple[tuple[int, Fraction], ...]  # (n, norm_n(1, 1))

@@ -8,12 +8,11 @@ cardinality.  Nothing above the marker is ever distinguished.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidArgumentError
+from .frozen import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class OrdinalCNF:
     """Cantor normal form: tuple of (exponent, coefficient) pairs.
 

@@ -11,13 +11,13 @@ drops under a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Callable, Optional, Sequence, Union
 
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InsufficientBlocksError, InternalCheckError, InvalidArgumentError
+from .frozen import frozen
 from .normspace import (
     NormSpec,
     _kernel_plan,
@@ -30,7 +30,7 @@ from .sets import FiniteSet, SetGenerator
 Rational = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
+@frozen
 class ToleranceSchedule:
     """Strictly decreasing positive tolerances, evaluable at any stage."""
 
@@ -179,7 +179,7 @@ def _spread_step(bound: int) -> Step:
     return step
 
 
-@dataclass(frozen=True)
+@frozen
 class OscillationReport:
     gap: Fraction
     witness_pair: Optional[tuple[Block, Block]]
@@ -237,7 +237,7 @@ def oscillation_gap(
     return _gap_report(spec, blocks, tuples, table, den, range(len(blocks)), universe, grid_q)
 
 
-@dataclass(frozen=True)
+@frozen
 class StableSubsequenceResult:
     found: bool
     subset: Optional[FiniteSet]
@@ -307,7 +307,7 @@ def find_stable_subsequence(
                                    Fraction(best_gap, den), epsilon, target, strategy)
 
 
-@dataclass(frozen=True)
+@frozen
 class StageResult:
     index: int
     epsilon: Fraction
@@ -318,7 +318,7 @@ class StageResult:
     witness_gap: Optional[Fraction]
 
 
-@dataclass(frozen=True)
+@frozen
 class AsymptoticReport:
     stages: tuple[StageResult, ...]
     all_passed: bool

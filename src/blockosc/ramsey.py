@@ -8,13 +8,13 @@ partial result; exceptions are reserved for malformed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from .barriers import BarrierDescriptor, _enumerate_cached
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InternalCheckError, InvalidArgumentError
+from .frozen import frozen
 from .normspace import _over_lcm
 from .oscillation import _REJECT, ToleranceSchedule, _ceil_times, _search, _spread, _spread_step
 from .sets import FiniteSet
@@ -76,14 +76,14 @@ def builtin_coloring(name: str) -> Coloring:
     raise InvalidArgumentError(f"unknown builtin coloring {name!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class MonochromeWitness:
     subset: FiniteSet
     color: ColorValue
     domain_size: int  # colored objects living inside the subset
 
 
-@dataclass(frozen=True)
+@frozen
 class RamseyResult:
     found: bool
     witness: Optional[MonochromeWitness]
@@ -156,14 +156,14 @@ def _value_column(values: ValuesLike, blocks: Sequence[Block]) -> tuple[list[lis
     return [[n] for n in nums], den
 
 
-@dataclass(frozen=True)
+@frozen
 class MetricWitness:
     subset: FiniteSet
     max_gap: Fraction
     domain_size: int
 
 
-@dataclass(frozen=True)
+@frozen
 class MetricResult:
     found: bool
     witness: Optional[MetricWitness]
@@ -206,7 +206,7 @@ def metric_stabilize(
     return MetricResult(found, wit if found else None, wit, epsilon, target)
 
 
-@dataclass(frozen=True)
+@frozen
 class DiagonalStage:
     index: int
     epsilon: Fraction
@@ -216,7 +216,7 @@ class DiagonalStage:
     max_gap: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class DiagonalReport:
     selected: FiniteSet  # the emitted m_i, strictly increasing
     stages: tuple[DiagonalStage, ...]

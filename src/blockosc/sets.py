@@ -17,12 +17,12 @@ Input from outside goes through the public constructors, which check it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import count, islice
 from math import inf
 from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError
+from .frozen import frozen
 
 
 class FiniteSet:
@@ -134,7 +134,7 @@ class SetGenerator:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@frozen
 class CofiniteAfter(SetGenerator):
     """All naturals strictly above ``n``; ``CofiniteAfter(0)`` is the whole line."""
 
@@ -157,7 +157,7 @@ class CofiniteAfter(SetGenerator):
         return CofiniteAfter(max(self.n, n))
 
 
-@dataclass(frozen=True)
+@frozen
 class Arithmetic(SetGenerator):
     """start, start+step, start+2*step, ..."""
 
@@ -184,7 +184,7 @@ class Arithmetic(SetGenerator):
         return Arithmetic(self.start + skipped * self.step, self.step)
 
 
-@dataclass(frozen=True)
+@frozen
 class PrefixThen(SetGenerator):
     """A finite explicit prefix followed by an infinite tail descriptor."""
 

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel import SPECS
 
+from blockosc import normspace
 from blockosc.errors import InvalidArgumentError
 from blockosc.normspace import (
-    _SCALARS,
     AxiomCheck,
     check_seminorm_axioms,
     difference_seminorm,
@@ -31,6 +31,13 @@ from blockosc.normspace import (
 
 # ---------------------------------------------------------------------------
 # Fraction reference
+
+# the factors the homogeneity check scales by, in the order it tries them
+SCALARS = (F(0), F(1), F(-1), F(1, 2), F(2), F(-3, 2))
+
+
+def test_the_library_scales_by_the_reference_factors():
+    assert normspace._SCALARS == SCALARS
 
 
 def ref_check(rho, k, grid_q=4):
@@ -56,7 +63,7 @@ def ref_check(rho, k, grid_q=4):
     homogeneous = True
     for a in pts:
         base = rho(a)
-        for lam in _SCALARS:
+        for lam in SCALARS:
             scaled = tuple(lam * x for x in a)
             if rho(scaled) != abs(lam) * base:
                 homogeneous = False
@@ -204,7 +211,7 @@ def read_points(k, q):
     """Every point a full run of the reference reads."""
     grid = signed_grid(k, q)
     units = {tuple(F(int(i == j)) for j in range(k)) for i in range(k)}
-    scaled = {tuple(lam * x for x in a) for a in grid for lam in _SCALARS}
+    scaled = {tuple(lam * x for x in a) for a in grid for lam in SCALARS}
     sums = {tuple(x + y for x, y in zip(a, b)) for a, b in product(grid, repeat=2)}
     return set(grid) | units | scaled | sums
 

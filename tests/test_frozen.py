@@ -1,0 +1,185 @@
+"""The library's frozen dataclasses are built on their first instance.
+
+Each one must then behave exactly as the plain ``dataclass(frozen=True)`` it
+replaces: same repr, JSON form, equality and hash, also after a pickle.
+"""
+
+import dataclasses
+import importlib
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+import types
+from fractions import Fraction as F
+
+import pytest
+
+from blockosc.barriers import Cube, Restrict, Schreier
+from blockosc.blocks import Block
+from blockosc.normspace import AxiomCheck, SupNorm, SupTerm, mn_norm_spec
+from blockosc.ordinals import OrdinalCNF
+from blockosc.serialize import to_json
+from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+MODULES = ("barriers", "blocks", "models", "normspace", "ordinals", "oscillation", "ramsey", "sets")
+
+
+def fs(*xs):
+    return FiniteSet(xs)
+
+
+BLOCK = Block((fs(1), fs(2, 3)))
+WITNESS_PAIR = (Block((fs(1),)), Block((fs(2),)))
+
+# constructor arguments of one instance of every class, by class name, or a
+# function of the class's module giving them
+ARGS = {
+    "Cube": (2,),
+    "Schreier": (),
+    "Restrict": (Cube(2), Arithmetic(2, 2)),
+    "Quotient": lambda module: (module.Cube(3), fs(2)),  # its check dispatches on the class
+    "Sum": ((Cube(1), Cube(2)),),
+    "Associated": (Restrict(Cube(2), Arithmetic(2, 2)),),
+    "AxiomReport": (False, ((fs(1), fs(1, 2)),), True, (("naturals", fs(1, 2)), ("evens", None))),
+    "RankResult": (OrdinalCNF(((2, 1),)), True, "structural", 12),
+    "BlockFamily": ((Cube(1), Schreier()),),
+    "BarrierSequenceDescriptor": ([Cube(1)], Cube(2)),
+    "ModelValue": (F(3, 4), True, ((BLOCK, F(3, 4)),), 2),
+    "ConsistencyViolation": (2, (F(1), F(0)), F(1), F(1, 2)),
+    "ConsistencyReport": (7, ()),
+    "SpreadingWitness": (fs(2, 5), (F(1), F(1, 2)), F(1), F(3, 2)),
+    "SpreadingReport": (False, None, 9),
+    "Section6Check": ("models differ", True, "a=(1, 1)"),
+    "Section6Report": ((), True, 4, 4),
+    "SupTerm": (F(3, 4), 2, "even-indices"),
+    "SupFamily": ((SupTerm(F(3, 4), 2), SupTerm(F(2, 3), 3, "touches-even")),),
+    "SupNorm": (),
+    "LpNorm": (2,),
+    "AxiomCheck": (True, True, True, False, True, (("triangle", ((1, 2), (3,))),)),
+    "DegenerateLimitReport": (((1, F(1, 2)),), ((1, F(3, 2)),), F(1), F(1, 2),
+                              AxiomCheck(True, True, True, True, False, ())),
+    "OrdinalCNF": (((3, 2), (0, 1)),),
+    "ToleranceSchedule": (F(1, 3), 2),
+    "OscillationReport": (F(1, 8), WITNESS_PAIR, (F(1), F(1, 2)), fs(1, 2, 3), 4, 2),
+    "StableSubsequenceResult": (True, fs(1, 3), None, fs(1, 3), F(0), F(1, 4), 2, "exhaustive"),
+    "StageResult": (0, F(1, 2), 3, True, None, None, None),
+    "AsymptoticReport": ((), False, 12),
+    "MonochromeWitness": (fs(1, 2), [1, "red"], 3),
+    "RamseyResult": (False, None, None, 4, "greedy"),
+    "MetricWitness": (fs(2, 4), F(1, 16), 5),
+    "MetricResult": (True, None, None, F(1, 8), 3),
+    "DiagonalStage": (1, F(1, 2), fs(1, 2, 3), fs(2, 3), 2, F(0)),
+    "DiagonalReport": (fs(2, 5), (), True),
+    "CofiniteAfter": (4,),
+    "Arithmetic": (3, 5),
+    "PrefixThen": (fs(1, 2), CofiniteAfter(4)),
+}
+
+
+def plain_copy(name: str) -> types.ModuleType:
+    """The module re-run from its source, with ``dataclass(frozen=True)`` in place of ``frozen``."""
+    path = SRC / "blockosc" / f"{name}.py"
+    text = path.read_text(encoding="utf-8")
+    text = text.replace("from .frozen import frozen", "from dataclasses import dataclass")
+    text = text.replace("@frozen\n", "@dataclass(frozen=True)\n")
+    module = types.ModuleType(f"blockosc.{name}")
+    module.__package__ = "blockosc"
+    exec(compile(text, str(path), "exec"), module.__dict__)
+    return module
+
+
+def class_pairs():
+    """(library module, plain copy, class name) for every class decorated with ``frozen``."""
+    for name in MODULES:
+        lazy, plain = importlib.import_module(f"blockosc.{name}"), plain_copy(name)
+        for attr, cls in vars(plain).items():
+            if (isinstance(cls, type) and cls.__module__ == plain.__name__
+                    and dataclasses.is_dataclass(cls)):
+                yield lazy, plain, attr
+
+
+PAIRS = list(class_pairs())
+
+
+def test_every_decorated_class_has_sample_arguments():
+    assert len(PAIRS) == 38
+    assert sorted(name for _, _, name in PAIRS) == sorted(ARGS)
+
+
+@pytest.mark.parametrize("lazy_module, plain_module, name", PAIRS, ids=[n for _, _, n in PAIRS])
+def test_each_class_behaves_as_a_plain_frozen_dataclass(lazy_module, plain_module, name):
+    lazy, plain, args = getattr(lazy_module, name), getattr(plain_module, name), ARGS[name]
+    lazy_args, plain_args = ((args(lazy_module), args(plain_module)) if callable(args)
+                             else (args, args))
+    a, b = lazy(*lazy_args), plain(*plain_args)
+    assert dataclasses.is_dataclass(lazy)
+    assert [f.name for f in dataclasses.fields(a)] == [f.name for f in dataclasses.fields(b)]
+    assert repr(a) == repr(b)
+    assert to_json(a) == to_json(b)
+    assert a == lazy(*lazy_args) and b == plain(*plain_args)
+    assert a != b and b != a  # a dataclass equals only instances of its own class
+    try:
+        want = hash(b)
+    except TypeError:  # a list field, as in a JSON colour
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == want == hash(lazy(*lazy_args))
+    field = next(iter(dataclasses.fields(a)), None)
+    for obj in (a, b):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field.name if field else "x", None)
+    extra = {"__getstate__"} if not dataclasses.fields(a) else set()
+    assert set(vars(lazy)) - extra == set(vars(plain))
+    assert "__setstate__" not in vars(lazy)
+
+
+def run_python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          timeout=120, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+BUILT_ON_IMPORT = """
+import dataclasses, gc
+import blockosc.cli
+print(sorted(c.__qualname__ for c in gc.get_objects() if isinstance(c, type)
+             and c.__module__.startswith("blockosc.") and dataclasses.is_dataclass(c)))
+"""
+
+
+def test_importing_the_cli_builds_only_the_ordinal_it_needs():
+    # AT_LEAST_OMEGA_OMEGA is an OrdinalCNF made at import
+    assert run_python(BUILT_ON_IMPORT).strip() == "['OrdinalCNF']"
+
+
+LOAD = """
+import dataclasses, pickle
+from blockosc.barriers import Cube, Restrict, Schreier
+from blockosc.normspace import SupNorm, mn_norm_spec
+from blockosc.sets import Arithmetic
+loaded = pickle.loads(bytes.fromhex(PAYLOAD))
+print(all(dataclasses.is_dataclass(x) for x in loaded), "_plan" in vars(loaded[0]))
+fresh = (mn_norm_spec(2, 3), Restrict(Cube(2), Arithmetic(2, 2)), Schreier(), SupNorm())
+print(loaded == fresh, [hash(x) for x in loaded] == [hash(x) for x in fresh])
+print(loaded[0]._plan == fresh[0]._plan, [repr(x) for x in loaded])
+"""
+
+
+def test_objects_pickled_here_load_equal_in_a_fresh_interpreter():
+    # the classes are built on load, before any instance; the two without
+    # fields only because their __getstate__ makes pickle send a state
+    spec = mn_norm_spec(2, 3)
+    spec._plan  # a cached property, so it travels in the instance's __dict__
+    objs = (spec, Restrict(Cube(2), Arithmetic(2, 2)), Schreier(), SupNorm())
+    out = run_python(LOAD.replace("PAYLOAD", repr(pickle.dumps(objs).hex())))
+    assert out.splitlines() == ["True True", "True True", f"True {[repr(x) for x in objs]}"]
+

@@ -8,6 +8,7 @@ from blockosc.closedform import model_value_8, model_value_228
 from blockosc.errors import InvalidArgumentError, NotStabilizedError
 from blockosc.models import (
     BarrierSequenceDescriptor,
+    SpreadingWitness,
     consistency_check,
     default_tail_offset,
     eights_sequence,
@@ -91,6 +92,14 @@ class TestModelEval:
         assert not mv.stabilized
         assert {v for _, v in mv.probes} == {F(9, 8), F(27, 20)}
 
+    def test_a_spread_exactly_at_tolerance_is_stabilized(self):
+        seq = BarrierSequenceDescriptor((Cube(1),), Cube(2))
+        spread = F(27, 20) - F(9, 8)
+        mv = model_eval(even_pair_fixture(), seq, (F(1), F(1)), tolerance=spread)
+        assert mv.stabilized and mv.value == mv.probes[0][1]
+        tight = model_eval(even_pair_fixture(), seq, (F(1), F(1)), tolerance=spread - F(1, 1000))
+        assert not tight.stabilized
+
     def test_validation(self):
         spec = section6_spec()
         with pytest.raises(InvalidArgumentError):
@@ -159,6 +168,12 @@ class TestSpreading:
         w = rep.witness
         assert abs(w.identity_value - w.placed_value) == F(1, 2)
 
+    def test_the_earliest_placement_wins_a_tie(self):
+        # both placements miss (1, 1) by 1/2, the largest gap of the scan
+        rep = spreading_check(section6_spec(), two_two_eights_sequence(), 2,
+                              [FiniteSet((3, 4)), FiniteSet((5, 6))], grid_q=2)
+        assert rep.witness == SpreadingWitness(FiniteSet((3, 4)), (F(1), F(1)), F(3, 2), F(1))
+
     def test_placement_arity_checked(self):
         with pytest.raises(InvalidArgumentError):
             spreading_check(section6_spec(), eights_sequence(), 2,
@@ -170,6 +185,11 @@ class TestEquivalence:
         lo, hi = equivalence_constants(section6_spec(), eights_sequence(),
                                        two_two_eights_sequence(), 3)
         assert (lo, hi) == (F(1), F(2))
+
+    def test_single_coefficients_agree(self):
+        lo_hi = equivalence_constants(section6_spec(), eights_sequence(),
+                                      two_two_eights_sequence(), 1)
+        assert lo_hi == (F(1), F(1))
 
     def test_ratio_two_attained_at_ones(self):
         spec = section6_spec()
