@@ -25,7 +25,6 @@ from .sets import (
     FiniteSet,
     PrefixThen,
     SetGenerator,
-    lex_key,
     naturals,
     probe_equal,
     probe_subset,
@@ -232,8 +231,7 @@ def enumerate_up_to(b: BarrierDescriptor, n: int) -> tuple[FiniteSet, ...]:
 @lru_cache(maxsize=512)
 def _enumerate_cached(b: BarrierDescriptor, pool: tuple[int, ...]) -> tuple[FiniteSet, ...]:
     """All members inside ``pool``, an increasing tuple, in lexicographic
-    order; only they are built.  Each branch but the sum's emits them in order.
-    """
+    order; only they are built, each branch emitting them in order."""
     if isinstance(b, Cube):
         out = list(map(FiniteSet._trusted, combinations(pool, b.k)))
     elif isinstance(b, Schreier):
@@ -247,8 +245,7 @@ def _enumerate_cached(b: BarrierDescriptor, pool: tuple[int, ...]) -> tuple[Fini
         out = [FiniteSet._trusted(u.elements[len(stem):])
                for u in base if u.elements[: len(stem)] == stem]
     elif isinstance(b, Sum):
-        out = sorted((FiniteSet._trusted(sum((p.elements for p in t), ()))
-                      for t in _stack(b.parts, pool)), key=lex_key)
+        out = [FiniteSet._trusted(sum((p.elements for p in t), ())) for t in _stack(b.parts, pool)]
     elif isinstance(b, Associated):
         index = dict(zip(map(b.base.ground().nth, pool), pool))
         out = [FiniteSet._trusted(tuple(map(index.__getitem__, s.elements)))
@@ -263,8 +260,8 @@ def _stack(parts: tuple[BarrierDescriptor, ...],
     """Every (s1, ..., sk) with si a member of the i-th part inside ``pool``
     and max(si) < min(s(i+1)).
 
-    The tuples come in the order of their s1, then of their s2, and so on,
-    each in the lexicographic order of :func:`enumerate_up_to`.
+    The tuples come in the order of their s1, then s2, and so on, which is the lexicographic
+    order of their concatenations, as no barrier member is an initial segment of another.
     """
     members = [_enumerate_cached(p, pool) for p in parts]
     # memoized on (part index, lower bound): heads sharing a max share tails
@@ -289,8 +286,9 @@ def _stack(parts: tuple[BarrierDescriptor, ...],
 
 def sperner_violations(family: Iterable[FiniteSet]) -> list[tuple[FiniteSet, FiniteSet]]:
     """Pairs (s, t) with s a proper subset of t; empty for genuine barriers."""
-    as_sets = [(m, frozenset(m.elements)) for m in sorted(set(family), key=len)]
-    longer = {len(s): i for i, (s, _) in enumerate(as_sets, 1)}  # first strictly longer member
+    ordered = sorted(set(family), key=len)
+    longer = {len(s): i for i, s in enumerate(ordered, 1)}  # first strictly longer member
+    as_sets = [(m, frozenset(m.elements)) for m in ordered] if len(longer) > 1 else []
     return [(s, t) for s, fs in as_sets for t, ft in as_sets[longer[len(s)]:] if fs < ft]
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 from .barriers import BarrierDescriptor, _peel_fronts, _stack
 from .errors import InvalidArgumentError, NotInSumError
 from .frozen import frozen
-from .sets import FiniteSet, lex_key, probe_equal
+from .sets import FiniteSet, probe_equal
 
 
 class Block:
@@ -93,16 +93,11 @@ class BlockFamily:
         return len(self.parts)
 
 
-def block_sort_key(b: Block) -> tuple:
-    """Sort key of the total order refining the directed order: first-part
-    maxima, then the lexicographic order of the unions."""
-    return b.parts[0].max, lex_key(b.union())
-
-
 def enumerate_blocks(
     fam: BlockFamily, n: int, within: Optional[FiniteSet] = None
 ) -> tuple[Block, ...]:
-    """All blocks with elements <= n (and inside ``within`` if given)."""
+    """All blocks with elements <= n (and inside ``within`` if given), by
+    first-part maximum, then in the lexicographic order of the unions."""
     if n < 0:
         raise InvalidArgumentError("bound must be >= 0")
     return _enumerate_blocks_cached(fam, n, within)
@@ -113,7 +108,8 @@ def _enumerate_blocks_cached(
     fam: BlockFamily, n: int, within: Optional[FiniteSet]
 ) -> tuple[Block, ...]:
     pool = tuple(x for x in (range(1, n + 1) if within is None else within) if x <= n)
-    return tuple(sorted(map(Block._trusted, _stack(fam.parts, pool)), key=block_sort_key))
+    # _stack emits the unions in lexicographic order, which a stable sort by first max keeps
+    return tuple(map(Block._trusted, sorted(_stack(fam.parts, pool), key=lambda t: t[0].max)))
 
 
 def to_concat(block: Block) -> FiniteSet:

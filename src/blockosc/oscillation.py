@@ -11,6 +11,7 @@ drops under a tolerance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from operator import sub
 from typing import Callable, Optional, Sequence, Union
@@ -76,7 +77,11 @@ def _value_table(
     q = math.lcm(*(c.denominator for a in tuples for c in a))
     cols = [[abs(c.numerator) * (q // c.denominator) for c in a] for a in tuples]
     firsts: dict = {}
-    keys = [tuple(_part_runs(plan, p, firsts) for p in b.parts) for b in blocks]
+    if plan[2]:  # filtered: runs once per distinct part, first met in block order
+        memo = {p: _part_runs(plan, p, firsts) for p in dict.fromkeys(p for b in blocks for p in b)}
+        keys = [tuple(map(memo.__getitem__, b.parts)) for b in blocks]
+    else:
+        keys = [tuple(_part_runs(plan, p, firsts) for p in b.parts) for b in blocks]
     units = {runs: _sup_numerator(plan, [(1, cnt, i) for cnt, i in runs])
              for runs in {runs for key in keys for runs in key}}
     a_lcm = math.lcm(*units.values())
@@ -356,29 +361,30 @@ def asymptotic_stability_check(
         raise InsufficientBlocksError("horizon hosts fewer than two blocks")
     tuples = nonneg_grid(len(fam), grid_q)
     table, den = _value_table(spec, blocks, tuples)
-    mins = [b.min for b in blocks]
-
-    def tail(n: int) -> list[int]:
-        return [r for r, mn in enumerate(mins) if mn > n]
-
+    mins, groups = [b.min for b in blocks], {}  # groups: each block minimum's distinct rows
+    for m, row in zip(mins, table):  # _value_table shares one row among equal part runs
+        groups.setdefault(m, {})[id(row)] = row
+    lows, env, spreads = sorted(groups), (), []
+    for m in reversed(lows):  # one envelope per group, folded from the largest minimum down
+        env = _envelope([*groups[m].values(), *env])
+        spreads.insert(0, max(map(sub, *env)))  # the rows whose minimum is m or more
     # The tail past n shrinks as n grows, so its spread never grows; the
     # stage bounds never grow either.  So no stage passes below the previous
     # stage's threshold, and one pointer walks n forward across all stages,
     # up to the last threshold whose tail holds two blocks.
     last = sorted(mins)[-2] - 1
-    n, spread, failed = 0, _spread(table, tail(0)), None
-    stages = []
+    n, failed, stages = 0, None, []
     for i in range(1, max_stages + 1):
         eps = schedule.at(i)
         bound = _ceil_times(eps, den)
-        while spread >= bound and n < last:
+        while (spread := spreads[bisect_right(lows, n)]) >= bound and n < last:
             n += 1
-            spread = _spread(table, tail(n))
         if spread < bound:
             stages.append(StageResult(i, eps, n, True, None, None, None))
             continue
         if failed is None:  # every failing stage reads the last tail
-            failed = _gap_report(spec, blocks, tuples, table, den, tail(last), uni, grid_q)
+            tail = [r for r, m in enumerate(mins) if m > last]
+            failed = _gap_report(spec, blocks, tuples, table, den, tail, uni, grid_q)
         stages.append(StageResult(i, eps, None, False, failed.witness_pair,
                                   failed.witness_coeffs, failed.gap))
     return AsymptoticReport(tuple(stages), all(s.passed for s in stages), horizon)

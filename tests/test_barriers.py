@@ -280,6 +280,20 @@ def test_a_cube_family_of_ninety_thousand_members_checks_in_under_a_second():
     assert rep.sperner_ok and rep.cover_ok and len(enumerate_up_to(Cube(4), 40)) == 91_390
 
 
+def test_sperner_builds_a_set_only_where_a_comparison_uses_it(monkeypatch):
+    from blockosc import barriers
+    built = []
+
+    def counted(elements):
+        built.append(elements)
+        return frozenset(elements)
+
+    monkeypatch.setattr(barriers, "frozenset", counted, raising=False)
+    assert sperner_violations(enumerate_up_to(Cube(4), 40)) == [] and built == []
+    mixed = enumerate_up_to(Schreier(), 10)  # two lengths or more: every member is compared
+    assert sperner_violations(mixed) == [] and len(built) == len(mixed)
+
+
 POOL_DESCRIPTORS = [
     Cube(1), Cube(2), Cube(3), Schreier(), Restrict(Cube(2), evens()),
     Quotient(Schreier(), fs(3)), Sum((Cube(1), Cube(2))),

@@ -4,18 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockosc.barriers import Cube, Restrict, Schreier, Sum, enumerate_up_to
+from blockosc.barriers import (
+    Associated,
+    Cube,
+    Quotient,
+    Restrict,
+    Schreier,
+    Sum,
+    enumerate_up_to,
+)
 from blockosc.blocks import (
     Block,
     BlockFamily,
     block_compare,
-    block_sort_key,
     enumerate_blocks,
     from_concat,
     to_concat,
 )
 from blockosc.errors import InvalidArgumentError, NotInSumError
-from blockosc.sets import CofiniteAfter, FiniteSet, PrefixThen, evens
+from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, evens, lex_key, odds
 
 
 def fs(*xs):
@@ -24,6 +31,12 @@ def fs(*xs):
 
 def blk(*parts):
     return Block(tuple(FiniteSet(p) for p in parts))
+
+
+def ref_key(b: Block) -> tuple:
+    """The reference order of enumerate_blocks, from the unions themselves:
+    first-part maxima, then the lexicographic order of the unions."""
+    return b.parts[0].max, lex_key(b.union())
 
 
 class TestBlockType:
@@ -37,7 +50,13 @@ class TestBlockType:
         with pytest.raises(InvalidArgumentError):
             Block((FiniteSet(), fs(1)))
         with pytest.raises(InvalidArgumentError):
+            Block((FiniteSet(),))
+        with pytest.raises(InvalidArgumentError):
             Block(())
+
+    def test_parts_must_be_finite_sets(self):
+        with pytest.raises(InvalidArgumentError):
+            Block(((1, 2),))
 
     def test_union_min_max(self):
         b = blk((1, 2), (4, 7))
@@ -50,6 +69,7 @@ class TestBlockType:
             b.parts = ()
         assert b == blk((1,), (2,))
         assert hash(b) == hash(blk((1,), (2,)))
+        assert b != b.parts and b != fs(1, 2) and b != 5
 
     def test_family_needs_common_ground(self):
         with pytest.raises(InvalidArgumentError):
@@ -57,6 +77,12 @@ class TestBlockType:
 
 
 class TestEnumerate:
+    def test_bound_zero_is_empty_and_negative_rejected(self):
+        fam = BlockFamily((Cube(1), Cube(1)))
+        assert enumerate_blocks(fam, 0) == ()
+        with pytest.raises(InvalidArgumentError):
+            enumerate_blocks(fam, -1)
+
     def test_two_singletons(self):
         fam = BlockFamily((Cube(1), Cube(1)))
         assert enumerate_blocks(fam, 3) == (
@@ -89,12 +115,12 @@ class TestEnumerate:
             return (a > b) - (a < b) or (0 if not diff else -1 if min(diff) in x.union() else 1)
 
         shuffled = sorted(out, key=hash)
-        assert sorted(shuffled, key=block_sort_key) == sorted(shuffled, key=cmp_to_key(cmp))
+        assert sorted(shuffled, key=ref_key) == sorted(shuffled, key=cmp_to_key(cmp))
 
     def test_sorted_by_directed_order_then_lex(self):
         fam = BlockFamily((Schreier(), Cube(1)))
         out = enumerate_blocks(fam, 7)
-        assert list(out) == sorted(out, key=block_sort_key)
+        assert list(out) == sorted(out, key=ref_key)
         firsts = [b.parts[0].max for b in out]
         assert firsts == sorted(firsts)
 
@@ -122,6 +148,9 @@ class TestBijection:
             from_concat(fam, fs(1, 2, 3))
         assert exc.value.consumed == (fs(1, 2),)
         assert exc.value.leftover == fs(3)
+        assert "in part 2" in str(exc.value)
+        with pytest.raises(NotInSumError, match="ran out before part 2"):
+            from_concat(fam, fs(1, 2))
 
     def test_not_in_sum_leftover(self):
         fam = BlockFamily((Cube(1), Cube(1)))
@@ -187,3 +216,60 @@ def test_compare_is_antisymmetric(data):
     flip = {"less": "greater", "greater": "less",
             "equal": "equal", "incomparable": "incomparable"}
     assert block_compare(y, x) == flip[block_compare(x, y)]
+
+
+def _above(base, c, quotient):
+    """``base`` moved above c: its quotient by the stem {c} when asked for and
+    that is a descriptor, else its restriction to the naturals past c."""
+    if quotient:
+        try:
+            return Quotient(base, fs(c))
+        except InvalidArgumentError:
+            pass
+    return Restrict(base, CofiniteAfter(c))
+
+
+# Descriptors over the naturals: cubes and Schreier, sums of them, and the
+# associated families of restrictions and quotients, nested.
+NATURAL_PARTS = st.recursive(
+    st.sampled_from([Cube(1), Cube(1), Cube(2), Cube(3), Schreier()]),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(lambda ps: Sum(tuple(ps))),
+        st.tuples(inner, st.sampled_from([evens(), odds(), Arithmetic(1, 3)]))
+        .map(lambda a: Associated(Restrict(*a))),
+        st.tuples(inner, st.integers(1, 3), st.booleans()).map(lambda a: Associated(_above(*a))),
+    ),
+    max_leaves=3,
+)
+
+
+@st.composite
+def gapped_families(draw):
+    """A family of one to three parts and a universe with gaps.  Half the
+    families live above a cut c, mixing quotients by the stem {c} with
+    restrictions to the naturals past c."""
+    parts = draw(st.lists(NATURAL_PARTS, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        c = draw(st.integers(1, 3))
+        parts = [_above(p, c, draw(st.booleans())) for p in parts]
+    within = draw(st.lists(st.integers(1, 18), min_size=6, max_size=14, unique=True))
+    return BlockFamily(tuple(parts)), FiniteSet(within)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gapped_families())
+def test_enumerate_blocks_follows_the_reference_order(case):
+    """The blocks come sorted by first-part maximum and then by the union's
+    lexicographic order, though only the first maxima are ever compared."""
+    fam, within = case
+    out = enumerate_blocks(fam, within.max, within=within)
+    assert list(out) == sorted(out, key=ref_key)
+    assert all(set(b.union()) <= set(within) for b in out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(NATURAL_PARTS, min_size=1, max_size=3), st.integers(0, 14))
+def test_sum_enumeration_is_lexicographic(parts, n):
+    """A sum's members come in lexicographic order straight from the stacking."""
+    members = enumerate_up_to(Sum(tuple(parts)), n)
+    assert list(members) == sorted(members, key=lex_key)

@@ -9,6 +9,7 @@ from blockosc.blocks import Block, BlockFamily, enumerate_blocks
 from blockosc.errors import InsufficientBlocksError, InvalidArgumentError
 from blockosc.normspace import (
     SupNorm,
+    _part_runs,
     Vector,
     even_pair_fixture,
     mn_norm_spec,
@@ -60,6 +61,8 @@ class TestSchedule:
             ToleranceSchedule(ratio=F(0))
         with pytest.raises(InvalidArgumentError):
             ToleranceSchedule(scale=F(-1))
+        with pytest.raises(InvalidArgumentError):
+            ToleranceSchedule(scale=F(0))
         with pytest.raises(InvalidArgumentError):
             ToleranceSchedule().at(0)
 
@@ -123,6 +126,27 @@ class TestPsi:
             for a in nonneg_grid(k, 4):
                 reduced = (a[0], a[1], max(a[2:]))
                 assert psi_eval(spec, b, a) == psi_eval(spec, three, reduced)
+
+
+def test_filtered_value_table_takes_each_part_runs_once(monkeypatch):
+    """Under a filtered spec a repeated part's runs are computed once, and
+    every cell still equals psi_eval."""
+    from blockosc import oscillation
+    spec, blocks = even_pair_fixture(), enumerate_blocks(BlockFamily((Cube(1), Cube(1))), 8)
+    tuples = nonneg_grid(2, 4)
+    cells = [[psi_eval(spec, b, a) for a in tuples] for b in blocks]
+    calls = []
+
+    def counted(plan, part, firsts):
+        calls.append(part)
+        return _part_runs(plan, part, firsts)
+
+    monkeypatch.setattr(oscillation, "_part_runs", counted)
+    table, den = oscillation._value_table(spec, blocks, tuples)
+    assert [[F(x, den) for x in row] for row in table] == cells
+    parts = [p for b in blocks for p in b]
+    assert len(parts) == 56 and len(calls) == len(set(parts)) == 8
+    assert calls == sorted(set(parts), key=parts.index)
 
 
 class TestGap:
@@ -337,6 +361,15 @@ ASYMPTOTIC_CASES = [
     (even_pair_fixture(), BlockFamily((Cube(1), Cube(1))), ToleranceSchedule(), 3, None, 3),
     # a generator universe: the odds, on which every stage passes
     (even_pair_fixture(), BlockFamily((Cube(1), Cube(1))), ToleranceSchedule(), 10, odds(), 5),
+    # two blocks, the fewest a check takes
+    (section6_spec(), BlockFamily((Cube(1),)), ToleranceSchedule(), 2, None, 2),
+    # a finite universe with gaps at horizon 16, many blocks to each minimum:
+    # thresholds climb over the gaps, then stages fail
+    (even_pair_fixture(), BlockFamily((Cube(2), Cube(1))), ToleranceSchedule(), 16,
+     FiniteSet((1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16)), 6),
+    # a generator universe holding the horizon itself: 1, 4, 7, 10
+    (even_pair_fixture(), BlockFamily((Cube(1), Cube(1))), ToleranceSchedule(), 10,
+     Arithmetic(1, 3), 4),
 ]
 
 
@@ -355,19 +388,34 @@ def test_asymptotic_cases_cover_pass_climb_and_fail():
     assert thresholds[1][0] == 9 and not any(s.passed for s in reports[1].stages[1:])
     assert thresholds[2][:6] == [0, 0, 0, 1, 2, None]
     assert thresholds[3] == [0, None, None]  # stage 2 runs out at the first tail
+    assert thresholds[5] == [0, 0]
+    assert thresholds[6] == [0, 8, 10, None, None, None]
+    assert thresholds[7] == [1, None, None, None]
+    spec, fam, _, horizon, universe, _ = ASYMPTOTIC_CASES[6]
+    mins = [b.min for b in enumerate_blocks(fam, horizon, within=universe)]
+    assert len(mins) > 2 * len(set(mins))
+
+
+@st.composite
+def horizons_and_universes(draw):
+    """A horizon and a universe: the whole line, a generator, or a finite set
+    holding more than half of the horizon's elements, gaps allowed."""
+    horizon = draw(st.sampled_from(range(3, 17)))
+    return horizon, draw(st.one_of(
+        st.sampled_from([None, odds(), evens(), Arithmetic(1, 3)]),
+        st.sets(st.integers(1, horizon), min_size=horizon // 2 + 1).map(FiniteSet)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(spec=st.sampled_from([section6_spec(), even_pair_fixture(), SupNorm(), mn_norm_spec(2, 3)]),
        fam=st.sampled_from([BlockFamily((Cube(1), Cube(1))), BlockFamily((Cube(2),)),
-                            BlockFamily((Cube(1), Cube(2))), BlockFamily((Schreier(), Cube(1)))]),
+                            BlockFamily((Cube(1), Cube(2))), BlockFamily((Schreier(), Cube(1))),
+                            BlockFamily((Cube(2), Cube(1))), BlockFamily((Cube(1), Schreier()))]),
        ratio=st.sampled_from([F(1, 2), F(1, 3), F(3, 4), F(7, 8)]),
        scale=st.sampled_from([F(1), F(1, 4), F(2)]),
-       horizon=st.integers(3, 11),
-       universe=st.sampled_from([None, odds(), evens(), Arithmetic(1, 3)]),
-       stages=st.integers(1, 12), grid_q=st.integers(1, 4))
-def test_asymptotic_matches_per_stage_loop_seeded(spec, fam, ratio, scale, horizon, universe,
-                                                  stages, grid_q):
+       reach=horizons_and_universes(), stages=st.integers(1, 12), grid_q=st.integers(1, 4))
+def test_asymptotic_matches_per_stage_loop_seeded(spec, fam, ratio, scale, reach, stages, grid_q):
+    horizon, universe = reach
     args = spec, fam, ToleranceSchedule(ratio, scale), horizon, universe, stages, grid_q
     assert (report_or_error(asymptotic_stability_check, *args)
             == report_or_error(ref_asymptotic, *args))

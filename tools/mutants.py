@@ -7,7 +7,10 @@ Each mutant changes exactly one thing in the module:
 
 - one comparison operator is flipped (``<``/``<=``, ``>``/``>=``, ``==``/``!=``,
   ``is``/``is not``); each operator of a chained comparison is its own mutant;
-- or one ``x + 1`` / ``x - 1`` becomes ``x + 0`` / ``x - 0``.
+- or one ``x + 1`` / ``x - 1`` becomes ``x + 0`` / ``x - 0``;
+- or one boolean operation swaps ``and`` and ``or`` (all its operands at once);
+- or one use of the name ``min`` becomes ``max``, or ``max`` becomes ``min``,
+  whether it is called or passed along, as in ``map(max, cols)``.
 
 The script copies ``src/`` and ``tests/`` to a temporary directory, writes each
 mutant there (as ``ast.unparse`` of the mutated tree, so comments and layout
@@ -34,14 +37,19 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600.0  # seconds per test run
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
+         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+         ast.And: ast.Or, ast.Or: ast.And}
+NAMES = {"min": "max", "max": "min"}
+# The operand of a site that is no comparison operator's index.
+PLUS_ONE, BOOL_OP, NAME = -1, -2, -3
 
 
 def sites(tree: ast.AST) -> list[tuple[int, int, int, str]]:
     """Every mutation site as (line, node index in ast.walk order, operand, mutant).
 
-    The operand is the index of the flipped operator of a comparison, or -1
-    for a ``± 1``; the mutant is the mutated expression as source.
+    The operand is the index of the flipped operator of a comparison, or
+    ``PLUS_ONE``, ``BOOL_OP`` or ``NAME``; the mutant is the mutated
+    expression as source.
     """
     out = []
     for i, node in enumerate(ast.walk(tree)):
@@ -50,19 +58,28 @@ def sites(tree: ast.AST) -> list[tuple[int, int, int, str]]:
         elif (isinstance(node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub)
               and isinstance(node.right, ast.Constant) and type(node.right.value) is int
               and node.right.value == 1):
-            ops = [-1]
+            ops = [PLUS_ONE]
+        elif isinstance(node, ast.BoolOp):
+            ops = [BOOL_OP]
+        elif isinstance(node, ast.Name) and node.id in NAMES and isinstance(node.ctx, ast.Load):
+            ops = [NAME]
         else:
             continue
         for j in ops:
-            out.append((node.lineno, i, j, ast.unparse(_flip(copy.deepcopy(node), j))))
+            shown = ast.unparse(_flip(copy.deepcopy(node), j))
+            out.append((node.lineno, i, j, f"{node.id} -> {shown}" if j == NAME else shown))
     return sorted(out)
 
 
 def _flip(node: ast.AST, operand: int) -> ast.AST:
     if operand >= 0:
         node.ops[operand] = FLIPS[type(node.ops[operand])]()
-    else:
+    elif operand == PLUS_ONE:
         node.right = ast.copy_location(ast.Constant(0), node.right)
+    elif operand == BOOL_OP:
+        node.op = FLIPS[type(node.op)]()
+    else:
+        node.id = NAMES[node.id]
     return node
 
 
