@@ -87,6 +87,30 @@ class TestEnvelope:
         assert payload["report"]["count"] == 6
 
 
+CUBE3 = '{"type":"cube","k":3}'
+SCHREIER = '{"type":"schreier"}'
+EVENS = '{"kind":"arithmetic","start":2,"step":2}'
+
+
+@pytest.mark.parametrize("desc, report", [
+    # a Schreier part makes the sum unbounded
+    (f'{{"type":"sum","parts":[{CUBE1},{SCHREIER}]}}', ("≥w^w", True, "structural", None)),
+    (CUBE1, ("w", True, "structural", None)),
+    (f'{{"type":"quotient","base":{CUBE3},"s":[1]}}', ("w^2", True, "structural", None)),
+    (f'{{"type":"quotient","base":{{"type":"restrict","base":{CUBE3},"to":{EVENS}}},"s":[2]}}',
+     ("w^2", True, "structural", None)),
+    (f'{{"type":"quotient","base":{SCHREIER},"s":[5]}}', ("w^4", True, "structural", None)),
+    # the associated quotient of a sum has no structural rule, so the whole sum is probed
+    (f'{{"type":"sum","parts":[{CUBE1},{{"type":"associated","base":{EMPIRICAL}}}]}}',
+     ("w^3", False, "empirical", 12)),
+], ids=["sum-unbounded", "cube1", "quotient-cube", "quotient-restricted", "quotient-schreier",
+        "sum-empirical"])
+def test_rank_report(capsys, desc, report):
+    code, payload = run_json(capsys, "barrier", "rank", "--descriptor", desc)
+    assert code == 0
+    assert payload["report"] == dict(zip(("rank", "confirmed", "method", "probe_bound"), report))
+
+
 class TestErrors:
     def test_unknown_type_exits_2(self, capsys):
         code, out, err = run(capsys, "barrier", "rank",
@@ -625,6 +649,8 @@ class TestInputContract:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "InvalidArgumentError"
+        assert json.loads(err)["message"] == (
+            "psi under the l2 norm may be an inexact root; only p = 1 is supported")
 
     def test_psi_keeps_exact_l1(self, capsys):
         code, payload = run_json(capsys, "oscillation", "psi",
@@ -663,6 +689,9 @@ class TestInputContract:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "InvalidArgumentError"
+        assert json.loads(err)["message"] == (
+            "coefficient evaluation under the l2 norm may be an inexact root; "
+            "only p = 1 is supported")
 
     def test_norm_axioms_keeps_exact_l1(self, capsys):
         code, payload = run_json(capsys, "norm", "axioms",
