@@ -15,12 +15,11 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, islice, takewhile, tee
-from math import comb
+from math import comb, inf
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InvalidArgumentError, NoFrontFoundError
 from .frozen import frozen
-from .ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
 from .sets import (
     FiniteSet,
     PrefixThen,
@@ -348,35 +347,34 @@ def _thin(g: SetGenerator, start: int, step: int) -> SetGenerator:
 
 @frozen
 class RankResult:
-    ordinal: OrdinalCNF
+    """The lex rank w^exponent; an exponent of None means at least w^w."""
+
+    exponent: Optional[int]
     confirmed: bool
     method: str  # "structural" or "empirical"
     probe_bound: Optional[int] = None
 
+    def __str__(self) -> str:
+        e = self.exponent
+        return "≥w^w" if e is None else "w" if e == 1 else f"w^{e}"
 
-_UNBOUNDED = "unbounded"
 
-
-def _structural_degree(b: BarrierDescriptor) -> Union[int, str, None]:
+def _structural_degree(b: BarrierDescriptor) -> Union[int, float, None]:
     """Exact lex-rank exponent when derivable from the descriptor shape.
 
-    Returns an int d (rank is w^d), the string marker for families with
-    members of unbounded size, or None when no structural rule applies.
+    Returns an int d (rank is w^d), inf for families with members of
+    unbounded size, or None when no structural rule applies.
     """
     if isinstance(b, Cube):
         return b.k
     if isinstance(b, Schreier):
-        return _UNBOUNDED
+        return inf
     if isinstance(b, (Restrict, Associated)):
         # Relabeling the ground set is an order isomorphism for lex rank.
         return _structural_degree(b.base)
     if isinstance(b, Sum):
         degs = [_structural_degree(p) for p in b.parts]
-        if any(d == _UNBOUNDED for d in degs):
-            return _UNBOUNDED
-        if all(isinstance(d, int) for d in degs):
-            return sum(degs)  # type: ignore[arg-type]
-        return None
+        return inf if inf in degs else None if None in degs else sum(degs)
     if isinstance(b, Quotient):
         base = b.base
         while isinstance(base, (Restrict, Associated)):
@@ -396,10 +394,8 @@ def rank(b: BarrierDescriptor, probe_bound: Optional[int] = None) -> RankResult:
     if probe_bound is not None and probe_bound < 1:
         raise InvalidArgumentError("probe_bound must be >= 1")
     deg = _structural_degree(b)
-    if deg == _UNBOUNDED:
-        return RankResult(AT_LEAST_OMEGA_OMEGA, True, "structural")
-    if isinstance(deg, int):
-        return RankResult(OrdinalCNF.omega_power(deg), True, "structural")
+    if deg is not None:
+        return RankResult(None if deg == inf else deg, True, "structural")
     return empirical_rank(b, 12 if probe_bound is None else probe_bound)
 
 
@@ -417,12 +413,12 @@ def empirical_rank(b: BarrierDescriptor, n: int) -> RankResult:
         base = Associated(b)  # classify the position-relabeled copy; same rank
     fam = enumerate_up_to(base, n)
     if not fam:
-        return RankResult(AT_LEAST_OMEGA_OMEGA, False, "empirical", n)
+        return RankResult(None, False, "empirical", n)
     k = max(len(s) for s in fam)
     count_k = Counter(s.min for s in fam if len(s) == k)
     for m in range(0, n - k + 1):
         expected = comb(n - m, k)
         actual = sum(c for mn, c in count_k.items() if mn > m)
         if actual == expected and expected > 0:
-            return RankResult(OrdinalCNF.omega_power(k), False, "empirical", n)
-    return RankResult(AT_LEAST_OMEGA_OMEGA, False, "empirical", n)
+            return RankResult(k, False, "empirical", n)
+    return RankResult(None, False, "empirical", n)

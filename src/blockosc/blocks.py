@@ -21,7 +21,7 @@ class Block:
     """Immutable stacked tuple of finite sets.  ``_trusted`` skips the checks: only library
     code calls it, on nonempty valid sets it peeled or stacked, each wholly below the next."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[FiniteSet]):
         ps = tuple(parts)
@@ -34,13 +34,11 @@ class Block:
             if not a.all_below(b):
                 raise InvalidArgumentError(f"parts out of order: {a} !< {b}")
         object.__setattr__(self, "parts", ps)
-        object.__setattr__(self, "_hash", hash(ps))
 
     @classmethod
     def _trusted(cls, parts: tuple[FiniteSet, ...]) -> "Block":
         b = object.__new__(cls)
         object.__setattr__(b, "parts", parts)
-        object.__setattr__(b, "_hash", hash(parts))
         return b
 
     def __setattr__(self, name, value):
@@ -59,7 +57,7 @@ class Block:
         return isinstance(other, Block) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.parts)
 
     def __repr__(self) -> str:
         return "(" + ", ".join(repr(p) for p in self.parts) + ")"

@@ -164,7 +164,7 @@ def _barrier_axioms(descriptor, bound, seed, fuel):
           probe_bound=(int, None))
 def _barrier_rank(descriptor, probe_bound):
     res = rank(descriptor, probe_bound=probe_bound)
-    return 0, {"rank": str(res.ordinal), "confirmed": res.confirmed,
+    return 0, {"rank": str(res), "confirmed": res.confirmed,
                "method": res.method, "probe_bound": res.probe_bound}
 
 

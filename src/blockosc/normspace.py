@@ -213,7 +213,9 @@ def _kernel_plan(spec: NormSpec, use: str) -> Plan:
     if isinstance(spec, SupNorm):
         return 1, (), ()
     if isinstance(spec, LpNorm):
-        _require_rational(spec, use)
+        if spec.p > 1:
+            raise InvalidArgumentError(f"{use} under the l{spec.p} norm may be an inexact root; "
+                                       "only p = 1 is supported")
         return 1, ((1, sys.maxsize, None),), ()
     raise InvalidArgumentError(f"unknown norm spec {spec!r}")
 
@@ -329,23 +331,12 @@ def _lp_eval(spec: LpNorm, v: Vector) -> tuple[Fraction, bool]:
 Evaluator = Callable[[tuple[Fraction, ...]], Fraction]
 
 
-def _require_rational(spec: NormSpec, use: str) -> None:
-    """Reject an lp spec with p > 1 for a use that reports values as exact.
-
-    Its values are roots, which :func:`norm_eval` refuses when inexact.
-    """
-    if isinstance(spec, LpNorm) and spec.p > 1:
-        raise InvalidArgumentError(
-            f"{use} under the l{spec.p} norm may be an inexact root; only p = 1 is supported"
-        )
-
-
 def spec_evaluator(spec: NormSpec, k: int) -> Evaluator:
     """Restrict a norm spec to coefficient tuples on coordinates 1..k.
 
     The values are compared exactly, so an lp spec with p > 1 is rejected.
     """
-    _require_rational(spec, "coefficient evaluation")
+    _kernel_plan(spec, "coefficient evaluation")
 
     def rho(a: tuple[Fraction, ...]) -> Fraction:
         if len(a) != k:

@@ -50,7 +50,6 @@ from blockosc.normspace import (
     norm_eval,
     section6_spec,
 )
-from blockosc.ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
 from blockosc.oscillation import find_stable_subsequence, oscillation_gap, psi_eval
 from blockosc.ramsey import Coloring, find_monochromatic
 from blockosc.sets import Arithmetic, FiniteSet
@@ -189,14 +188,14 @@ def test_05_spreading_dichotomy():
 def test_06_rank_classifier():
     for k in range(1, 7):
         structural = rank(Cube(k))
-        assert structural.ordinal == OrdinalCNF.omega_power(k)
+        assert structural.exponent == k
         assert structural.confirmed and structural.method == "structural"
         probed = empirical_rank(Cube(k), 2 * k + 4)
-        assert probed.ordinal == OrdinalCNF.omega_power(k)
+        assert probed.exponent == k
         assert probed.method == "empirical"
-    assert rank(Schreier()).ordinal == AT_LEAST_OMEGA_OMEGA
+    assert rank(Schreier()).exponent is None
     s = rank(Sum((Cube(2), Cube(3))))
-    assert s.ordinal == OrdinalCNF.omega_power(5) and s.confirmed
+    assert s.exponent == 5 and s.confirmed
 
 
 def test_07_concat_bijection_round_trip():

@@ -19,13 +19,12 @@ import pytest
 from blockosc.barriers import Cube, Restrict, Schreier
 from blockosc.blocks import Block
 from blockosc.normspace import AxiomCheck, SupNorm, SupTerm, mn_norm_spec
-from blockosc.ordinals import OrdinalCNF
 from blockosc.serialize import to_json
 from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-MODULES = ("barriers", "blocks", "models", "normspace", "ordinals", "oscillation", "ramsey", "sets")
+MODULES = ("barriers", "blocks", "models", "normspace", "oscillation", "ramsey", "sets")
 
 
 def fs(*xs):
@@ -45,7 +44,7 @@ ARGS = {
     "Sum": ((Cube(1), Cube(2)),),
     "Associated": (Restrict(Cube(2), Arithmetic(2, 2)),),
     "AxiomReport": (False, ((fs(1), fs(1, 2)),), True, (("naturals", fs(1, 2)), ("evens", None))),
-    "RankResult": (OrdinalCNF(((2, 1),)), True, "structural", 12),
+    "RankResult": (2, True, "structural", 12),
     "BlockFamily": ((Cube(1), Schreier()),),
     "BarrierSequenceDescriptor": ([Cube(1)], Cube(2)),
     "ModelValue": (F(3, 4), True, ((BLOCK, F(3, 4)),), 2),
@@ -62,7 +61,6 @@ ARGS = {
     "AxiomCheck": (True, True, True, False, True, (("triangle", ((1, 2), (3,))),)),
     "DegenerateLimitReport": (((1, F(1, 2)),), ((1, F(3, 2)),), F(1), F(1, 2),
                               AxiomCheck(True, True, True, True, False, ())),
-    "OrdinalCNF": (((3, 2), (0, 1)),),
     "ToleranceSchedule": (F(1, 3), 2),
     "OscillationReport": (F(1, 8), WITNESS_PAIR, (F(1), F(1, 2)), fs(1, 2, 3), 4, 2),
     "StableSubsequenceResult": (True, fs(1, 3), None, fs(1, 3), F(0), F(1, 4), 2, "exhaustive"),
@@ -106,7 +104,7 @@ PAIRS = list(class_pairs())
 
 
 def test_every_decorated_class_has_sample_arguments():
-    assert len(PAIRS) == 38
+    assert len(PAIRS) == 37
     assert sorted(name for _, _, name in PAIRS) == sorted(ARGS)
 
 
@@ -156,9 +154,8 @@ print(sorted(c.__qualname__ for c in gc.get_objects() if isinstance(c, type)
 """
 
 
-def test_importing_the_cli_builds_only_the_ordinal_it_needs():
-    # AT_LEAST_OMEGA_OMEGA is an OrdinalCNF made at import
-    assert run_python(BUILT_ON_IMPORT).strip() == "['OrdinalCNF']"
+def test_importing_the_cli_builds_no_dataclass():
+    assert run_python(BUILT_ON_IMPORT).strip() == "[]"
 
 
 LOAD = """

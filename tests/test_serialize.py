@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockosc.barriers import Associated, Cube, Quotient, Restrict, Schreier, Sum
+from blockosc.barriers import Associated, Cube, Quotient, RankResult, Restrict, Schreier, Sum
 from blockosc.blocks import Block, BlockFamily
 from blockosc.errors import SchemaError
 from blockosc.models import two_two_eights_sequence
@@ -17,7 +17,6 @@ from blockosc.normspace import (
     even_pair_fixture,
     section6_spec,
 )
-from blockosc.ordinals import AT_LEAST_OMEGA_OMEGA, OrdinalCNF
 from blockosc.oscillation import ToleranceSchedule
 from blockosc.serialize import (
     dumps,
@@ -86,8 +85,9 @@ class TestSetsAndBlocks:
 
 class TestOrdinals:
     def test_str_form(self):
-        assert str(OrdinalCNF.omega_power(3)) == "w^3"
-        assert str(AT_LEAST_OMEGA_OMEGA) == "≥w^w"
+        assert str(RankResult(3, True, "structural")) == "w^3"
+        assert str(RankResult(1, False, "empirical", 12)) == "w"
+        assert str(RankResult(None, True, "structural")) == "≥w^w"
 
 
 EVENS_FROM_2 = {"kind": "arithmetic", "start": 2, "step": 2}

@@ -15,9 +15,10 @@ Each mutant changes exactly one thing in the module:
 The script copies ``src/`` and ``tests/`` to a temporary directory, writes each
 mutant there (as ``ast.unparse`` of the mutated tree, so comments and layout
 are dropped), and runs the named test files against it with ``pytest -x``.
-A mutant survives when every test passes; one that runs longer than
-``TIMEOUT`` seconds counts as killed.  Before the mutants it runs the
-unmutated, unparsed module as a control, which must pass.  The repository
+Before the mutants it runs the unmutated, unparsed module as a control, which
+must pass within ``TIMEOUT`` seconds.  A mutant survives when every test
+passes; one that runs longer than ``FACTOR`` times the control's time (and at
+least ``FLOOR`` seconds) counts as killed.  The repository
 itself is never written to.  The exit status is 0 when no mutant survives.
 """
 
@@ -31,10 +32,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT = 600.0  # seconds per test run
+TIMEOUT = 600.0  # seconds for the control run
+FACTOR, FLOOR = 4, 60.0  # a mutant's run may take FACTOR times the control's, at least FLOOR s
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -89,11 +92,11 @@ def mutate(source: str, index: int, operand: int) -> str:
     return ast.unparse(tree)
 
 
-def run_tests(work: Path, tests: list[str]) -> str:
+def run_tests(work: Path, tests: list[str], timeout: float) -> str:
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
+        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     return "SURVIVED" if done.returncode == 0 else "killed"
@@ -124,15 +127,17 @@ def sweep(work: Path, module: str, source: str, tests: list[str]) -> int:
         print(f"{name} imports from {where or 'nowhere'}, not from the temporary copy")
         return 2
     target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
-    if run_tests(work, tests) != "SURVIVED":
+    start = time.monotonic()
+    if run_tests(work, tests, TIMEOUT) != "SURVIVED":
         print("control run failed: the unmutated module does not pass these tests")
         return 2
+    timeout = max(FLOOR, FACTOR * (time.monotonic() - start))
 
     found = sites(ast.parse(source))
     survived = 0
     for line, index, operand, shown in found:
         target.write_text(mutate(source, index, operand), encoding="utf-8")
-        verdict = run_tests(work, tests)
+        verdict = run_tests(work, tests, timeout)
         survived += verdict == "SURVIVED"
         print(f"{module}:{line}: {shown}  {verdict}", flush=True)
     print(f"{survived} of {len(found)} mutants survived")
