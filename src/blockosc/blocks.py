@@ -44,14 +44,14 @@ class Block:
     def __setattr__(self, name, value):
         raise AttributeError("Block is immutable")
 
+    def __reduce__(self):
+        return Block, (self.parts,)
+
     def __len__(self) -> int:
         return len(self.parts)
 
     def __iter__(self):
         return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Block) and self.parts == other.parts

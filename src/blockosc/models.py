@@ -10,18 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .barriers import FRONT_FUEL_DEFAULT, BarrierDescriptor, Cube, _peel_fronts
 from .blocks import Block, BlockFamily
 from .closedform import model_value_8, model_value_228
 from .errors import InternalCheckError, InvalidArgumentError, NoFrontFoundError, NotStabilizedError
 from .frozen import frozen
-from .normspace import NormSpec, nonneg_grid, section6_spec
-from .oscillation import _value_table
+from .normspace import NormSpec, Rational, _value_table, nonneg_grid, section6_spec
 from .sets import FiniteSet
-
-Rational = Union[Fraction, int]
 
 
 @frozen

@@ -20,11 +20,14 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidArgumentError
 from .frozen import frozen
 from .sets import FiniteSet
+
+if TYPE_CHECKING:
+    from .blocks import Block
 
 Rational = Union[Fraction, int]
 
@@ -46,6 +49,9 @@ class Vector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
+
+    def __reduce__(self):
+        return Vector, (self.entries,)
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Rational], start: int = 1) -> "Vector":
@@ -124,9 +130,8 @@ class SupFamily(NormSpec):
 
     @cached_property
     def _plan(self) -> "Plan":
-        w = math.lcm(*(t.weight.denominator for t in self.terms))
-        terms = tuple((t.weight.numerator * (w // t.weight.denominator), t.size,
-                       t.filter and _FILTERS[t.filter]) for t in self.terms)
+        nums, w = _over_lcm([t.weight for t in self.terms])
+        terms = tuple((n, t.size, t.filter and _FILTERS[t.filter]) for n, t in zip(nums, self.terms))
         return w, terms, tuple(f[1] for _, _, f in terms if f)
 
 
@@ -279,6 +284,45 @@ def _part_runs(plan: Plan, part: FiniteSet, firsts: dict) -> tuple[tuple[int, Op
     return tuple(sorted((cnt, i) for i, cnt in counts.items()))
 
 
+def _value_table(
+    spec: NormSpec, blocks: Sequence[Block], tuples: Sequence[tuple[Rational, ...]]
+) -> tuple[list[list[int]], int]:
+    """psi of each block at each tuple, as integer rows over one denominator D.
+
+    Part P puts |c| / u(P) on each index, u(P) = U(P)/W being its indicator's
+    norm.  Over Q, the coefficients' lcm, and A, the lcm of the U(P), entries
+    are numerators over L = Q*A, so cells are over D = L*W.  A row is computed
+    once per tuple of part runs: per size profile under an invariant spec.
+    Blocks with equal part runs share that one row list, so callers may group
+    rows by ``id``.
+    """
+    plan = _kernel_plan(spec, "psi")
+    q = math.lcm(*(c.denominator for a in tuples for c in a))
+    cols = [[abs(c.numerator) * (q // c.denominator) for c in a] for a in tuples]
+    firsts: dict = {}
+    if plan[2]:  # filtered: runs once per distinct part, first met in block order
+        memo = {p: _part_runs(plan, p, firsts) for p in dict.fromkeys(p for b in blocks for p in b)}
+        keys = [tuple(map(memo.__getitem__, b.parts)) for b in blocks]
+    else:
+        keys = [tuple(_part_runs(plan, p, firsts) for p in b.parts) for b in blocks]
+    units = {runs: _sup_numerator(plan, [(1, cnt, i) for cnt, i in runs])
+             for runs in {runs for key in keys for runs in key}}
+    a_lcm = math.lcm(*units.values())
+    rows: dict = {}
+    for key in keys:
+        if key not in rows:
+            scale = [(plan[0] * (a_lcm // units[runs]), runs) for runs in key]
+            rows[key] = [_sup_numerator(plan, sorted(
+                [(c * f, cnt, i) for c, (f, runs) in zip(col, scale) if c for cnt, i in runs],
+                reverse=True)) for col in cols]
+    return [rows[key] for key in keys], q * a_lcm * plan[0]
+
+
+def _ceil_times(eps: Fraction, den: int) -> int:
+    """The ceiling of eps * den: an integer g over den is below eps iff g is below it."""
+    return -(-eps.numerator * den // eps.denominator)
+
+
 def _nth_root_int(n: int, p: int) -> tuple[int, bool]:
     """Floor p-th root of a nonnegative integer, and whether it is exact."""
     if n < 0:
@@ -428,8 +472,8 @@ def check_seminorm_axioms(rho: Evaluator, k: int, grid_q: int = 4) -> AxiomCheck
     for _, l2 in lams:
         pts.update(lattice([l2 * j for j in range(-grid_q, grid_q + 1)]))
     vals = {x: rho(p) for x, p in pts.items()}
-    den = math.lcm(*(v.denominator for v in vals.values()))
-    num = {x: v.numerator * (den // v.denominator) for x, v in vals.items()}
+    nums, den = _over_lcm(list(vals.values()))
+    num = dict(zip(vals, nums))
     cells = [(x, num[x]) for x in lattice(range(-2 * grid_q, 2 * grid_q + 1, 2))]
     first = [(axiom, next(found, None)) for axiom, found in (
         ("nonnegative", (pts[x] for x, v in cells if v < 0)),

@@ -10,7 +10,6 @@ drops under a tolerance.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from fractions import Fraction
 from operator import sub
@@ -19,16 +18,8 @@ from typing import Callable, Optional, Sequence, Union
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InsufficientBlocksError, InternalCheckError, InvalidArgumentError
 from .frozen import frozen
-from .normspace import (
-    NormSpec,
-    _kernel_plan,
-    _part_runs,
-    _sup_numerator,
-    nonneg_grid,
-)
+from .normspace import NormSpec, Rational, _ceil_times, _value_table, nonneg_grid
 from .sets import FiniteSet, SetGenerator
-
-Rational = Union[Fraction, int]
 
 
 @frozen
@@ -61,43 +52,6 @@ def psi_eval(spec: NormSpec, block: Block, coeffs: Sequence[Rational]) -> Fracti
     cs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
     (row,), den = _value_table(spec, [block], [cs])
     return Fraction(row[0], den)
-
-
-def _value_table(
-    spec: NormSpec, blocks: Sequence[Block], tuples: Sequence[tuple[Rational, ...]]
-) -> tuple[list[list[int]], int]:
-    """psi of each block at each tuple, as integer rows over one denominator D.
-
-    Part P puts |c| / u(P) on each index, u(P) = U(P)/W being its indicator's
-    norm.  Over Q, the coefficients' lcm, and A, the lcm of the U(P), entries
-    are numerators over L = Q*A, so cells are over D = L*W.  A row is computed
-    once per tuple of part runs: per size profile under an invariant spec.
-    """
-    plan = _kernel_plan(spec, "psi")
-    q = math.lcm(*(c.denominator for a in tuples for c in a))
-    cols = [[abs(c.numerator) * (q // c.denominator) for c in a] for a in tuples]
-    firsts: dict = {}
-    if plan[2]:  # filtered: runs once per distinct part, first met in block order
-        memo = {p: _part_runs(plan, p, firsts) for p in dict.fromkeys(p for b in blocks for p in b)}
-        keys = [tuple(map(memo.__getitem__, b.parts)) for b in blocks]
-    else:
-        keys = [tuple(_part_runs(plan, p, firsts) for p in b.parts) for b in blocks]
-    units = {runs: _sup_numerator(plan, [(1, cnt, i) for cnt, i in runs])
-             for runs in {runs for key in keys for runs in key}}
-    a_lcm = math.lcm(*units.values())
-    rows: dict = {}
-    for key in keys:
-        if key not in rows:
-            scale = [(plan[0] * (a_lcm // units[runs]), runs) for runs in key]
-            rows[key] = [_sup_numerator(plan, sorted(
-                [(c * f, cnt, i) for c, (f, runs) in zip(col, scale) if c for cnt, i in runs],
-                reverse=True)) for col in cols]
-    return [rows[key] for key in keys], q * a_lcm * plan[0]
-
-
-def _ceil_times(eps: Fraction, den: int) -> int:
-    """The ceiling of eps * den: an integer g over den is below eps iff g is below it."""
-    return -(-eps.numerator * den // eps.denominator)
 
 
 def _envelope(cells: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:

@@ -15,12 +15,11 @@ from .barriers import BarrierDescriptor, _enumerate_cached
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InternalCheckError, InvalidArgumentError
 from .frozen import frozen
-from .normspace import _over_lcm
-from .oscillation import _REJECT, ToleranceSchedule, _ceil_times, _search, _spread, _spread_step
+from .normspace import Rational, _ceil_times, _over_lcm
+from .oscillation import _REJECT, ToleranceSchedule, _search, _spread, _spread_step
 from .sets import FiniteSet
 
 ColorValue = object  # compared with == only, so a JSON array or object will do
-Rational = Union[Fraction, int]
 if TYPE_CHECKING:  # typing caches a union at run time, which would pin these classes
     _Domain = Union[BarrierDescriptor, BlockFamily]
     ValuesLike = Union[Mapping[Block, Rational], Callable[[Block], Rational]]

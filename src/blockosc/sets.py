@@ -52,6 +52,9 @@ class FiniteSet:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSet is immutable")
 
+    def __reduce__(self):
+        return FiniteSet, (self.elements,)
+
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -22,13 +22,13 @@ from blockosc.normspace import (
     SupNorm,
     SupTerm,
     Vector,
+    _value_table,
     even_pair_fixture,
     norm_eval,
 )
 from blockosc.oscillation import (
     ToleranceSchedule,
     _spread,
-    _value_table,
     asymptotic_stability_check,
     find_stable_subsequence,
     psi_eval,

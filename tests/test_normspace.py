@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from blockosc.normspace import (
     SupTerm,
     Vector,
     _kernel_plan,
+    _nth_root_int,
     _part_runs,
     check_seminorm_axioms,
     degenerate_limit_demo,
@@ -52,6 +54,7 @@ class TestVector:
         b = Vector({3: F(2), 1: F(2, 4)})
         assert a == b and hash(a) == hash(b)
         assert {a, b, Vector({1: F(1, 2)})} == {a, Vector({1: F(1, 2)})}
+        assert a != Vector({1: F(1, 2)}) and a != a.entries
 
     def test_from_coeffs_start(self):
         v = Vector.from_coeffs((F(1), F(0), F(2)), start=4)
@@ -72,6 +75,8 @@ class TestSpecConstruction:
             mn_norm_spec(1, 8)
         with pytest.raises(InvalidArgumentError):
             mn_norm_spec(8, 2)
+        with pytest.raises(InvalidArgumentError):
+            mn_norm_spec(3, 3)
 
     def test_section6_weights(self):
         spec = section6_spec()
@@ -185,7 +190,7 @@ class TestAxioms:
         from blockosc.normspace import difference_seminorm
         rep = check_seminorm_axioms(difference_seminorm, 2)
         assert rep.nonnegative and rep.normalized and rep.homogeneous and rep.triangle
-        assert not rep.positive
+        assert not rep.positive and not rep.all_pass
         assert rep.witnesses[0][0] == "positive"
 
     def test_degenerate_limit_demo(self):
@@ -196,6 +201,9 @@ class TestAxioms:
         assert rep.limit_at_ones == F(0)
         assert rep.limit_at_e1 == F(1)
         assert rep.collapses_exactly_at_positivity
+        a_norm = check_seminorm_axioms(shrinking_pair_norm(2), 2)
+        assert not dataclasses.replace(rep, limit_axioms=a_norm).collapses_exactly_at_positivity
+        assert degenerate_limit_demo(n_max=1).distances == ((1, F(1)),)
 
     def test_degenerate_limit_demo_evaluates_each_grid_point_once(self, monkeypatch):
         import blockosc.normspace as ns
@@ -272,6 +280,13 @@ def ref_lp_eval(spec, v):
         else:
             hi = mid
     return lo, False
+
+
+def test_integer_root_from_zero():
+    for p in (1, 2, 3, 7):
+        for n in range(130):
+            r = _ref_root(n, p)
+            assert _nth_root_int(n, p) == (r, r**p == n)
 
 
 @settings(max_examples=150)

@@ -131,7 +131,7 @@ class TestPsi:
 def test_filtered_value_table_takes_each_part_runs_once(monkeypatch):
     """Under a filtered spec a repeated part's runs are computed once, and
     every cell still equals psi_eval."""
-    from blockosc import oscillation
+    from blockosc import normspace
     spec, blocks = even_pair_fixture(), enumerate_blocks(BlockFamily((Cube(1), Cube(1))), 8)
     tuples = nonneg_grid(2, 4)
     cells = [[psi_eval(spec, b, a) for a in tuples] for b in blocks]
@@ -141,8 +141,8 @@ def test_filtered_value_table_takes_each_part_runs_once(monkeypatch):
         calls.append(part)
         return _part_runs(plan, part, firsts)
 
-    monkeypatch.setattr(oscillation, "_part_runs", counted)
-    table, den = oscillation._value_table(spec, blocks, tuples)
+    monkeypatch.setattr(normspace, "_part_runs", counted)
+    table, den = normspace._value_table(spec, blocks, tuples)
     assert [[F(x, den) for x in row] for row in table] == cells
     parts = [p for b in blocks for p in b]
     assert len(parts) == 56 and len(calls) == len(set(parts)) == 8

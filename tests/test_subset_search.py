@@ -27,13 +27,19 @@ from hypothesis import strategies as st
 
 from blockosc.barriers import Associated, Cube, Quotient, Restrict, Schreier, Sum, enumerate_up_to
 from blockosc.blocks import Block, BlockFamily, enumerate_blocks
-from blockosc.normspace import LpNorm, SupNorm, even_pair_fixture, nonneg_grid, section6_spec
+from blockosc.normspace import (
+    LpNorm,
+    SupNorm,
+    _ceil_times,
+    _value_table,
+    even_pair_fixture,
+    nonneg_grid,
+    section6_spec,
+)
 from blockosc.oscillation import (
     ToleranceSchedule,
-    _ceil_times,
     _search,
     _spread_step,
-    _value_table,
     find_stable_subsequence,
     oscillation_gap,
     psi_eval,

@@ -9,6 +9,7 @@ Each mutant changes exactly one thing in the module:
   ``is``/``is not``); each operator of a chained comparison is its own mutant;
 - or one ``x + 1`` / ``x - 1`` becomes ``x + 0`` / ``x - 0``;
 - or one boolean operation swaps ``and`` and ``or`` (all its operands at once);
+- or one ``not x`` becomes ``x``;
 - or one use of the name ``min`` becomes ``max``, or ``max`` becomes ``min``,
   whether it is called or passed along, as in ``map(max, cols)``.
 
@@ -44,14 +45,14 @@ FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.And: ast.Or, ast.Or: ast.And}
 NAMES = {"min": "max", "max": "min"}
 # The operand of a site that is no comparison operator's index.
-PLUS_ONE, BOOL_OP, NAME = -1, -2, -3
+PLUS_ONE, BOOL_OP, NAME, NOT = -1, -2, -3, -4
 
 
 def sites(tree: ast.AST) -> list[tuple[int, int, int, str]]:
     """Every mutation site as (line, node index in ast.walk order, operand, mutant).
 
     The operand is the index of the flipped operator of a comparison, or
-    ``PLUS_ONE``, ``BOOL_OP`` or ``NAME``; the mutant is the mutated
+    ``PLUS_ONE``, ``BOOL_OP``, ``NAME`` or ``NOT``; the mutant is the mutated
     expression as source.
     """
     out = []
@@ -66,6 +67,8 @@ def sites(tree: ast.AST) -> list[tuple[int, int, int, str]]:
             ops = [BOOL_OP]
         elif isinstance(node, ast.Name) and node.id in NAMES and isinstance(node.ctx, ast.Load):
             ops = [NAME]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            ops = [NOT]
         else:
             continue
         for j in ops:
@@ -75,6 +78,9 @@ def sites(tree: ast.AST) -> list[tuple[int, int, int, str]]:
 
 
 def _flip(node: ast.AST, operand: int) -> ast.AST:
+    """The mutated node: ``node`` changed in place, or a dropped ``not``'s operand."""
+    if operand == NOT:
+        return node.operand
     if operand >= 0:
         node.ops[operand] = FLIPS[type(node.ops[operand])]()
     elif operand == PLUS_ONE:
@@ -86,10 +92,18 @@ def _flip(node: ast.AST, operand: int) -> ast.AST:
     return node
 
 
+class _Replace(ast.NodeTransformer):
+    def __init__(self, old: ast.AST, new: ast.AST):
+        self.old, self.new = old, new
+
+    def visit(self, node: ast.AST) -> ast.AST:
+        return self.new if node is self.old else self.generic_visit(node)
+
+
 def mutate(source: str, index: int, operand: int) -> str:
     tree = ast.parse(source)
-    _flip(list(ast.walk(tree))[index], operand)
-    return ast.unparse(tree)
+    node = list(ast.walk(tree))[index]
+    return ast.unparse(_Replace(node, _flip(node, operand)).visit(tree))
 
 
 def run_tests(work: Path, tests: list[str], timeout: float) -> str:
