@@ -190,7 +190,6 @@ def test_immutable_values_and_records_holding_them_copy_and_pickle():
     # through its checked constructor; the records pickle their fields
     objs = (fs(1, 3), BLOCK, Vector({1: F(1, 2), 3: -2}), Quotient(Cube(3), fs(2)),
             PrefixThen(fs(1, 2), CofiniteAfter(4)), OscillationReport(*ARGS["OscillationReport"]))
-    assert objs[-1].witness_pair == WITNESS_PAIR
     for obj in objs:
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
