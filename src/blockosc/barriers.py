@@ -20,14 +20,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InvalidArgumentError, NoFrontFoundError
 from .frozen import frozen
-from .sets import (
-    FiniteSet,
-    PrefixThen,
-    SetGenerator,
-    naturals,
-    probe_equal,
-    probe_subset,
-)
+from .sets import FiniteSet, PrefixThen, SetGenerator, naturals, probe_equal, probe_subset
 
 FRONT_FUEL_DEFAULT = 10**6
 
@@ -182,7 +175,7 @@ def _front(b: BarrierDescriptor, elems: Iterator[int], limit: int) -> Optional[t
     raise InvalidArgumentError(f"unknown descriptor {b!r}")
 
 
-def _peel_fronts(parts: tuple[BarrierDescriptor, ...], elems: Iterator[int],
+def _peel_fronts(parts: Iterable[BarrierDescriptor], elems: Iterator[int],
                  limit: int) -> tuple[tuple[int, ...], ...]:
     """The elements of each part's front along ``elems`` in turn, each within
     what the pieces before it left of ``limit``; stops at the first part with none."""

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle, islice, product
 from typing import Iterator, Optional, Sequence
 
 from .barriers import FRONT_FUEL_DEFAULT, BarrierDescriptor, Cube, _peel_fronts
 from .blocks import Block, BlockFamily
-from .closedform import model_value_8, model_value_228
+from .closedform import _model_228
 from .errors import InternalCheckError, InvalidArgumentError, NoFrontFoundError, NotStabilizedError
 from .frozen import frozen
 from .normspace import NormSpec, Rational, _value_table, nonneg_grid, section6_spec
@@ -63,11 +64,11 @@ def _probe_blocks(seq: BarrierSequenceDescriptor, k: int, tail_offset: int,
     """``probe_count`` blocks of the first ``k`` barriers, peeled in turn as
     fronts along one walk of the ground set from ``tail_offset``."""
     parts = tuple(seq.barrier_at(i) for i in range(k))
-    walk = parts * probe_count
+    walk = islice(cycle(parts), k * probe_count)
     start = tail_offset - 1
     pieces = _peel_fronts(walk, iter(parts[0].ground().after(start)), FRONT_FUEL_DEFAULT)
-    if len(pieces) < len(walk):
-        b = walk[len(pieces)]
+    if len(pieces) < k * probe_count:
+        b = parts[len(pieces) % k]
         last = pieces[-1][-1] if pieces else start
         raise NoFrontFoundError(FRONT_FUEL_DEFAULT,
                                 f"generator {b.ground().after(last)!r} against {type(b).__name__}")
@@ -124,12 +125,12 @@ def model_eval(
     return ModelValue(value, stabilized, tuple(zip(blocks, vals)), tail_offset)
 
 
-def _stable_values(spec, seq, tuples) -> Iterator[Fraction]:
-    """The model value at each tuple (all of one length) on the probes
-    model_eval takes by default, in order.  The value table is built at the
-    call; NotStabilizedError comes at the first tuple whose probes disagree."""
+def _stable_values(spec, seq, tuples) -> tuple[Iterator[int], int]:
+    """Numerators of the model value at each tuple (all of one length) on the
+    default probes, in order, and their denominator.  The value table is built at
+    the call; NotStabilizedError comes at the first tuple whose probes disagree."""
     if not tuples:
-        return iter(())
+        return iter(()), 1
     k = len(tuples[0])
     blocks = _probe_blocks(seq, k, default_tail_offset(seq, k), 3)
     rows, den = _value_table(spec, blocks, tuples)
@@ -141,9 +142,14 @@ def _stable_values(spec, seq, tuples) -> Iterator[Fraction]:
                     f"model value at {coeffs} did not stabilize: "
                     + ", ".join(str(Fraction(v, den)) for v in nums)
                 )
-            yield Fraction(nums[0], den)
+            yield nums[0]
 
-    return checked()
+    return checked(), den
+
+
+def _stable_value(spec, seq, coeffs) -> Fraction:
+    vals, den = _stable_values(spec, seq, [coeffs])
+    return Fraction(next(vals), den)
 
 
 @frozen
@@ -174,12 +180,12 @@ def consistency_check(
     bad = []
     for k in range(1, k_max):
         grid = nonneg_grid(k, grid_q)
-        grid0 = [a + (Fraction(0),) for a in grid]
-        for a, base, padded in zip(grid, _stable_values(spec, seq, grid),
-                                   _stable_values(spec, seq, grid0)):
+        bases, d = _stable_values(spec, seq, grid)
+        padded, d0 = _stable_values(spec, seq, [a + (Fraction(0),) for a in grid])
+        for a, b, p in zip(grid, bases, padded):
             checked += 1
-            if padded != base:
-                bad.append(ConsistencyViolation(k, a, padded, base))
+            if p * d != b * d0:
+                bad.append(ConsistencyViolation(k, a, Fraction(p, d0), Fraction(b, d)))
     return ConsistencyReport(checked, tuple(bad))
 
 
@@ -216,10 +222,11 @@ def spreading_check(
     if len(placements) < 1:
         raise InvalidArgumentError("placement count must be >= 1")
     grid = nonneg_grid(k, grid_q)
-    identity = dict(zip(grid, _stable_values(spec, seq, grid)))
+    vals, d = _stable_values(spec, seq, grid)
+    identity = list(vals)
     checked = 0
     worst: Optional[SpreadingWitness] = None
-    worst_size = Fraction(0)
+    worst_size, worst_den = 0, 1
     for s in placements:
         if len(s) != k:
             raise InvalidArgumentError(f"placement {s} is not a {k}-set")
@@ -227,13 +234,13 @@ def spreading_check(
         for p, a in zip(padded, grid):
             for pos, c in zip(s.elements, a):
                 p[pos - 1] = c
-        for a, val in zip(grid, _stable_values(spec, seq, padded)):
+        vals, dp = _stable_values(spec, seq, padded)
+        for a, i, v in zip(grid, identity, vals):
             checked += 1
-            if val != identity[a]:
-                size = abs(identity[a] - val)
-                if size > worst_size:
-                    worst_size = size
-                    worst = SpreadingWitness(s, a, identity[a], val)
+            size = abs(i * dp - v * d)  # over d * dp
+            if size * worst_den > worst_size * d * dp:
+                worst_size, worst_den = size, d * dp
+                worst = SpreadingWitness(s, a, Fraction(i, d), Fraction(v, dp))
     return SpreadingReport(worst is None, worst, checked)
 
 
@@ -247,22 +254,20 @@ def equivalence_constants(
     """Empirical (min, max) of value(seq2)/value(seq1) over nonzero grid tuples."""
     if k_max < 1:
         raise InvalidArgumentError("k_max must be >= 1")
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+    lo = hi = None  # ratios as (numerator, positive denominator), compared cross-multiplied
     for k in range(1, k_max + 1):
         grid = [a for a in nonneg_grid(k, grid_q) if any(a)]
-        for a, v1, v2 in zip(grid, _stable_values(spec, seq1, grid),
-                             _stable_values(spec, seq2, grid)):
+        vals1, d1 = _stable_values(spec, seq1, grid)
+        vals2, d2 = _stable_values(spec, seq2, grid)
+        for a, v1, v2 in zip(grid, vals1, vals2):
             if v1 == 0:
-                raise NotStabilizedError(
-                    f"first model vanishes at nonzero tuple {a}"
-                )
-            r = v2 / v1
-            lo = r if lo is None or r < lo else lo
-            hi = r if hi is None or r > hi else hi
-    if lo is None or hi is None:
+                raise NotStabilizedError(f"first model vanishes at nonzero tuple {a}")
+            r = (v2 * d1, v1 * d2)
+            lo = r if lo is None or r[0] * lo[1] < lo[0] * r[1] else lo
+            hi = r if hi is None or r[0] * hi[1] > hi[0] * r[1] else hi
+    if lo is None:
         raise InternalCheckError("no nonzero grid tuple was compared")
-    return lo, hi
+    return Fraction(*lo), Fraction(*hi)
 
 
 @frozen
@@ -300,29 +305,29 @@ def verify_section6(
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append(Section6Check(name, passed, detail))
 
-    for name, seq, formula, what in (
-        ("eights-model-closed-form", seq8, model_value_8, "max of coefficients"),
-        ("two-two-eights-closed-form", seq228, model_value_228, "piecewise formula"),
+    # product(range(grid_q + 1), repeat=k) lists nonneg_grid's numerators over grid_q, in order.
+    for name, seq, core, what in (
+        ("eights-model-closed-form", seq8, lambda n, d: (max(n), d), "max of coefficients"),
+        ("two-two-eights-closed-form", seq228, _model_228, "piecewise formula"),
     ):
         first = ""
         for k in range(1, k_max + 1):
             grid = nonneg_grid(k, grid_q)
-            for a, got in zip(grid, _stable_values(spec, seq, grid)):
-                want = formula(a)
-                if got != want and not first:
-                    first = f"a={a}: {got} != {want}"
+            vals, den = _stable_values(spec, seq, grid)
+            for a, n, p in zip(grid, product(range(grid_q + 1), repeat=k), vals):
+                got, d = core(n, grid_q)
+                if got * den != p * d and not first:
+                    first = f"a={a}: {Fraction(p, den)} != {Fraction(got, d)}"
         add(name, not first, first or f"{what} on all grid tuples, k <= {k_max}")
 
-    v11 = next(_stable_values(spec, seq228, [(1, 1)]))
-    v0011 = next(_stable_values(spec, seq228, [(0, 0, 1, 1)]))
+    v11 = _stable_value(spec, seq228, (1, 1))
+    v0011 = _stable_value(spec, seq228, (0, 0, 1, 1))
     add("named-values", v11 == Fraction(3, 2) and v0011 == Fraction(1),
         f"value(1,1)={v11}, value(0,0,1,1)={v0011}")
 
     try:
-        lo, hi = equivalence_constants(spec, seq8, seq228,
-                                       min(k_max, 3), grid_q)
-        ratio2 = (next(_stable_values(spec, seq228, [(1, 1, 1)]))
-                  / next(_stable_values(spec, seq8, [(1, 1, 1)])))
+        lo, hi = equivalence_constants(spec, seq8, seq228, min(k_max, 3), grid_q)
+        ratio2 = _stable_value(spec, seq228, (1, 1, 1)) / _stable_value(spec, seq8, (1, 1, 1))
         sandwich_ok = Fraction(1) <= lo and hi <= Fraction(2) and ratio2 == 2
         add("sandwich-equivalence", sandwich_ok,
             f"ratio range [{lo}, {hi}], ratio at (1,1,1) = {ratio2}")
@@ -343,5 +348,4 @@ def verify_section6(
         detail = "relocated model unexpectedly spread"
     add("spreading-dichotomy", dichotomy, detail)
 
-    return Section6Report(tuple(checks), all(c.passed for c in checks),
-                          grid_q, k_max)
+    return Section6Report(tuple(checks), all(c.passed for c in checks), grid_q, k_max)

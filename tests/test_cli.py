@@ -553,6 +553,20 @@ class TestModel:
             "message": "no initial segment found within fuel=1000000 (generator "
                        f"Arithmetic(start={start}, step=2) against Restrict)"}
 
+    def test_eval_with_runaway_probe_count_exits_2(self, capsys):
+        # The probes' parts are peeled lazily, so the 10^6 elements of fuel run
+        # out at 10^11 probes just as at 10^6, and no 10^11-entry walk is built.
+        errors = []
+        for probes in ("1000000", "100000000000"):
+            code, out, err = run(capsys, "model", "eval", "--spec", SECTION6,
+                                 "--sequence", f'{{"prefix":[],"tail":{CUBE8}}}',
+                                 "--coeffs", "[1]", "--probes", probes)
+            assert code == 2
+            assert out == ""
+            errors.append(json.loads(err))
+        assert errors[0] == errors[1]
+        assert errors[0]["error"] == "NoFrontFoundError"
+
     def test_consistency(self, capsys):
         code, payload = run_json(
             capsys, "model", "consistency", "--spec", SECTION6,

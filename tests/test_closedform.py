@@ -21,6 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockosc.closedform import (
+    _model_228,
+    _pair_pair_eight,
+    _two_pair,
     eights_block_value,
     flat_norm_sorted,
     model_value_8,
@@ -351,6 +354,39 @@ def test_flat_norm_on_guard_ties():
         for eps in (F(1, 97), -F(1, 97)):
             b = sorted([max(F(0), a[0] + eps)] + a[1:], reverse=True)
             _same(flat_norm_sorted(b), ref_flat_norm_sorted(b), b)
+
+
+# The integer cores: numerators n over d in, an unreduced (numerator,
+# denominator) pair out.  Scaling n and d together must not change the value,
+# and the value must be the public function's at the rationals x/d.
+NUMERATORS = st.integers(0, 60)
+SCALES = st.integers(1, 12)
+
+
+def check_core(core, public, n, d, c):
+    got = F(*core(n, d))
+    assert F(*core([c * x for x in n], c * d)) == got
+    _same(public([F(x, d) for x in n]), got, (n, d))
+
+
+@settings(max_examples=300)
+@given(st.lists(NUMERATORS, min_size=2, max_size=2), SCALES, SCALES)
+def test_two_pair_core(n, d, c):
+    check_core(_two_pair, lambda a: two_pair_block_value(*a), n, d, c)
+
+
+@settings(max_examples=300)
+@given(st.lists(NUMERATORS, min_size=3, max_size=6), SCALES, SCALES)
+def test_pair_pair_eight_core(n, d, c):
+    check_core(_pair_pair_eight, tail_reduced_block_value, n, d, c)
+    if len(n) == 3:
+        check_core(_pair_pair_eight, lambda a: pair_pair_eight_block_value(*a), n, d, c)
+
+
+@settings(max_examples=300)
+@given(st.lists(NUMERATORS, min_size=1, max_size=6), SCALES, SCALES)
+def test_model_228_core(n, d, c):
+    check_core(_model_228, model_value_228, n, d, c)
 
 
 @pytest.mark.parametrize("fn, args", [

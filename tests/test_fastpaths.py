@@ -10,7 +10,9 @@ membership by the recursive definition and peels sums with that scan.
 set and reads them off one value table; the reference builds each part with
 the reference front along a fresh walk and evaluates psi on each probe.  The
 model checks evaluate each grid of one tuple length with one value table; the
-reference walks the grid one ``model_eval`` at a time.
+reference walks the grid one ``model_eval`` at a time.  ``verify_section6``
+feeds the closed forms' integer cores the grid's numerators; the reference
+calls the public closed forms on the grid's ``Fraction`` tuples.
 
 Sets and blocks the library derives from valid ones skip the checks of the
 public constructors; each must be what those constructors rebuild from it.
@@ -37,6 +39,7 @@ from blockosc.barriers import (
     front,
 )
 from blockosc.blocks import Block, BlockFamily, enumerate_blocks, from_concat
+from blockosc.closedform import model_value_8, model_value_228
 from blockosc.errors import (
     InvalidArgumentError,
     NoFrontFoundError,
@@ -47,6 +50,7 @@ from blockosc.models import (
     BarrierSequenceDescriptor,
     ConsistencyReport,
     ConsistencyViolation,
+    Section6Check,
     SpreadingReport,
     SpreadingWitness,
     _probe_blocks,
@@ -57,6 +61,7 @@ from blockosc.models import (
     model_eval,
     spreading_check,
     two_two_eights_sequence,
+    verify_section6,
 )
 from blockosc.normspace import (
     SupNorm,
@@ -504,6 +509,46 @@ def test_batched_checks_match_per_tuple_model_eval(spec, seq, grid_q):
     for seq1, seq2 in ((eights_sequence(), seq), (seq, eights_sequence())):
         assert (report_or_error(equivalence_constants, spec, seq1, seq2, 2, grid_q)
                 == report_or_error(ref_equivalence, spec, seq1, seq2, 2, grid_q))
+
+
+def ref_verify_closed_forms(spec, k_max, grid_q):
+    checks = []
+    for name, seq, formula, what in (
+        ("eights-model-closed-form", eights_sequence(), model_value_8, "max of coefficients"),
+        ("two-two-eights-closed-form", two_two_eights_sequence(), model_value_228,
+         "piecewise formula"),
+    ):
+        first = ""
+        for k in range(1, k_max + 1):
+            for a in nonneg_grid(k, grid_q):
+                got, want = ref_stable_value(spec, seq, a), formula(a)
+                if got != want and not first:
+                    first = f"a={a}: {got} != {want}"
+        checks.append(Section6Check(name, not first,
+                                    first or f"{what} on all grid tuples, k <= {k_max}"))
+    return tuple(checks)
+
+
+def closed_form_checks(spec, k_max, grid_q):
+    return verify_section6(spec, k_max, grid_q).checks[:2]
+
+
+# Under mn(3, 9) a 9-set term straddles two 8-blocks, so the eights closed form fails too.
+@pytest.mark.parametrize("spec", [section6_spec(), even_pair_fixture(), mn_norm_spec(3, 9)],
+                         ids=["section6", "even-pair", "mn-3-9"])
+@pytest.mark.parametrize("k_max, grid_q", [(1, 1), (2, 3), (3, 2), (3, 3)])
+def test_closed_form_checks_match_fraction_loop(spec, k_max, grid_q):
+    assert (report_or_error(closed_form_checks, spec, k_max, grid_q)
+            == report_or_error(ref_verify_closed_forms, spec, k_max, grid_q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 5), dn=st.integers(1, 6), k_max=st.integers(1, 3),
+       grid_q=st.integers(1, 3))
+def test_closed_form_checks_match_fraction_loop_drawn(m, dn, k_max, grid_q):
+    spec = mn_norm_spec(m, m + dn)
+    assert (report_or_error(closed_form_checks, spec, k_max, grid_q)
+            == report_or_error(ref_verify_closed_forms, spec, k_max, grid_q))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from blockosc.closedform import model_value_8, model_value_228
 from blockosc.errors import InvalidArgumentError, NotStabilizedError
 from blockosc.models import (
     BarrierSequenceDescriptor,
+    Section6Check,
     SpreadingWitness,
     consistency_check,
     default_tail_offset,
@@ -20,6 +21,7 @@ from blockosc.models import (
 )
 from blockosc.normspace import (
     SupFamily,
+    SupNorm,
     SupTerm,
     even_pair_fixture,
     nonneg_grid,
@@ -224,3 +226,10 @@ class TestVerifySection6:
         assert by_name["eights-model-closed-form"]
         assert not by_name["two-two-eights-closed-form"]
         assert not by_name["named-values"]
+
+    def test_spreading_dichotomy_fails_when_both_models_spread(self):
+        # Under the plain sup norm every model is the max and spreads, so the
+        # relocated model spreads too and the dichotomy must fail.
+        check = verify_section6(spec=SupNorm(), k_max=2, grid_q=2).checks[4]
+        assert check == Section6Check("spreading-dichotomy", False,
+                                      "relocated model unexpectedly spread")
