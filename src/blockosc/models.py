@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import cycle, islice, product
+from itertools import cycle, islice
 from typing import Iterator, Optional, Sequence
 
 from .barriers import FRONT_FUEL_DEFAULT, BarrierDescriptor, Cube, _peel_fronts
@@ -18,7 +18,8 @@ from .blocks import Block, BlockFamily
 from .closedform import _model_228
 from .errors import InternalCheckError, InvalidArgumentError, NoFrontFoundError, NotStabilizedError
 from .frozen import frozen
-from .normspace import NormSpec, Rational, _value_table, nonneg_grid, section6_spec
+from .normspace import (NormSpec, Rational, _as_fractions, _grid, _over_lcm, _value_table,
+                        section6_spec)
 from .sets import FiniteSet
 
 
@@ -117,38 +118,39 @@ def model_eval(
     elif tail_offset < 1:
         raise InvalidArgumentError("tail_offset must be >= 1")
     blocks = _probe_blocks(seq, k, tail_offset, probe_count)
-    cs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
-    rows, den = _value_table(spec, blocks, [cs])
+    nums, q = _over_lcm([c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs])
+    rows, den = _value_table(spec, blocks, [nums], q)
     vals = [Fraction(row[0], den) for row in rows]
     stabilized = vals.count(vals[0]) == len(vals) or max(vals) - min(vals) <= tolerance
     value = vals[0] if stabilized else sum(vals) / len(vals)
     return ModelValue(value, stabilized, tuple(zip(blocks, vals)), tail_offset)
 
 
-def _stable_values(spec, seq, tuples) -> tuple[Iterator[int], int]:
-    """Numerators of the model value at each tuple (all of one length) on the
-    default probes, in order, and their denominator.  The value table is built at
-    the call; NotStabilizedError comes at the first tuple whose probes disagree."""
+def _stable_values(spec, seq, tuples, q, show=None) -> tuple[Iterator[int], int]:
+    """Numerators of the model value at each tuple of numerators over q (all of
+    one length) on the default probes, in order, and their denominator.  The
+    value table is built at the call; NotStabilizedError comes at the first tuple
+    whose probes disagree, naming it as ``show`` gives it (by default, in Fractions)."""
     if not tuples:
         return iter(()), 1
     k = len(tuples[0])
     blocks = _probe_blocks(seq, k, default_tail_offset(seq, k), 3)
-    rows, den = _value_table(spec, blocks, tuples)
+    rows, den = _value_table(spec, blocks, tuples, q)
 
     def checked():
         for coeffs, nums in zip(tuples, zip(*rows)):
             if nums.count(nums[0]) != len(nums):
                 raise NotStabilizedError(
-                    f"model value at {coeffs} did not stabilize: "
-                    + ", ".join(str(Fraction(v, den)) for v in nums)
+                    f"model value at {show(coeffs) if show else _as_fractions(coeffs, q)} "
+                    "did not stabilize: " + ", ".join(str(Fraction(v, den)) for v in nums)
                 )
             yield nums[0]
 
     return checked(), den
 
 
-def _stable_value(spec, seq, coeffs) -> Fraction:
-    vals, den = _stable_values(spec, seq, [coeffs])
+def _stable_value(spec, seq, coeffs: tuple[int, ...]) -> Fraction:
+    vals, den = _stable_values(spec, seq, [coeffs], 1, show=tuple)
     return Fraction(next(vals), den)
 
 
@@ -179,13 +181,14 @@ def consistency_check(
     checked = 0
     bad = []
     for k in range(1, k_max):
-        grid = nonneg_grid(k, grid_q)
-        bases, d = _stable_values(spec, seq, grid)
-        padded, d0 = _stable_values(spec, seq, [a + (Fraction(0),) for a in grid])
+        grid = _grid(k, grid_q, 0)
+        bases, d = _stable_values(spec, seq, grid, grid_q)
+        padded, d0 = _stable_values(spec, seq, [a + (0,) for a in grid], grid_q)
         for a, b, p in zip(grid, bases, padded):
             checked += 1
             if p * d != b * d0:
-                bad.append(ConsistencyViolation(k, a, Fraction(p, d0), Fraction(b, d)))
+                bad.append(ConsistencyViolation(k, _as_fractions(a, grid_q),
+                                                Fraction(p, d0), Fraction(b, d)))
     return ConsistencyReport(checked, tuple(bad))
 
 
@@ -221,8 +224,8 @@ def spreading_check(
         raise InvalidArgumentError("k must be >= 1")
     if len(placements) < 1:
         raise InvalidArgumentError("placement count must be >= 1")
-    grid = nonneg_grid(k, grid_q)
-    vals, d = _stable_values(spec, seq, grid)
+    grid = _grid(k, grid_q, 0)
+    vals, d = _stable_values(spec, seq, grid, grid_q)
     identity = list(vals)
     checked = 0
     worst: Optional[SpreadingWitness] = None
@@ -234,13 +237,16 @@ def spreading_check(
         for p, a in zip(padded, grid):
             for pos, c in zip(s.elements, a):
                 p[pos - 1] = c
-        vals, dp = _stable_values(spec, seq, padded)
+        # an unplaced slot shows as the int 0, a placed one as a Fraction
+        vals, dp = _stable_values(spec, seq, padded, grid_q, show=lambda p: [
+            Fraction(c, grid_q) if pos in s else 0 for pos, c in enumerate(p, 1)])
         for a, i, v in zip(grid, identity, vals):
             checked += 1
             size = abs(i * dp - v * d)  # over d * dp
             if size * worst_den > worst_size * d * dp:
                 worst_size, worst_den = size, d * dp
-                worst = SpreadingWitness(s, a, Fraction(i, d), Fraction(v, dp))
+                worst = SpreadingWitness(s, _as_fractions(a, grid_q), Fraction(i, d),
+                                         Fraction(v, dp))
     return SpreadingReport(worst is None, worst, checked)
 
 
@@ -256,12 +262,13 @@ def equivalence_constants(
         raise InvalidArgumentError("k_max must be >= 1")
     lo = hi = None  # ratios as (numerator, positive denominator), compared cross-multiplied
     for k in range(1, k_max + 1):
-        grid = [a for a in nonneg_grid(k, grid_q) if any(a)]
-        vals1, d1 = _stable_values(spec, seq1, grid)
-        vals2, d2 = _stable_values(spec, seq2, grid)
+        grid = [a for a in _grid(k, grid_q, 0) if any(a)]
+        vals1, d1 = _stable_values(spec, seq1, grid, grid_q)
+        vals2, d2 = _stable_values(spec, seq2, grid, grid_q)
         for a, v1, v2 in zip(grid, vals1, vals2):
             if v1 == 0:
-                raise NotStabilizedError(f"first model vanishes at nonzero tuple {a}")
+                raise NotStabilizedError(
+                    f"first model vanishes at nonzero tuple {_as_fractions(a, grid_q)}")
             r = (v2 * d1, v1 * d2)
             lo = r if lo is None or r[0] * lo[1] < lo[0] * r[1] else lo
             hi = r if hi is None or r[0] * hi[1] > hi[0] * r[1] else hi
@@ -305,19 +312,19 @@ def verify_section6(
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append(Section6Check(name, passed, detail))
 
-    # product(range(grid_q + 1), repeat=k) lists nonneg_grid's numerators over grid_q, in order.
     for name, seq, core, what in (
         ("eights-model-closed-form", seq8, lambda n, d: (max(n), d), "max of coefficients"),
         ("two-two-eights-closed-form", seq228, _model_228, "piecewise formula"),
     ):
         first = ""
         for k in range(1, k_max + 1):
-            grid = nonneg_grid(k, grid_q)
-            vals, den = _stable_values(spec, seq, grid)
-            for a, n, p in zip(grid, product(range(grid_q + 1), repeat=k), vals):
-                got, d = core(n, grid_q)
+            grid = _grid(k, grid_q, 0)
+            vals, den = _stable_values(spec, seq, grid, grid_q)
+            for a, p in zip(grid, vals):
+                got, d = core(a, grid_q)
                 if got * den != p * d and not first:
-                    first = f"a={a}: {Fraction(p, den)} != {Fraction(got, d)}"
+                    first = (f"a={_as_fractions(a, grid_q)}: "
+                             f"{Fraction(p, den)} != {Fraction(got, d)}")
         add(name, not first, first or f"{what} on all grid tuples, k <= {k_max}")
 
     v11 = _stable_value(spec, seq228, (1, 1))

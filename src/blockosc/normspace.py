@@ -285,20 +285,17 @@ def _part_runs(plan: Plan, part: FiniteSet, firsts: dict) -> tuple[tuple[int, Op
 
 
 def _value_table(
-    spec: NormSpec, blocks: Sequence[Block], tuples: Sequence[tuple[Rational, ...]]
+    spec: NormSpec, blocks: Sequence[Block], nums: Sequence[Sequence[int]], q: int
 ) -> tuple[list[list[int]], int]:
-    """psi of each block at each tuple, as integer rows over one denominator D.
+    """psi of each block at each tuple of numerators over q, as integer rows over one D.
 
     Part P puts |c| / u(P) on each index, u(P) = U(P)/W being its indicator's
-    norm.  Over Q, the coefficients' lcm, and A, the lcm of the U(P), entries
-    are numerators over L = Q*A, so cells are over D = L*W.  A row is computed
-    once per tuple of part runs: per size profile under an invariant spec.
-    Blocks with equal part runs share that one row list, so callers may group
-    rows by ``id``.
+    norm.  Over A, the lcm of the U(P), entries are numerators over L = q*A,
+    so cells are over D = L*W.  A row is computed once per tuple of part runs:
+    per size profile under an invariant spec.  Blocks with equal part runs
+    share that one row list, so callers may group rows by ``id``.
     """
     plan = _kernel_plan(spec, "psi")
-    q = math.lcm(*(c.denominator for a in tuples for c in a))
-    cols = [[abs(c.numerator) * (q // c.denominator) for c in a] for a in tuples]
     firsts: dict = {}
     if plan[2]:  # filtered: runs once per distinct part, first met in block order
         memo = {p: _part_runs(plan, p, firsts) for p in dict.fromkeys(p for b in blocks for p in b)}
@@ -313,8 +310,8 @@ def _value_table(
         if key not in rows:
             scale = [(plan[0] * (a_lcm // units[runs]), runs) for runs in key]
             rows[key] = [_sup_numerator(plan, sorted(
-                [(c * f, cnt, i) for c, (f, runs) in zip(col, scale) if c for cnt, i in runs],
-                reverse=True)) for col in cols]
+                [(abs(c) * f, cnt, i) for c, (f, runs) in zip(a, scale) if c for cnt, i in runs],
+                reverse=True)) for a in nums]
     return [rows[key] for key in keys], q * a_lcm * plan[0]
 
 
@@ -390,21 +387,24 @@ def spec_evaluator(spec: NormSpec, k: int) -> Evaluator:
     return rho
 
 
-def _grid(k: int, q: int, lo: int) -> list[tuple[Fraction, ...]]:
+def _grid(k: int, q: int, lo: int) -> list[tuple[int, ...]]:
     if q < 1:
         raise InvalidArgumentError(f"grid size q must be >= 1, got {q}")
-    axis = [Fraction(j, q) for j in range(lo, q + 1)]
-    return [tuple(p) for p in product(axis, repeat=k)]
+    return list(product(range(lo, q + 1), repeat=k))
+
+
+def _as_fractions(nums: Sequence[int], q: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, q) for x in nums)
 
 
 def signed_grid(k: int, q: int) -> list[tuple[Fraction, ...]]:
     """All tuples with coordinates j/q for -q <= j <= q."""
-    return _grid(k, q, -q)
+    return [_as_fractions(a, q) for a in _grid(k, q, -q)]
 
 
 def nonneg_grid(k: int, q: int) -> list[tuple[Fraction, ...]]:
     """All tuples with coordinates j/q for 0 <= j <= q."""
-    return _grid(k, q, 0)
+    return [_as_fractions(a, q) for a in _grid(k, q, 0)]
 
 
 def dk_distance(rho1: Evaluator, rho2: Evaluator, k: int, grid_q: int = 8) -> Fraction:

@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence, Union
 from .blocks import Block, BlockFamily, enumerate_blocks
 from .errors import InsufficientBlocksError, InternalCheckError, InvalidArgumentError
 from .frozen import frozen
-from .normspace import NormSpec, Rational, _ceil_times, _value_table, nonneg_grid
+from .normspace import (NormSpec, Rational, _as_fractions, _ceil_times, _grid, _over_lcm,
+                        _value_table)
 from .sets import FiniteSet, SetGenerator
 
 
@@ -49,8 +50,8 @@ def psi_eval(spec: NormSpec, block: Block, coeffs: Sequence[Rational]) -> Fracti
         raise InvalidArgumentError(
             f"expected {len(block)} coefficients, got {len(coeffs)}"
         )
-    cs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
-    (row,), den = _value_table(spec, [block], [cs])
+    nums, q = _over_lcm([c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs])
+    (row,), den = _value_table(spec, [block], [nums], q)
     return Fraction(row[0], den)
 
 
@@ -155,7 +156,7 @@ class OscillationReport:
 def _gap_report(
     spec: NormSpec,
     blocks: Sequence[Block],
-    tuples: Sequence[tuple[Fraction, ...]],
+    tuples: Sequence[tuple[int, ...]],
     table: list[list[int]],
     den: int,
     rows: Sequence[int],
@@ -173,7 +174,7 @@ def _gap_report(
     j = gaps.index(gap)
     s = next(blocks[r] for r, row in zip(rows, cells) if row[j] == hi[j])
     t = next(blocks[r] for r, row in zip(rows, cells) if row[j] == lo[j])
-    a, gap = tuples[j], Fraction(gap, den)
+    a, gap = _as_fractions(tuples[j], grid_q), Fraction(gap, den)
     # Re-derive from scratch before reporting.
     if abs(psi_eval(spec, s, a) - psi_eval(spec, t, a)) != gap:
         raise InternalCheckError(f"witness pair {s}, {t} at {a} does not re-derive gap {gap}")
@@ -191,8 +192,8 @@ def oscillation_gap(
         raise InsufficientBlocksError(
             f"only {len(blocks)} block(s) fit inside {universe}"
         )
-    tuples = nonneg_grid(len(fam), grid_q)
-    table, den = _value_table(spec, blocks, tuples)
+    tuples = _grid(len(fam), grid_q, 0)
+    table, den = _value_table(spec, blocks, tuples, grid_q)
     return _gap_report(spec, blocks, tuples, table, den, range(len(blocks)), universe, grid_q)
 
 
@@ -236,8 +237,8 @@ def find_stable_subsequence(
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
 
     blocks = enumerate_blocks(fam, universe.max, within=universe)
-    tuples = nonneg_grid(len(fam), grid_q)
-    table, den = _value_table(spec, blocks, tuples)
+    tuples = _grid(len(fam), grid_q, 0)
+    table, den = _value_table(spec, blocks, tuples, grid_q)
     bound = _ceil_times(epsilon, den)
     search = _search(universe.elements, [b.union() for b in blocks], table)
     greedy = strategy == "greedy"
@@ -313,8 +314,8 @@ def asymptotic_stability_check(
     blocks = enumerate_blocks(fam, horizon, within=uni)
     if len(blocks) < 2:
         raise InsufficientBlocksError("horizon hosts fewer than two blocks")
-    tuples = nonneg_grid(len(fam), grid_q)
-    table, den = _value_table(spec, blocks, tuples)
+    tuples = _grid(len(fam), grid_q, 0)
+    table, den = _value_table(spec, blocks, tuples, grid_q)
     mins, groups = [b.min for b in blocks], {}  # groups: each block minimum's distinct rows
     for m, row in zip(mins, table):  # _value_table shares one row among equal part runs
         groups.setdefault(m, {})[id(row)] = row

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import count, islice
-from math import inf
 from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError
@@ -100,16 +99,6 @@ class FiniteSet:
 
 
 _set_elements, _set_hash = FiniteSet.elements.__set__, FiniteSet._hash.__set__
-
-
-def lex_key(s: FiniteSet) -> tuple:
-    """Sort key of the lexicographic order, by least symmetric difference.
-
-    At the first disagreement of the sorted tuples, the set owning the
-    smaller element comes first; a sentinel above every element, appended,
-    puts a proper prefix after its extensions, whose least leftover it lacks.
-    """
-    return s.elements + (inf,)
 
 
 # ---------------------------------------------------------------------------

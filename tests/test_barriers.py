@@ -22,6 +22,7 @@ from blockosc.barriers import (
 )
 from blockosc.errors import InvalidArgumentError, NoFrontFoundError
 from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, evens, naturals, odds
+from test_sets import lex_key
 
 
 def fs(*xs):
@@ -164,7 +165,6 @@ class TestEnumerate:
             assert set(enumerate_up_to(b, n)) == expected
 
     def test_lex_sorted_no_duplicates(self):
-        from blockosc.sets import lex_key
         for b in (Cube(2), Schreier(), Sum((Cube(1), Cube(1))),
                   Quotient(Schreier(), fs(3))):
             members = enumerate_up_to(b, 10)
@@ -315,7 +315,6 @@ def test_pool_enumeration_matches_filtered_range(b, pool):
     pool's maximum in the same order, lexicographically sorted, and exactly
     the subsets of the pool that ``contains`` accepts."""
     from blockosc.barriers import _enumerate_cached
-    from blockosc.sets import lex_key
     got = _enumerate_cached(b, tuple(pool))
     inside = set(pool)
     assert list(got) == [s for s in enumerate_up_to(b, max(pool, default=0))

@@ -22,7 +22,8 @@ from blockosc.blocks import (
     to_concat,
 )
 from blockosc.errors import InvalidArgumentError, NotInSumError
-from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, evens, lex_key, odds
+from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, evens, odds
+from test_sets import lex_key
 
 
 def fs(*xs):

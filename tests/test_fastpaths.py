@@ -511,6 +511,17 @@ def test_batched_checks_match_per_tuple_model_eval(spec, seq, grid_q):
                 == report_or_error(ref_equivalence, spec, seq1, seq2, 2, grid_q))
 
 
+def test_spreading_error_names_a_placed_zero_as_a_fraction():
+    # The first padded tuple whose probes disagree has a zero at a placed slot:
+    # the message shows it as Fraction(0, 1), and an unplaced slot as 0.
+    spec, seq = even_pair_fixture(), BarrierSequenceDescriptor((Cube(2),), Cube(1))
+    placements = [FiniteSet((1, 2, 4))]
+    got = report_or_error(spreading_check, spec, seq, 3, placements, 1)
+    assert got == report_or_error(ref_spreading, spec, seq, 3, placements, 1)
+    assert got == ("NotStabilizedError", "model value at [Fraction(0, 1), Fraction(1, 1), 0, "
+                   "Fraction(1, 1)] did not stabilize: 1, 3/2, 1")
+
+
 def ref_verify_closed_forms(spec, k_max, grid_q):
     checks = []
     for name, seq, formula, what in (

@@ -8,29 +8,36 @@ and a tolerance just above a gap, through every comparison that reads the
 integer table against ``epsilon``.
 """
 
+import math
 import pickle
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockosc.barriers import Cube
 from blockosc.blocks import Block, BlockFamily
+from blockosc.errors import InvalidArgumentError
 from blockosc.normspace import (
     LpNorm,
     SupFamily,
     SupNorm,
     SupTerm,
     Vector,
+    _grid,
     _value_table,
     even_pair_fixture,
+    nonneg_grid,
     norm_eval,
+    signed_grid,
 )
 from blockosc.oscillation import (
     ToleranceSchedule,
     _spread,
     asymptotic_stability_check,
     find_stable_subsequence,
+    oscillation_gap,
     psi_eval,
 )
 from blockosc.ramsey import diagonal_stabilize, metric_stabilize
@@ -134,6 +141,16 @@ def tables(draw):
     return bs, tuples
 
 
+@st.composite
+def numerator_tables(draw):
+    """Blocks, and tuples of numerators over q, all signed or all nonnegative."""
+    k, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lo = draw(st.sampled_from([-q, 0]))
+    bs = draw(st.lists(blocks(k), min_size=1, max_size=6))
+    nums = draw(st.lists(st.tuples(*[st.integers(lo, q)] * k), min_size=1, max_size=6))
+    return bs, nums, q
+
+
 # ---------------------------------------------------------------------------
 # Differential tests
 
@@ -166,11 +183,36 @@ def test_psi_reads_only_absolute_coefficients(spec, case):
 @given(SPECS, tables())
 def test_value_table_rows_over_one_denominator(spec, case):
     bs, tuples = case
-    table, den = _value_table(spec, bs, tuples)
+    q = math.lcm(*(F(c).denominator for a in tuples for c in a))
+    table, den = _value_table(spec, bs, [[int(c * q) for c in a] for a in tuples], q)
     assert len(table) == len(bs)
     for row, b in zip(table, bs):
         assert all(isinstance(cell, int) for cell in row)
         assert [F(cell, den) for cell in row] == [ref_psi(spec, b, a) for a in tuples]
+
+
+@KERNEL
+@given(SPECS, numerator_tables())
+def test_value_table_reads_numerators_over_q(spec, case):
+    # q need not be the numerators' lcm: (2, 4) over 4 is (1/2, 1)
+    bs, nums, q = case
+    table, den = _value_table(spec, bs, nums, q)
+    for row, b in zip(table, bs):
+        assert all(isinstance(cell, int) for cell in row)
+        assert [F(cell, den) for cell in row] == [
+            ref_psi(spec, b, tuple(F(x, q) for x in a)) for a in nums]
+
+
+def test_public_grids_are_the_numerator_grids_over_q():
+    for k in range(1, 4):
+        for q in range(1, 5):
+            for lo, public in ((0, nonneg_grid), (-q, signed_grid)):
+                assert public(k, q) == [tuple(F(x, q) for x in a) for a in _grid(k, q, lo)]
+                assert _grid(k, q, lo) == sorted(_grid(k, q, lo))
+    with pytest.raises(InvalidArgumentError, match="grid size"):
+        _grid(2, 0, 0)
+    with pytest.raises(InvalidArgumentError, match="grid size"):
+        oscillation_gap(even_pair_fixture(), BlockFamily((Cube(1),)), FiniteSet((1, 2)), grid_q=0)
 
 
 def test_spec_with_a_cached_plan_pickles():

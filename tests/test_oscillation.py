@@ -142,7 +142,7 @@ def test_filtered_value_table_takes_each_part_runs_once(monkeypatch):
         return _part_runs(plan, part, firsts)
 
     monkeypatch.setattr(normspace, "_part_runs", counted)
-    table, den = normspace._value_table(spec, blocks, tuples)
+    table, den = normspace._value_table(spec, blocks, normspace._grid(2, 4, 0), 4)
     assert [[F(x, den) for x in row] for row in table] == cells
     parts = [p for b in blocks for p in b]
     assert len(parts) == 56 and len(calls) == len(set(parts)) == 8

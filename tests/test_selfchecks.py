@@ -6,7 +6,6 @@ import pathlib
 import subprocess
 import sys
 import types
-from fractions import Fraction
 
 import pytest
 
@@ -79,6 +78,6 @@ def test_the_package_binds_only_its_modules():
 
 def test_internal_check_error_is_raised_not_asserted(monkeypatch):
     # a grid of zero tuples only leaves equivalence_constants nothing to compare
-    monkeypatch.setattr(models, "nonneg_grid", lambda k, q: [(Fraction(0),) * k])
+    monkeypatch.setattr(models, "_grid", lambda k, q, lo: [(0,) * k])
     with pytest.raises(InternalCheckError):
         equivalence_constants(section6_spec(), eights_sequence(), eights_sequence(), 2)

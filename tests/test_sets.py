@@ -1,3 +1,5 @@
+from math import inf
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,11 +11,22 @@ from blockosc.sets import (
     FiniteSet,
     PrefixThen,
     evens,
-    lex_key,
     naturals,
     odds,
     probe_equal,
 )
+
+
+def lex_key(s: FiniteSet) -> tuple:
+    """Reference sort key of the lexicographic order, by least symmetric
+    difference, for this file and the block and barrier tests.
+
+    At the first disagreement of the sorted tuples, the set owning the
+    smaller element comes first; a sentinel above every element, appended,
+    puts a proper prefix after its extensions, whose least leftover it lacks.
+    """
+    return s.elements + (inf,)
+
 
 finite_sets = st.frozensets(st.integers(1, 30), min_size=1, max_size=8).map(FiniteSet)
 
@@ -72,8 +85,10 @@ class TestCompareSets:
         assert lex_key(FiniteSet([1, 2])) > lex_key(FiniteSet([1, 2, 5]))
 
     def test_rejects_empty(self):
-        with pytest.raises(InvalidArgumentError):
-            FiniteSet().all_below(FiniteSet([1]))
+        # either side empty gets the block-order message, not the empty max or min's
+        for s, t in ((FiniteSet(), FiniteSet([1])), (FiniteSet([1]), FiniteSet())):
+            with pytest.raises(InvalidArgumentError, match="block order needs nonempty sets"):
+                s.all_below(t)
 
     @given(finite_sets, finite_sets)
     def test_lex_total_and_antisymmetric(self, s, t):
@@ -129,6 +144,14 @@ class TestGenerators:
         for prefix in ([9], [2, 8]):  # the tail starts at 8: past or at the prefix's end
             with pytest.raises(InvalidArgumentError):
                 PrefixThen(FiniteSet(prefix), CofiniteAfter(7))
+
+    @pytest.mark.parametrize("g", [Arithmetic(3, 4), Arithmetic(2, 1), Arithmetic(1, 1)],
+                             ids=["3-step-4", "2-step-1", "1-step-1"])
+    def test_arithmetic_nth_and_after_match_the_walk(self, g):
+        walk = g.first(30)
+        assert [g.nth(i) for i in range(1, 31)] == list(walk)
+        for n in range(25):  # at, between and below the elements
+            assert g.after(n).first(3) == tuple(x for x in walk if x > n)[:3]
 
     @given(st.integers(0, 40), st.integers(1, 60))
     def test_after_drops_small_elements(self, n, probe):

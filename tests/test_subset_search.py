@@ -31,6 +31,7 @@ from blockosc.normspace import (
     LpNorm,
     SupNorm,
     _ceil_times,
+    _grid,
     _value_table,
     even_pair_fixture,
     nonneg_grid,
@@ -412,7 +413,7 @@ def test_scan_step_calls_are_pinned(eps, floor, greedy, calls, subset):
     cut asks more steps, or steps past the last position."""
     universe = FiniteSet(range(1, 13))
     blocks = enumerate_blocks(FAMILIES[0], 12, within=universe)
-    table, den = _value_table(even_pair_fixture(), blocks, nonneg_grid(2, 2))
+    table, den = _value_table(even_pair_fixture(), blocks, _grid(2, 2, 0), 2)
     search = _search(universe.elements, [b.union() for b in blocks], table)
     step, asked = _spread_step(_ceil_times(eps, den)), []
 
