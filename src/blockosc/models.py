@@ -64,12 +64,11 @@ def _probe_blocks(seq: BarrierSequenceDescriptor, k: int, tail_offset: int,
                   probe_count: int) -> tuple[Block, ...]:
     """``probe_count`` blocks of the first ``k`` barriers, peeled in turn as
     fronts along one walk of the ground set from ``tail_offset``."""
-    parts = tuple(seq.barrier_at(i) for i in range(k))
-    walk = islice(cycle(parts), k * probe_count)
+    walk = islice(cycle(map(seq.barrier_at, range(k))), k * probe_count)
     start = tail_offset - 1
-    pieces = _peel_fronts(walk, iter(parts[0].ground().after(start)), FRONT_FUEL_DEFAULT)
+    pieces = _peel_fronts(walk, iter(seq.barrier_at(0).ground().after(start)), FRONT_FUEL_DEFAULT)
     if len(pieces) < k * probe_count:
-        b = parts[len(pieces) % k]
+        b = seq.barrier_at(len(pieces) % k)
         last = pieces[-1][-1] if pieces else start
         raise NoFrontFoundError(FRONT_FUEL_DEFAULT,
                                 f"generator {b.ground().after(last)!r} against {type(b).__name__}")
@@ -233,6 +232,7 @@ def spreading_check(
     for s in placements:
         if len(s) != k:
             raise InvalidArgumentError(f"placement {s} is not a {k}-set")
+        default_tail_offset(seq, s.max)  # cached; a runaway placement runs out of fuel here
         padded = [[0] * s.max for _ in grid]
         for p, a in zip(padded, grid):
             for pos, c in zip(s.elements, a):

@@ -85,8 +85,6 @@ class Vector:
 # entries whose index satisfies the predicate; "touch" mode requires the
 # index set to meet the predicate at least once, the rest being free (an
 # unused qualifying index contributes zero, so sums may effectively shrink).
-# The predicates are module functions, not lambdas, so a sup family whose
-# cached plan holds them still pickles.
 def _is_even(i: int) -> bool:
     return i % 2 == 0
 
@@ -133,11 +131,6 @@ class SupFamily(NormSpec):
         nums, w = _over_lcm([t.weight for t in self.terms])
         terms = tuple((n, t.size, t.filter and _FILTERS[t.filter]) for n, t in zip(nums, self.terms))
         return w, terms, tuple(f[1] for _, _, f in terms if f)
-
-
-@frozen
-class SupNorm(NormSpec):
-    """Plain supremum of absolute entries."""
 
 
 @frozen
@@ -215,8 +208,6 @@ def _kernel_plan(spec: NormSpec, use: str) -> Plan:
     p > 1 is rejected for ``use``.  l1 is one term longer than any support."""
     if isinstance(spec, SupFamily):
         return spec._plan
-    if isinstance(spec, SupNorm):
-        return 1, (), ()
     if isinstance(spec, LpNorm):
         if spec.p > 1:
             raise InvalidArgumentError(f"{use} under the l{spec.p} norm may be an inexact root; "

@@ -24,7 +24,7 @@ from .barriers import (
 from .blocks import Block, BlockFamily
 from .errors import InvalidArgumentError, SchemaError
 from .models import BarrierSequenceDescriptor
-from .normspace import LpNorm, SupFamily, SupNorm, SupTerm, mn_norm_spec, \
+from .normspace import LpNorm, SupFamily, SupTerm, mn_norm_spec, \
     even_pair_fixture, section6_spec, NormSpec, Vector
 from .oscillation import ToleranceSchedule
 from .ramsey import Coloring, builtin_coloring
@@ -203,7 +203,7 @@ def parse_spec(data: Any, path: str = "$") -> NormSpec:
     t = obj.get("type")
     with _at_path(path):
         if t == "sup":
-            return SupNorm()
+            return SupFamily(())
         if t == "lp":
             return LpNorm(_need_int(obj, "p", path))
         if t == "mn":

@@ -27,7 +27,7 @@ from .frozen import frozen
 class FiniteSet:
     """Immutable finite set of positive integers."""
 
-    __slots__ = ("elements", "_hash")
+    __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[int] = ()):
         elems = tuple(sorted(elements))
@@ -38,14 +38,12 @@ class FiniteSet:
             if a == b:
                 raise InvalidArgumentError(f"duplicate element {a}")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_hash", hash(elems))
 
     @classmethod
     def _trusted(cls, elems: tuple[int, ...]) -> "FiniteSet":
-        """The set of ``elems``, unchecked, its slots set directly; see the module docstring."""
+        """The set of ``elems``, unchecked, its slot set directly; see the module docstring."""
         s = object.__new__(cls)
         _set_elements(s, elems)
-        _set_hash(s, hash(elems))
         return s
 
     def __setattr__(self, name, value):
@@ -67,7 +65,7 @@ class FiniteSet:
         return isinstance(other, FiniteSet) and self.elements == other.elements
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.elements)
 
     def __repr__(self) -> str:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
@@ -98,7 +96,7 @@ class FiniteSet:
         return FiniteSet._trusted(self.elements[bisect_right(self.elements, n):])
 
 
-_set_elements, _set_hash = FiniteSet.elements.__set__, FiniteSet._hash.__set__
+_set_elements = FiniteSet.elements.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -566,6 +567,18 @@ class TestModel:
             errors.append(json.loads(err))
         assert errors[0] == errors[1]
         assert errors[0]["error"] == "NoFrontFoundError"
+
+    def test_spreading_with_runaway_placement_exits_2(self, capsys):
+        # The probes for a placement's maximum are peeled before any tuple is
+        # padded to it, so the fuel stops a 10^11 slot before a list is built.
+        started = time.perf_counter()
+        code, out, err = run(capsys, "model", "spreading", "--spec", SECTION6,
+                             "--sequence", f'{{"prefix":[],"tail":{CUBE8}}}', "--k", "1",
+                             "--grid-q", "1", "--placements", "[[100000000000]]")
+        assert time.perf_counter() - started < 2
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "NoFrontFoundError"
 
     def test_consistency(self, capsys):
         code, payload = run_json(

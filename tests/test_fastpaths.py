@@ -64,7 +64,7 @@ from blockosc.models import (
     verify_section6,
 )
 from blockosc.normspace import (
-    SupNorm,
+    SupFamily,
     even_pair_fixture,
     mn_norm_spec,
     nonneg_grid,
@@ -361,7 +361,7 @@ def test_schreier_tail_probes_differ_in_part_sizes():
     assert not mv.stabilized
 
 
-@pytest.mark.parametrize("spec", [section6_spec(), mn_norm_spec(3, 5), SupNorm(),
+@pytest.mark.parametrize("spec", [section6_spec(), mn_norm_spec(3, 5), SupFamily(()),
                                   even_pair_fixture()],
                          ids=["section6", "mn-3-5", "sup", "even-pair"])
 @pytest.mark.parametrize("seq", SEQUENCES, ids=["eights", "228", "schreier", "3-then-2"])
@@ -407,7 +407,7 @@ def probes_fit(seq, k, tail_offset, probe_count, fuel=30):
 @settings(max_examples=150, deadline=None)
 @given(d=descriptors(), prefix=st.integers(0, 2), k=st.integers(1, 3),
        tail_offset=st.none() | st.integers(1, 30), probes=st.integers(1, 4),
-       spec=st.sampled_from([section6_spec(), SupNorm(), even_pair_fixture()]),
+       spec=st.sampled_from([section6_spec(), SupFamily(()), even_pair_fixture()]),
        data=st.data())
 def test_model_eval_matches_per_probe_psi_drawn(d, prefix, k, tail_offset, probes, spec, data):
     # every prefix shares d's ground, so the probes walk one ground set

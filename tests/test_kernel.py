@@ -22,7 +22,6 @@ from blockosc.errors import InvalidArgumentError
 from blockosc.normspace import (
     LpNorm,
     SupFamily,
-    SupNorm,
     SupTerm,
     Vector,
     _grid,
@@ -113,7 +112,7 @@ def sup_families(draw, filters=(None, "even-indices", "odd-indices", "touches-ev
     return SupFamily(tuple(terms))
 
 
-SPECS = st.one_of(sup_families(), st.just(SupNorm()), st.just(LpNorm(1)))
+SPECS = st.one_of(sup_families(), st.just(SupFamily(())), st.just(LpNorm(1)))
 COEFFS = st.one_of(
     st.just(F(0)),
     st.integers(-3, 3),

@@ -21,7 +21,6 @@ from blockosc.models import (
 )
 from blockosc.normspace import (
     SupFamily,
-    SupNorm,
     SupTerm,
     even_pair_fixture,
     nonneg_grid,
@@ -230,6 +229,6 @@ class TestVerifySection6:
     def test_spreading_dichotomy_fails_when_both_models_spread(self):
         # Under the plain sup norm every model is the max and spreads, so the
         # relocated model spreads too and the dichotomy must fail.
-        check = verify_section6(spec=SupNorm(), k_max=2, grid_q=2).checks[4]
+        check = verify_section6(spec=SupFamily(()), k_max=2, grid_q=2).checks[4]
         assert check == Section6Check("spreading-dichotomy", False,
                                       "relocated model unexpectedly spread")

@@ -10,7 +10,6 @@ from blockosc.errors import InvalidArgumentError
 from blockosc.normspace import (
     LpNorm,
     SupFamily,
-    SupNorm,
     SupTerm,
     Vector,
     _kernel_plan,
@@ -110,7 +109,7 @@ class TestEvaluation:
         assert norm_eval(section6_spec(), v) == F(1)
 
     def test_sup_norm(self):
-        assert norm_eval(SupNorm(), Vector({1: F(-3, 2), 9: F(1)})) == F(3, 2)
+        assert norm_eval(SupFamily(()), Vector({1: F(-3, 2), 9: F(1)})) == F(3, 2)
 
     def test_l1_exact(self):
         val, exact = norm_eval_detailed(LpNorm(1), Vector({1: F(1, 3), 2: F(-1, 6)}))
@@ -155,7 +154,7 @@ class TestBlockVector:
         assert norm_eval(section6_spec(), Vector({i: F(2, 9) for i in range(1, 9)})) == F(1)
 
     def test_sup_norm_block(self):
-        assert norm_eval(SupNorm(), ind(3, 7)) == F(1)
+        assert norm_eval(SupFamily(()), ind(3, 7)) == F(1)
 
 
 class TestDistance:
@@ -165,7 +164,7 @@ class TestDistance:
 
     def test_l1_vs_sup(self):
         l1 = spec_evaluator(LpNorm(1), 2)
-        sup = spec_evaluator(SupNorm(), 2)
+        sup = spec_evaluator(SupFamily(()), 2)
         assert dk_distance(l1, sup, 2, grid_q=4) == F(1)
 
     def test_shrinking_norm_distance(self):
@@ -305,7 +304,7 @@ class TestIndexInvarianceAndGrids:
     def test_index_invariant_specs(self):
         # without index filters the kernel plan sees a part as one run
         part = FiniteSet((1, 2, 3, 5))
-        for spec in (SupNorm(), section6_spec(), mn_norm_spec(2, 3), LpNorm(1)):
+        for spec in (SupFamily(()), section6_spec(), mn_norm_spec(2, 3), LpNorm(1)):
             assert _part_runs(_kernel_plan(spec, "test"), part, {}) == ((4, None),)
 
     @pytest.mark.parametrize("q", [0, -1])

@@ -8,7 +8,7 @@ from blockosc.barriers import Cube, Schreier
 from blockosc.blocks import Block, BlockFamily, enumerate_blocks
 from blockosc.errors import InsufficientBlocksError, InvalidArgumentError
 from blockosc.normspace import (
-    SupNorm,
+    SupFamily,
     _part_runs,
     Vector,
     even_pair_fixture,
@@ -172,7 +172,7 @@ class TestGap:
         assert vals == {F(3, 2), F(1)}
 
     def test_sup_norm_never_oscillates(self):
-        rep = oscillation_gap(SupNorm(), BlockFamily((Cube(2), Cube(2))), U(9))
+        rep = oscillation_gap(SupFamily(()), BlockFamily((Cube(2), Cube(2))), U(9))
         assert rep.gap == 0
 
     def test_insufficient_blocks(self):
@@ -245,11 +245,11 @@ class TestStableSubsequence:
     def test_validation(self):
         fam = BlockFamily((Cube(1), Cube(1)))
         with pytest.raises(InvalidArgumentError):
-            find_stable_subsequence(SupNorm(), fam, F(0), U(5), 2)
+            find_stable_subsequence(SupFamily(()), fam, F(0), U(5), 2)
         with pytest.raises(InvalidArgumentError):
-            find_stable_subsequence(SupNorm(), fam, F(1), U(5), 6)
+            find_stable_subsequence(SupFamily(()), fam, F(1), U(5), 6)
         with pytest.raises(InvalidArgumentError):
-            find_stable_subsequence(SupNorm(), fam, F(1), U(5), 2, strategy="luck")
+            find_stable_subsequence(SupFamily(()), fam, F(1), U(5), 2, strategy="luck")
 
 
 class TestAsymptotic:
@@ -407,7 +407,8 @@ def horizons_and_universes(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(spec=st.sampled_from([section6_spec(), even_pair_fixture(), SupNorm(), mn_norm_spec(2, 3)]),
+@given(spec=st.sampled_from([section6_spec(), even_pair_fixture(), SupFamily(()),
+                             mn_norm_spec(2, 3)]),
        fam=st.sampled_from([BlockFamily((Cube(1), Cube(1))), BlockFamily((Cube(2),)),
                             BlockFamily((Cube(1), Cube(2))), BlockFamily((Schreier(), Cube(1))),
                             BlockFamily((Cube(2), Cube(1))), BlockFamily((Cube(1), Schreier()))]),
@@ -438,7 +439,7 @@ def test_l1_domination(data):
 @given(st.data())
 def test_gap_reports_always_reverify(data):
     spec = data.draw(st.sampled_from([section6_spec(), even_pair_fixture(),
-                                      SupNorm()]))
+                                      SupFamily(())]))
     fam = BlockFamily((Cube(1), Cube(1)))
     n = data.draw(st.integers(3, 8))
     rep = oscillation_gap(spec, fam, U(n), grid_q=4)

@@ -11,7 +11,6 @@ from blockosc.models import two_two_eights_sequence
 from blockosc.normspace import (
     LpNorm,
     SupFamily,
-    SupNorm,
     SupTerm,
     Vector,
     even_pair_fixture,
@@ -156,8 +155,9 @@ class TestGeneratorsAndBarriers:
             parse_barrier({"type": "cube", "k": "two"})
         with pytest.raises(SchemaError):
             parse_barrier({"type": "cube", "k": 0})
-        with pytest.raises(SchemaError):
-            parse_barrier({"type": "sum", "parts": []})
+        for parts in ([], 5, "ab", {"x": 1}):  # empty, or not an array at all
+            with pytest.raises(SchemaError, match=r"^\$\.parts: expected a nonempty array$"):
+                parse_barrier({"type": "sum", "parts": parts})
         with pytest.raises(SchemaError) as exc:
             parse_barrier({"type": "quotient",
                            "base": {"type": "cube", "k": 1},
@@ -216,7 +216,7 @@ class TestSpecsAndVectors:
         assert parse_spec({"type": "section6"}) == section6_spec()
         assert parse_spec({"type": "mn", "m": 2, "n": 8}) == section6_spec()
         assert parse_spec({"type": "even-pair"}) == even_pair_fixture()
-        assert parse_spec({"type": "sup"}) == SupNorm()
+        assert parse_spec({"type": "sup"}) == SupFamily(())
         assert parse_spec({"type": "lp", "p": 1}) == LpNorm(1)
 
     def test_supfamily_round_trip(self):

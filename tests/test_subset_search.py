@@ -29,7 +29,7 @@ from blockosc.barriers import Associated, Cube, Quotient, Restrict, Schreier, Su
 from blockosc.blocks import Block, BlockFamily, enumerate_blocks
 from blockosc.normspace import (
     LpNorm,
-    SupNorm,
+    SupFamily,
     _ceil_times,
     _grid,
     _value_table,
@@ -257,7 +257,7 @@ def test_diagonal_matches_reference(universe, fam, seed, sched):
 # find_stable_subsequence
 
 
-SPECS = [even_pair_fixture(), section6_spec(), SupNorm(), LpNorm(1)]
+SPECS = [even_pair_fixture(), section6_spec(), SupFamily(()), LpNorm(1)]
 
 
 def value_rows(spec, fam: BlockFamily, universe: FiniteSet, q: int):
@@ -384,7 +384,7 @@ def test_greedy_keeps_thousands_of_elements():
     mono = find_monochromatic(Cube(1), Coloring(lambda obj: "a"), universe, 3000, "greedy")
     assert mono.found and mono.witness.subset == universe
     assert (mono.witness.color, mono.witness.domain_size) == ("a", 3000)
-    res = find_stable_subsequence(SupNorm(), BlockFamily((Cube(1),)), F(1, 2), universe,
+    res = find_stable_subsequence(SupFamily(()), BlockFamily((Cube(1),)), F(1, 2), universe,
                                   3000, "greedy", 2)
     assert res.found and res.subset == universe and res.report.gap == 0
 
@@ -397,7 +397,7 @@ def test_exhaustive_keeps_sets_deeper_than_the_recursion_limit():
     assert mono.found and mono.witness.subset == universe
     assert mono.witness.domain_size == 1500
     universe = FiniteSet(range(1, 1201))
-    res = find_stable_subsequence(SupNorm(), BlockFamily((Cube(1),)), F(1, 2), universe,
+    res = find_stable_subsequence(SupFamily(()), BlockFamily((Cube(1),)), F(1, 2), universe,
                                   1200, "exhaustive", 2)
     assert res.found and res.subset == universe and res.report.gap == 0
 
