@@ -369,15 +369,16 @@ def _structural_degree(b: BarrierDescriptor) -> Union[int, float, None]:
         degs = [_structural_degree(p) for p in b.parts]
         return inf if inf in degs else None if None in degs else sum(degs)
     if isinstance(b, Quotient):
-        base = b.base
+        # A member is a front along the stem less the stem, so its size is the
+        # front's less the stem's; as in _front, the stem's first element is
+        # read through each associated layer.  __post_init__ makes it >= 1.
+        base, first = b.base, b.s.min
         while isinstance(base, (Restrict, Associated)):
+            if isinstance(base, Associated):
+                first = base.base.ground().nth(first)
             base = base.base
-        if isinstance(base, Cube):
-            r = base.k - len(b.s)
-            return r if r >= 1 else None
-        if isinstance(base, Schreier):
-            r = b.s.min - len(b.s)
-            return r if r >= 1 else None
+        if isinstance(base, (Cube, Schreier)):
+            return (base.k if isinstance(base, Cube) else first) - len(b.s)
         return None
     return None
 
@@ -412,6 +413,6 @@ def empirical_rank(b: BarrierDescriptor, n: int) -> RankResult:
     for m in range(0, n - k + 1):
         expected = comb(n - m, k)
         actual = sum(c for mn, c in count_k.items() if mn > m)
-        if actual == expected and expected > 0:
+        if actual == expected:
             return RankResult(k, False, "empirical", n)
     return RankResult(None, False, "empirical", n)

@@ -266,9 +266,6 @@ def equivalence_constants(
         vals1, d1 = _stable_values(spec, seq1, grid, grid_q)
         vals2, d2 = _stable_values(spec, seq2, grid, grid_q)
         for a, v1, v2 in zip(grid, vals1, vals2):
-            if v1 == 0:
-                raise NotStabilizedError(
-                    f"first model vanishes at nonzero tuple {_as_fractions(a, grid_q)}")
             r = (v2 * d1, v1 * d2)
             lo = r if lo is None or r[0] * lo[1] < lo[0] * r[1] else lo
             hi = r if hi is None or r[0] * hi[1] > hi[0] * r[1] else hi

@@ -313,8 +313,6 @@ def _ceil_times(eps: Fraction, den: int) -> int:
 
 def _nth_root_int(n: int, p: int) -> tuple[int, bool]:
     """Floor p-th root of a nonnegative integer, and whether it is exact."""
-    if n < 0:
-        raise InvalidArgumentError("negative radicand")
     if n in (0, 1) or p == 1:
         return n, True
     if p == 2:

@@ -86,7 +86,7 @@ class MonochromeWitness:
 class RamseyResult:
     found: bool
     witness: Optional[MonochromeWitness]
-    best: Optional[MonochromeWitness]
+    best: MonochromeWitness
     target: int
     strategy: str
 
@@ -126,11 +126,8 @@ def find_monochromatic(
                     return _REJECT
         return seen
 
-    hit = _search(universe.elements, [_support(o) for o in objs], colors)(
+    subset, rows = _search(universe.elements, [_support(o) for o in objs], colors)(
         step, greedy=strategy == "greedy")
-    if hit is None:
-        return RamseyResult(False, None, None, target, strategy)
-    subset, rows = hit
     # Re-check from scratch.  As in the step, only later colors are compared
     # with the first, so NaN colors one object.
     inside = [colors[r] for r in rows]
@@ -166,19 +163,16 @@ class MetricWitness:
 class MetricResult:
     found: bool
     witness: Optional[MetricWitness]
-    best: Optional[MetricWitness]
+    best: MetricWitness
     epsilon: Fraction
     target: int
 
 
 def _stabilized(table: list[list[int]], den: int, unions: Sequence[FiniteSet],
-                pool: FiniteSet, eps: Fraction) -> Optional[MetricWitness]:
+                pool: FiniteSet, eps: Fraction) -> MetricWitness:
     """The least of the largest subsets of ``pool`` whose blocks' values
     spread less than eps, with their spread and number of blocks."""
-    hit = _search(pool.elements, unions, table)(_spread_step(_ceil_times(eps, den)))
-    if hit is None:
-        return None
-    subset, rows = hit
+    subset, rows = _search(pool.elements, unions, table)(_spread_step(_ceil_times(eps, den)))
     return MetricWitness(subset, Fraction(_spread(table, rows), den), len(rows))
 
 
@@ -201,7 +195,7 @@ def metric_stabilize(
     blocks = enumerate_blocks(fam, universe.max, within=universe)
     table, den = _value_column(values, blocks)
     wit = _stabilized(table, den, [b.union() for b in blocks], universe, epsilon)
-    found = wit is not None and len(wit.subset) >= target
+    found = len(wit.subset) >= target
     return MetricResult(found, wit if found else None, wit, epsilon, target)
 
 
@@ -249,8 +243,6 @@ def diagonal_stabilize(
     while not pool.is_empty():
         eps = schedule.at(index)
         wit = _stabilized(table, den, unions, pool, eps)
-        if wit is None:  # singletons are always stable
-            raise InternalCheckError(f"no stable subset of {pool} at stage {index}")
         m = wit.subset.min
         stages.append(DiagonalStage(index, eps, pool, wit.subset, m, wit.max_gap))
         picked.append(m)

@@ -2,13 +2,14 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockosc.barriers import (
     Associated,
     Cube,
     Quotient,
+    RankResult,
     Restrict,
     Schreier,
     Sum,
@@ -52,6 +53,7 @@ class TestContains:
     def test_quotient_stem_below_continuation(self):
         q = Quotient(Cube(3), fs(4))
         assert not contains(q, fs(2, 9))
+        assert not contains(q, fs(4, 9))  # a continuation starts above the stem's maximum
 
     def test_quotient_rejects_stem_in_base(self):
         with pytest.raises(InvalidArgumentError):
@@ -124,6 +126,11 @@ class TestFront:
             s = front(q, g)
             assert contains(q, s)
             assert s.elements == g.first(len(s))
+
+    def test_fuel_of_one_draws_one_element(self):
+        assert front(Cube(1), naturals(), fuel=1) == fs(1)
+        with pytest.raises(NoFrontFoundError):
+            front(Cube(2), naturals(), fuel=1)
 
     def test_fuel_exhaustion(self):
         # a restriction to evens never sees odd-only generators land
@@ -234,7 +241,7 @@ class TestRank:
 
     def test_empirical_classifier_on_cubes(self):
         for k in (1, 2, 3):
-            for n in range(2 * k, 2 * k + 5):
+            for n in (k, *range(2 * k, 2 * k + 5)):  # at n = k the window holds one k-set
                 res = empirical_rank(Cube(k), n)
                 assert res.exponent == k
                 assert not res.confirmed and res.method == "empirical"
@@ -248,6 +255,31 @@ class TestRank:
     def test_empirical_classifier_respects_ground(self):
         res = empirical_rank(Restrict(Cube(2), evens()), 16)
         assert res.exponent == 2
+
+    def test_empirical_classifier_reads_the_largest_members(self):
+        # up to 5 the largest members are {1,3,4,5} and {2,3,4,5}: every 4-set above 1
+        res = empirical_rank(Sum((Cube(1), Schreier())), 5)
+        assert res == RankResult(4, False, "empirical", 5)
+
+    def test_probe_bound_of_one(self):
+        res = rank(Quotient(Sum((Cube(1), Cube(1))), fs(1)), probe_bound=1)
+        assert res == RankResult(1, False, "empirical", 1)
+
+    def test_empirical_classifier_without_members(self):
+        res = empirical_rank(Cube(3), 2)
+        assert res == RankResult(None, False, "empirical", 2)
+
+    def test_quotient_reads_its_stem_through_associated_layers(self):
+        # positions P of the evens' Schreier members: |P| = 2 min P
+        base = Associated(Restrict(Schreier(), evens()))
+        for stem, size in ((fs(1), 1), (fs(2), 3), (fs(3), 5), (fs(2, 5), 2)):
+            q = Quotient(base, stem)
+            assert rank(q) == RankResult(size, True, "structural")
+            assert {len(s) for s in enumerate_up_to(q, 14)} == {size}
+        twice = Associated(Restrict(Associated(Restrict(Schreier(), evens())), odds()))
+        # position 2 is the odd 3, at the even 6: members with it first have 6 elements
+        assert rank(Quotient(twice, fs(2))) == RankResult(5, True, "structural")
+        assert {len(s) for s in enumerate_up_to(Quotient(twice, fs(2)), 14)} == {5}
 
 
 @settings(max_examples=60)
@@ -322,3 +354,59 @@ def test_pool_enumeration_matches_filtered_range(b, pool):
     assert list(got) == sorted(got, key=lex_key)
     assert set(got) == {FiniteSet(c) for r in range(1, len(pool) + 1)
                         for c in combinations(pool, r) if contains(b, FiniteSet(c))}
+
+
+LEAVES = st.one_of(st.integers(1, 3).map(Cube), st.just(Schreier()))
+TARGETS = st.sampled_from([evens(), odds(), Arithmetic(3, 3), CofiniteAfter(2)])
+
+
+def _or_inner(make, inner, *args):
+    """``make(inner, *args)``, or ``inner`` where that is no descriptor."""
+    try:
+        return make(inner, *args)
+    except InvalidArgumentError:
+        return inner
+
+
+def _wrapped(inner):
+    """One Restrict, Associated, Quotient or Sum layer over descriptors drawn
+    from ``inner``; a quotient's stem is drawn as positions of its base's ground."""
+    stems = st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True).map(sorted)
+    return st.one_of(
+        st.builds(lambda b, to: _or_inner(Restrict, b, to), inner, TARGETS),
+        inner.map(Associated),
+        st.builds(lambda b, pos: _or_inner(Quotient, b, FiniteSet(map(b.ground().nth, pos))),
+                  inner, stems),
+        st.builds(lambda b, c: _or_inner(lambda x, y: Sum((x, y)), b, c), inner, inner),
+    )
+
+
+DESCRIPTORS = LEAVES
+for _ in range(3):
+    DESCRIPTORS = st.one_of(LEAVES, _wrapped(DESCRIPTORS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(DESCRIPTORS)
+@example(Quotient(Associated(Restrict(Schreier(), evens())), fs(2)))
+def test_a_structural_exponent_is_the_size_of_every_member(b):
+    res = rank(b)
+    if res.method == "structural" and res.exponent is not None:
+        assert res.exponent >= 1
+        assert {len(s) for s in enumerate_up_to(b, 14)} <= {res.exponent}
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Quotient(Cube(2), FiniteSet()), "quotient stem must be nonempty",
+                 id="empty-stem"),
+    pytest.param(lambda: Sum(()), "sum needs at least one part", id="empty-sum"),
+    pytest.param(lambda: Sum((Cube(1), Restrict(Cube(1), evens()))),
+                 "sum parts must share a ground set", id="sum-grounds"),
+    pytest.param(lambda: front(Cube(1), naturals(), fuel=0), "fuel must be positive",
+                 id="front-fuel"),
+    pytest.param(lambda: enumerate_up_to(Cube(1), -1), "bound must be >= 0", id="negative-bound"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert exc.type is InvalidArgumentError and str(exc.value) == message

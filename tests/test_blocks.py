@@ -274,3 +274,13 @@ def test_sum_enumeration_is_lexicographic(parts, n):
     """A sum's members come in lexicographic order straight from the stacking."""
     members = enumerate_up_to(Sum(tuple(parts)), n)
     assert list(members) == sorted(members, key=lex_key)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: BlockFamily(()), "a block family needs at least one barrier",
+                 id="empty-family"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert exc.type is InvalidArgumentError and str(exc.value) == message

@@ -101,11 +101,14 @@ EVENS = '{"kind":"arithmetic","start":2,"step":2}'
     (f'{{"type":"quotient","base":{{"type":"restrict","base":{CUBE3},"to":{EVENS}}},"s":[2]}}',
      ("w^2", True, "structural", None)),
     (f'{{"type":"quotient","base":{SCHREIER},"s":[5]}}', ("w^4", True, "structural", None)),
+    # the stem's 2 is the even 4, so every member of the base that starts with it has 4 elements
+    (f'{{"type":"quotient","base":{{"type":"associated","base":{{"type":"restrict",'
+     f'"base":{SCHREIER},"to":{EVENS}}}}},"s":[2]}}', ("w^3", True, "structural", None)),
     # the associated quotient of a sum has no structural rule, so the whole sum is probed
     (f'{{"type":"sum","parts":[{CUBE1},{{"type":"associated","base":{EMPIRICAL}}}]}}',
      ("w^3", False, "empirical", 12)),
 ], ids=["sum-unbounded", "cube1", "quotient-cube", "quotient-restricted", "quotient-schreier",
-        "sum-empirical"])
+        "quotient-associated-schreier", "sum-empirical"])
 def test_rank_report(capsys, desc, report):
     code, payload = run_json(capsys, "barrier", "rank", "--descriptor", desc)
     assert code == 0
@@ -702,6 +705,13 @@ class TestInputContract:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "InvalidArgumentError"
+
+    def test_join_names_the_failing_part(self, capsys):
+        code, _, err = run(capsys, "blocks", "join", "--family", PAIR_FAM,
+                           "--block", "[[1,2],[3]]")
+        assert code == 2
+        assert json.loads(err) == {"error": "InvalidArgumentError",
+                                   "message": "block part 2 ({3}) is not a member of its family"}
 
     def test_join_checks_part_count(self, capsys):
         code, _, err = run(capsys, "blocks", "join", "--family", PAIR_FAM,

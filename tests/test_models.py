@@ -232,3 +232,18 @@ class TestVerifySection6:
         check = verify_section6(spec=SupFamily(()), k_max=2, grid_q=2).checks[4]
         assert check == Section6Check("spreading-dichotomy", False,
                                       "relocated model unexpectedly spread")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: eights_sequence().barrier_at(-1), "index must be >= 0",
+                 id="negative-index"),
+    pytest.param(lambda: spreading_check(even_pair_fixture(), eights_sequence(), 0,
+                                         [FiniteSet((1,))]), "k must be >= 1", id="spreading-k"),
+    pytest.param(lambda: equivalence_constants(even_pair_fixture(), eights_sequence(),
+                                               eights_sequence(), 0),
+                 "k_max must be >= 1", id="equivalence-k-max"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert exc.type is InvalidArgumentError and str(exc.value) == message

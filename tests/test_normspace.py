@@ -17,6 +17,7 @@ from blockosc.normspace import (
     _part_runs,
     check_seminorm_axioms,
     degenerate_limit_demo,
+    difference_seminorm,
     dk_distance,
     even_pair_fixture,
     mn_norm_spec,
@@ -170,7 +171,6 @@ class TestDistance:
     def test_shrinking_norm_distance(self):
         for n in (1, 2, 5, 16):
             rho = shrinking_pair_norm(n)
-            from blockosc.normspace import difference_seminorm
             assert dk_distance(rho, difference_seminorm, 2) == F(1, n)
 
 
@@ -318,3 +318,18 @@ class TestIndexInvarianceAndGrids:
         from blockosc.normspace import nonneg_grid, signed_grid
         assert nonneg_grid(1, 1) == [(F(0),), (F(1),)]
         assert signed_grid(1, 1) == [(F(-1),), (F(0),), (F(1),)]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: spec_evaluator(even_pair_fixture(), 2)((F(1),)),
+                 "expected 2 coefficients, got 1", id="evaluator-length"),
+    pytest.param(lambda: shrinking_pair_norm(0), "n must be >= 1", id="shrinking-n"),
+    pytest.param(lambda: shrinking_pair_norm(1)((F(1),)), "this evaluator lives on pairs",
+                 id="shrinking-pair"),
+    pytest.param(lambda: difference_seminorm((F(1), F(2), F(3))),
+                 "this evaluator lives on pairs", id="difference-pair"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert exc.type is InvalidArgumentError and str(exc.value) == message

@@ -449,3 +449,15 @@ def test_gap_reports_always_reverify(data):
         assert abs(psi_eval(spec, s, a) - psi_eval(spec, t, a)) == rep.gap
     else:
         assert rep.gap == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: asymptotic_stability_check(even_pair_fixture(),
+                                                    BlockFamily((Cube(1), Cube(1))),
+                                                    ToleranceSchedule(), 0),
+                 "horizon must be >= 1", id="horizon"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert exc.type is InvalidArgumentError and str(exc.value) == message

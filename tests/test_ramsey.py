@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockosc.barriers import Cube, Schreier, enumerate_up_to
-from blockosc.blocks import BlockFamily
+from blockosc.blocks import BlockFamily, enumerate_blocks
 from blockosc.errors import InvalidArgumentError
 from blockosc.normspace import even_pair_fixture, section6_spec
 from blockosc.oscillation import ToleranceSchedule, psi_eval
@@ -272,3 +272,36 @@ def test_metric_witness_reverifies(data):
 def test_contains_rule_needs_an_integer(name):
     with pytest.raises(InvalidArgumentError, match="integer"):
         builtin_coloring(name)
+
+
+SOURCES = [Cube(1), Cube(2), Schreier(), BlockFamily((Cube(1),)),
+           BlockFamily((Cube(1), Cube(2))), BlockFamily((Schreier(), Cube(1)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_search_returns_a_set(data):
+    """Every singleton is homogeneous, so each search returns a nonempty set:
+    a best set from both monochromatic strategies and from the metric
+    search, and a stable set at every diagonal stage."""
+    universe = FiniteSet(data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=7,
+                                            unique=True)))
+    source = data.draw(st.sampled_from(SOURCES))
+    if isinstance(source, BlockFamily):
+        objs = enumerate_blocks(source, universe.max, within=universe)
+    else:
+        objs = [m for m in enumerate_up_to(source, universe.max)
+                if set(m) <= set(universe)]
+    draws = st.lists(st.integers(0, 8), min_size=len(objs), max_size=len(objs))
+    coloring = Coloring.from_table(dict(zip(objs, data.draw(draws))))
+    target = data.draw(st.integers(1, len(universe)))
+    for strategy in ("exhaustive", "greedy"):
+        r = find_monochromatic(source, coloring, universe, target, strategy)
+        assert not r.best.subset.is_empty() and r.found == (r.witness is not None)
+    if isinstance(source, BlockFamily):
+        values = dict(zip(objs, (F(n, 4) for n in data.draw(draws))))
+        m = metric_stabilize(source, values, F(data.draw(st.integers(1, 4)), 8), universe,
+                             target)
+        assert not m.best.subset.is_empty() and m.found == (m.witness is not None)
+        d = diagonal_stabilize(source, values, ToleranceSchedule(), universe)
+        assert d.completed and d.stages and all(s.min_element in s.subset for s in d.stages)

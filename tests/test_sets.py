@@ -168,3 +168,13 @@ class TestGenerators:
     def test_probe_equal(self):
         assert probe_equal(evens(), Arithmetic(2, 2))
         assert not probe_equal(evens(), odds())
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: PrefixThen(FiniteSet(), naturals()),
+                 "prefix must be nonempty; use the tail directly", id="empty-prefix"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert exc.type is InvalidArgumentError and str(exc.value) == message
