@@ -31,7 +31,7 @@ class Block:
             if not isinstance(p, FiniteSet) or p.is_empty():
                 raise InvalidArgumentError("block parts must be nonempty finite sets")
         for a, b in zip(ps, ps[1:]):
-            if not a.all_below(b):
+            if a.max >= b.min:
                 raise InvalidArgumentError(f"parts out of order: {a} !< {b}")
         object.__setattr__(self, "parts", ps)
 
@@ -110,13 +110,8 @@ def _enumerate_blocks_cached(
     return tuple(map(Block._trusted, sorted(_stack(fam.parts, pool), key=lambda t: t[0].max)))
 
 
-def to_concat(block: Block) -> FiniteSet:
-    """Flatten a block into the concatenation of its parts."""
-    return block.union()
-
-
 def from_concat(fam: BlockFamily, s: FiniteSet) -> Block:
-    """Invert :func:`to_concat` by peeling the front of each part in turn.
+    """Invert :meth:`Block.union` by peeling the front of each part in turn.
 
     Raises :class:`NotInSumError` with the recovered prefix and the leftover
     when the set is not a concatenation over the family.

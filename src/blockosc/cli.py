@@ -29,7 +29,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from . import models, normspace, oscillation, ramsey, serialize
 from .barriers import FRONT_FUEL_DEFAULT, check_axioms, contains, enumerate_up_to, front, rank
-from .blocks import block_compare, enumerate_blocks, from_concat, to_concat
+from .blocks import block_compare, enumerate_blocks, from_concat
 from .errors import (InsufficientBlocksError, InvalidArgumentError, NoFrontFoundError,
                      NotInSumError, NotStabilizedError, SchemaError)
 from .serialize import (SCHEMA_VERSION, dumps, parse_barrier, parse_block, parse_coeffs,
@@ -184,7 +184,7 @@ def _blocks_compare(left, right):
           block=parse_block)
 def _blocks_join(family, block):
     _check_block_in_family(block, family)
-    return 0, {"set": to_json(to_concat(block))}
+    return 0, {"set": to_json(block.union())}
 
 
 @_command("blocks split", "concatenation set back to a block", family=parse_family,

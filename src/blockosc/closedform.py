@@ -83,29 +83,10 @@ def pair_pair_eight_block_value(a1: Fraction, a2: Fraction, a3: Fraction) -> Fra
     return Fraction(*_pair_pair_eight(*_numerators([a1, a2, a3])))
 
 
-def tail_reduced_block_value(coeffs: Sequence[Fraction]) -> Fraction:
-    """Combination of (pair, pair, 8-set, ..., 8-set) blocks, k >= 3.
-
-    Only the largest tail coefficient can reach the top-8 window, so the
-    value collapses to the three-block formula.
-    """
-    n, d = _numerators(coeffs)
-    if len(n) < 3:
-        raise InvalidArgumentError("need at least three coefficients")
-    return Fraction(*_pair_pair_eight(n, d))
-
-
-def eights_block_value(coeffs: Sequence[Fraction]) -> Fraction:
-    """Combination of normalized 8-blocks: plainly the largest coefficient."""
-    n, d = _numerators(coeffs)
-    if not n:
-        raise InvalidArgumentError("need at least one coefficient")
-    return Fraction(max(n), d)
-
-
 def _model_228(n: Sequence[int], d: int) -> tuple[int, int]:
     if len(n) == 1:
         return n[0], d
+    # past k = 3 only the largest tail coefficient reaches the top-8 window
     return _two_pair(n, d) if len(n) == 2 else _pair_pair_eight(n, d)
 
 
@@ -118,5 +99,8 @@ def model_value_228(coeffs: Sequence[Fraction]) -> Fraction:
 
 
 def model_value_8(coeffs: Sequence[Fraction]) -> Fraction:
-    """Limit norm along the all-eights block sequence."""
-    return eights_block_value(coeffs)
+    """Limit norm along the all-eights block sequence: plainly the largest coefficient."""
+    n, d = _numerators(coeffs)
+    if not n:
+        raise InvalidArgumentError("need at least one coefficient")
+    return Fraction(max(n), d)

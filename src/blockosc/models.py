@@ -38,17 +38,12 @@ class BarrierSequenceDescriptor:
         if not isinstance(self.tail, BarrierDescriptor):
             raise InvalidArgumentError("tail must be a barrier descriptor")
         # Shared-ground validation happens in BlockFamily.
-        self.family(len(self.prefix) + 1)
+        BlockFamily((*self.prefix, self.tail))
 
     def barrier_at(self, i: int) -> BarrierDescriptor:
         if i < 0:
             raise InvalidArgumentError("index must be >= 0")
         return self.prefix[i] if i < len(self.prefix) else self.tail
-
-    def family(self, k: int) -> BlockFamily:
-        if k < 1:
-            raise InvalidArgumentError("family length must be >= 1")
-        return BlockFamily(tuple(self.barrier_at(i) for i in range(k)))
 
 
 def eights_sequence() -> BarrierSequenceDescriptor:

@@ -42,7 +42,10 @@ class Vector:
         for i, c in dict(entries).items():
             if not isinstance(i, int) or i < 1:
                 raise InvalidArgumentError(f"index must be a positive integer, got {i!r}")
-            f = c if isinstance(c, Fraction) else Fraction(c)
+            try:
+                f = c if isinstance(c, Fraction) else Fraction(c)
+            except (TypeError, ValueError, ArithmeticError):
+                raise InvalidArgumentError(f"entry {i} must be rational, got {c!r}") from None
             if f != 0:
                 clean[i] = f
         object.__setattr__(self, "entries", clean)
@@ -52,10 +55,6 @@ class Vector:
 
     def __reduce__(self):
         return Vector, (self.entries,)
-
-    @staticmethod
-    def from_coeffs(coeffs: Sequence[Rational], start: int = 1) -> "Vector":
-        return Vector({start + i: Fraction(c) for i, c in enumerate(coeffs)})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.entries == other.entries
@@ -371,7 +370,7 @@ def spec_evaluator(spec: NormSpec, k: int) -> Evaluator:
     def rho(a: tuple[Fraction, ...]) -> Fraction:
         if len(a) != k:
             raise InvalidArgumentError(f"expected {k} coefficients, got {len(a)}")
-        return norm_eval(spec, Vector.from_coeffs(a))
+        return norm_eval(spec, Vector(dict(enumerate(a, 1))))
 
     return rho
 

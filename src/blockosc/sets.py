@@ -30,10 +30,11 @@ class FiniteSet:
     __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[int] = ()):
-        elems = tuple(sorted(elements))
+        elems = tuple(elements)
         for x in elems:
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise InvalidArgumentError(f"elements must be integers >= 1, got {x!r}")
+        elems = tuple(sorted(elems))
         for a, b in zip(elems, elems[1:]):
             if a == b:
                 raise InvalidArgumentError(f"duplicate element {a}")
@@ -84,12 +85,6 @@ class FiniteSet:
 
     def is_empty(self) -> bool:
         return not self.elements
-
-    def all_below(self, other: "FiniteSet") -> bool:
-        """True when every element here precedes every element of ``other``."""
-        if self.is_empty() or other.is_empty():
-            raise InvalidArgumentError("block order needs nonempty sets")
-        return self.max < other.min
 
     def suffix_after(self, n: int) -> "FiniteSet":
         """Elements strictly above ``n``."""

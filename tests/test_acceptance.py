@@ -26,11 +26,11 @@ from blockosc.barriers import (
     rank,
     sperner_violations,
 )
-from blockosc.blocks import Block, BlockFamily, enumerate_blocks, from_concat, to_concat
+from blockosc.blocks import Block, BlockFamily, enumerate_blocks, from_concat
 from blockosc.closedform import (
-    eights_block_value,
+    model_value_8,
+    model_value_228,
     pair_pair_eight_block_value,
-    tail_reduced_block_value,
     two_pair_block_value,
 )
 from blockosc.models import (
@@ -123,14 +123,14 @@ def test_02_closed_form_block_norms_match_direct_evaluation():
     grid1 = nonneg_grid(1, 4)
     for b in enumerate_blocks(BlockFamily((Cube(8),)), 14):
         for a in grid1:
-            assert psi_eval(SPEC, b, a) == eights_block_value(a)
+            assert psi_eval(SPEC, b, a) == model_value_8(a)
     for b in enumerate_blocks(BlockFamily((Cube(8), Cube(8))), 17):
         for a in grid2:
-            assert psi_eval(SPEC, b, a) == eights_block_value(a)
+            assert psi_eval(SPEC, b, a) == model_value_8(a)
     for _ in range(200):
         b = _random_block(rng, (8,) * rng.randint(1, 3), 40)
         for a in nonneg_grid(len(b.parts), 2):
-            assert psi_eval(SPEC, b, a) == eights_block_value(a)
+            assert psi_eval(SPEC, b, a) == model_value_8(a)
 
     for k, samples in ((3, 70), (4, 70), (5, 60)):
         sizes = (2, 2) + (8,) * (k - 2)
@@ -140,7 +140,7 @@ def test_02_closed_form_block_norms_match_direct_evaluation():
                  else _random_block(rng, sizes, 40))
             for a in grid:
                 got = psi_eval(SPEC, b, a)
-                assert got == tail_reduced_block_value(a)
+                assert got == model_value_228(a)
                 if k == 3:
                     assert got == pair_pair_eight_block_value(*a)
     assert time.monotonic() - start < 60.0
@@ -210,7 +210,7 @@ def test_07_concat_bijection_round_trip():
         assert blocks
         images = set()
         for b in blocks:
-            s = to_concat(b)
+            s = b.union()
             assert from_concat(fam, s) == b
             images.add(s)
         assert len(images) == len(blocks)

@@ -19,7 +19,6 @@ from blockosc.blocks import (
     block_compare,
     enumerate_blocks,
     from_concat,
-    to_concat,
 )
 from blockosc.errors import InvalidArgumentError, NotInSumError
 from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen, evens, odds
@@ -135,7 +134,7 @@ class TestBijection:
     )
 
     def test_to_concat_example(self):
-        assert to_concat(blk((1, 2), (3, 4))) == fs(1, 2, 3, 4)
+        assert blk((1, 2), (3, 4)).union() == fs(1, 2, 3, 4)
 
     def test_from_concat_examples(self):
         fam = BlockFamily((Cube(2), Cube(2)))
@@ -164,7 +163,7 @@ class TestBijection:
     def test_round_trip_and_image(self, fam):
         n = 14
         blocks = enumerate_blocks(fam, n)
-        images = [to_concat(b) for b in blocks]
+        images = [b.union() for b in blocks]
         assert len(set(images)) == len(images)
         assert set(images) == set(enumerate_up_to(Sum(fam.parts), n))
         for b, s in zip(blocks, images):
@@ -204,7 +203,7 @@ def test_round_trip_is_identity(n, data):
     fam = BlockFamily((Cube(1), Cube(2)))
     blocks = enumerate_blocks(fam, n)
     b = data.draw(st.sampled_from(list(blocks)))
-    assert from_concat(fam, to_concat(b)) == b
+    assert from_concat(fam, b.union()) == b
 
 
 @settings(max_examples=60)

@@ -24,12 +24,10 @@ from blockosc.closedform import (
     _model_228,
     _pair_pair_eight,
     _two_pair,
-    eights_block_value,
     flat_norm_sorted,
     model_value_8,
     model_value_228,
     pair_pair_eight_block_value,
-    tail_reduced_block_value,
     two_pair_block_value,
 )
 from blockosc.errors import InvalidArgumentError
@@ -134,7 +132,7 @@ class TestFlatNorm:
                 continue
             seen.add(full)
             assert flat_norm_sorted(full) == \
-                norm_eval(spec, Vector.from_coeffs(full))
+                norm_eval(spec, Vector(dict(enumerate(full, 1))))
 
     def test_matches_evaluator_on_random_rationals(self):
         rng = random.Random(11)
@@ -144,7 +142,7 @@ class TestFlatNorm:
             a = sorted((F(rng.randint(0, 24), rng.randint(1, 8))
                         for _ in range(k)), reverse=True)
             assert flat_norm_sorted(a) == \
-                norm_eval(spec, Vector.from_coeffs(a))
+                norm_eval(spec, Vector(dict(enumerate(a, 1))))
 
 
 class TestTwoPairs:
@@ -199,28 +197,24 @@ class TestTailReduction:
         sizes = (2, 2) + (8,) * (k - 2)
         for _ in range(120):
             a = tuple(F(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(k))
-            assert tail_reduced_block_value(a) == combine(sizes, a)
+            assert model_value_228(a) == combine(sizes, a)
 
     def test_reduces_to_three_block_formula(self):
         a = (F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 5))
-        assert tail_reduced_block_value(a) == \
+        assert model_value_228(a) == \
             pair_pair_eight_block_value(F(1), F(1, 2), F(2, 3))
-
-    def test_needs_three_coefficients(self):
-        with pytest.raises(InvalidArgumentError):
-            tail_reduced_block_value((F(1), F(1)))
 
 
 class TestEights:
     def test_is_max(self):
-        assert eights_block_value((F(1, 2), F(3, 4), F(1, 4))) == F(3, 4)
+        assert model_value_8((F(1, 2), F(3, 4), F(1, 4))) == F(3, 4)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_against_evaluator(self, k):
         rng = random.Random(20 + k)
         for _ in range(100):
             a = tuple(F(rng.randint(0, 10), rng.randint(1, 5)) for _ in range(k))
-            assert eights_block_value(a) == combine((8,) * k, a)
+            assert model_value_8(a) == combine((8,) * k, a)
 
 
 class TestModelDispatch:
@@ -290,10 +284,7 @@ def test_models_and_tail_match_reference(a):
     want = (a[0] if len(a) == 1 else ref_two_pair_block_value(*a) if len(a) == 2
             else ref_pair_pair_eight_block_value(a[0], a[1], max(a[2:])))
     _same(model_value_228(a), want)
-    if len(a) >= 3:
-        _same(tail_reduced_block_value(a), want)
     _same(model_value_8(a), max(a))
-    _same(eights_block_value(a), max(a))
 
 
 # Each guard's tie set, crossed with a spread of the free coordinates: the
@@ -317,7 +308,7 @@ def test_pair_pair_eight_on_guard_ties():
     for a in TIES:
         want = ref_pair_pair_eight_block_value(*a)
         _same(pair_pair_eight_block_value(*a), want, a)
-        _same(tail_reduced_block_value(a + (F(0),)), want, a)
+        _same(model_value_228(a + (F(0),)), want, a)
 
 
 def test_two_pair_on_guard_ties():
@@ -378,7 +369,7 @@ def test_two_pair_core(n, d, c):
 @settings(max_examples=300)
 @given(st.lists(NUMERATORS, min_size=3, max_size=6), SCALES, SCALES)
 def test_pair_pair_eight_core(n, d, c):
-    check_core(_pair_pair_eight, tail_reduced_block_value, n, d, c)
+    check_core(_pair_pair_eight, model_value_228, n, d, c)
     if len(n) == 3:
         check_core(_pair_pair_eight, lambda a: pair_pair_eight_block_value(*a), n, d, c)
 
@@ -393,8 +384,8 @@ def test_model_228_core(n, d, c):
     (two_pair_block_value, (F(-1), F(1))),
     (pair_pair_eight_block_value, (F(1), F(1), F(-1, 3))),
     (flat_norm_sorted, ([F(-1)],)),
-    (tail_reduced_block_value, ([F(-1)],)),
-    (eights_block_value, ([F(1), F(-2)],)),
+    (model_value_228, ([F(1), F(1), F(0), F(-1)],)),  # on the tail reduction, k = 4
+    (model_value_8, ([F(1), F(-2)],)),
     (model_value_228, ([F(-1)],)),
     (model_value_8, ([F(-1)],)),
 ])
@@ -406,10 +397,8 @@ def test_negative_is_reported_before_empty_or_short(fn, args):
 def test_messages_and_input_types_are_kept():
     with pytest.raises(InvalidArgumentError, match="sorted descending"):
         flat_norm_sorted([F(1), F(2)])
-    with pytest.raises(InvalidArgumentError, match="at least three"):
-        tail_reduced_block_value([F(1), F(1)])
     with pytest.raises(InvalidArgumentError, match="at least one"):
-        eights_block_value([])
+        model_value_8([])
     with pytest.raises(InvalidArgumentError, match="at least one"):
         model_value_228([])
     # ints and strings convert the way Fraction converts them

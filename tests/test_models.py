@@ -37,19 +37,12 @@ class TestSequenceDescriptor:
         assert seq.barrier_at(2) == Cube(8)
         assert seq.barrier_at(99) == Cube(8)
 
-    def test_family_lengths(self):
-        seq = two_two_eights_sequence()
-        assert seq.family(1).parts == (Cube(2),)
-        assert seq.family(4).parts == (Cube(2), Cube(2), Cube(8), Cube(8))
-        with pytest.raises(InvalidArgumentError):
-            seq.family(0)
-
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             BarrierSequenceDescriptor(("not a barrier",), Cube(2))
         with pytest.raises(InvalidArgumentError):
             BarrierSequenceDescriptor((), "nope")
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="^family parts must share a ground set$"):
             BarrierSequenceDescriptor((Restrict(Cube(1), evens()),), Cube(2))
 
     def test_schreier_tail_is_allowed(self):

@@ -56,10 +56,6 @@ class TestVector:
         assert {a, b, Vector({1: F(1, 2)})} == {a, Vector({1: F(1, 2)})}
         assert a != Vector({1: F(1, 2)}) and a != a.entries
 
-    def test_from_coeffs_start(self):
-        v = Vector.from_coeffs((F(1), F(0), F(2)), start=4)
-        assert v.entries == {4: F(1), 6: F(2)}
-
 
 class TestSpecConstruction:
     def test_term_validation(self):
@@ -328,6 +324,11 @@ class TestIndexInvarianceAndGrids:
                  id="shrinking-pair"),
     pytest.param(lambda: difference_seminorm((F(1), F(2), F(3))),
                  "this evaluator lives on pairs", id="difference-pair"),
+    pytest.param(lambda: Vector({1: None}), "entry 1 must be rational, got None",
+                 id="none-entry"),
+    pytest.param(lambda: Vector({2: "x"}), "entry 2 must be rational, got 'x'", id="str-entry"),
+    pytest.param(lambda: Vector({3: float("inf")}), "entry 3 must be rational, got inf",
+                 id="inf-entry"),
 ])
 def test_input_checks(call, message):
     with pytest.raises(InvalidArgumentError) as exc:

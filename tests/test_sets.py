@@ -73,22 +73,16 @@ class TestFiniteSet:
 class TestCompareSets:
     def test_disjoint_ordered(self):
         s, t = FiniteSet([1, 2]), FiniteSet([3, 5])
-        assert s.all_below(t) and lex_key(s) < lex_key(t)
+        assert s.max < t.min and lex_key(s) < lex_key(t)
 
     def test_symmetric_difference_rule(self):
         # min of the symmetric difference is 2, which lives in the left set
         s, t = FiniteSet([1, 2]), FiniteSet([1, 3])
-        assert not s.all_below(t) and lex_key(s) < lex_key(t)
+        assert not s.max < t.min and lex_key(s) < lex_key(t)
 
     def test_prefix_case(self):
         # a strict prefix sorts after its extension
         assert lex_key(FiniteSet([1, 2])) > lex_key(FiniteSet([1, 2, 5]))
-
-    def test_rejects_empty(self):
-        # either side empty gets the block-order message, not the empty max or min's
-        for s, t in ((FiniteSet(), FiniteSet([1])), (FiniteSet([1]), FiniteSet())):
-            with pytest.raises(InvalidArgumentError, match="block order needs nonempty sets"):
-                s.all_below(t)
 
     @given(finite_sets, finite_sets)
     def test_lex_total_and_antisymmetric(self, s, t):
@@ -141,6 +135,7 @@ class TestGenerators:
         g = PrefixThen(FiniteSet([2, 5]), CofiniteAfter(7))
         assert g.first(5) == (2, 5, 8, 9, 10)
         assert [g.nth(i) for i in (1, 2, 3, 4)] == [2, 5, 8, 9]
+        assert [x for x in range(1, 12) if g.contains(x)] == [2, 5, 8, 9, 10, 11]
         for prefix in ([9], [2, 8]):  # the tail starts at 8: past or at the prefix's end
             with pytest.raises(InvalidArgumentError):
                 PrefixThen(FiniteSet(prefix), CofiniteAfter(7))
@@ -173,6 +168,11 @@ class TestGenerators:
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: PrefixThen(FiniteSet(), naturals()),
                  "prefix must be nonempty; use the tail directly", id="empty-prefix"),
+    # elements are checked before they are sorted, so none of these reaches sorted()
+    pytest.param(lambda: FiniteSet([2, "1"]), "elements must be integers >= 1, got '1'",
+                 id="str-element"),
+    pytest.param(lambda: FiniteSet([1, None]), "elements must be integers >= 1, got None",
+                 id="none-element"),
 ])
 def test_input_checks(call, message):
     with pytest.raises(InvalidArgumentError) as exc:
