@@ -26,7 +26,7 @@ FRONT_FUEL_DEFAULT = 10**6
 
 
 class BarrierDescriptor:
-    """Base class; concrete variants are frozen dataclasses below."""
+    """Base class; concrete variants are frozen records below."""
 
     def ground(self) -> SetGenerator:
         raise NotImplementedError

@@ -17,11 +17,13 @@ from .frozen import frozen
 from .sets import FiniteSet, probe_equal
 
 
+@frozen
 class Block:
     """Immutable stacked tuple of finite sets.  ``_trusted`` skips the checks: only library
     code calls it, on nonempty valid sets it peeled or stacked, each wholly below the next."""
 
     __slots__ = ("parts",)
+    parts: tuple[FiniteSet, ...]
 
     def __init__(self, parts: Iterable[FiniteSet]):
         ps = tuple(parts)
@@ -40,12 +42,6 @@ class Block:
         b = object.__new__(cls)
         object.__setattr__(b, "parts", parts)
         return b
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Block is immutable")
-
-    def __reduce__(self):
-        return Block, (self.parts,)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -83,6 +79,8 @@ class BlockFamily:
     def __post_init__(self):
         if not self.parts:
             raise InvalidArgumentError("a block family needs at least one barrier")
+        if not all(isinstance(p, BarrierDescriptor) for p in self.parts):
+            raise InvalidArgumentError("family parts must be barrier descriptors")
         g0 = self.parts[0].ground()
         if not all(probe_equal(g0, p.ground()) for p in self.parts[1:]):
             raise InvalidArgumentError("family parts must share a ground set")

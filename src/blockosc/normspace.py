@@ -32,10 +32,12 @@ if TYPE_CHECKING:
 Rational = Union[Fraction, int]
 
 
+@frozen
 class Vector:
     """Finitely supported rational vector over positive integer indices."""
 
     __slots__ = ("entries",)
+    entries: dict[int, Fraction]
 
     def __init__(self, entries: Mapping[int, Rational] = ()):
         clean: dict[int, Fraction] = {}
@@ -50,27 +52,11 @@ class Vector:
                 clean[i] = f
         object.__setattr__(self, "entries", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
-
-    def __reduce__(self):
-        return Vector, (self.entries,)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.entries == other.entries
 
     def __hash__(self) -> int:
         return hash(frozenset(self.entries.items()))
-
-    def __add__(self, other: "Vector") -> "Vector":
-        out = dict(self.entries)
-        for i, c in other.entries.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return Vector(out)
-
-    def scale(self, f: Rational) -> "Vector":
-        f = Fraction(f)
-        return Vector({i: c * f for i, c in self.entries.items()})
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}: {c}" for i, c in sorted(self.entries.items()))

@@ -7,7 +7,6 @@ point at the offending field.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 from typing import Any
@@ -341,7 +340,7 @@ def to_json(value: Any) -> Any:
 
     A rational becomes its exact "p/q" string, a set its sorted array of
     elements and a block its array of parts; tuples and lists become arrays;
-    a dataclass becomes an object of its fields plus each property its class
+    a record becomes an object of its fields plus each property its class
     defines (``vacuous``, ``holds``, ``all_pass``, ...).  Anything else (ints,
     bools, strings, None, JSON colours) passes through.  Inputs have parsers
     above but no encoder: no report carries one.
@@ -354,10 +353,9 @@ def to_json(value: Any) -> Any:
         return [list(p.elements) for p in value.parts]
     if isinstance(value, (tuple, list)):
         return [to_json(x) for x in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        names = [f.name for f in dataclasses.fields(value)]
-        names += [n for n, a in vars(type(value)).items() if isinstance(a, property)]
-        return {n: to_json(getattr(value, n)) for n in names}
+    if hasattr(type(value), "_fields"):
+        props = (n for n, a in vars(type(value)).items() if isinstance(a, property))
+        return {n: to_json(getattr(value, n)) for n in (*value._fields, *props)}
     return value
 
 

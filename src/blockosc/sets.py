@@ -24,13 +24,18 @@ from .errors import InvalidArgumentError
 from .frozen import frozen
 
 
+@frozen
 class FiniteSet:
     """Immutable finite set of positive integers."""
 
     __slots__ = ("elements",)
+    elements: tuple[int, ...]
 
     def __init__(self, elements: Iterable[int] = ()):
-        elems = tuple(elements)
+        try:
+            elems = tuple(elements)
+        except TypeError:
+            raise InvalidArgumentError(f"elements must be iterable, got {elements!r}") from None
         for x in elems:
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise InvalidArgumentError(f"elements must be integers >= 1, got {x!r}")
@@ -46,12 +51,6 @@ class FiniteSet:
         s = object.__new__(cls)
         _set_elements(s, elems)
         return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSet is immutable")
-
-    def __reduce__(self):
-        return FiniteSet, (self.elements,)
 
     def __len__(self) -> int:
         return len(self.elements)

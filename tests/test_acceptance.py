@@ -303,8 +303,11 @@ def test_11_property_suites():
         c = F(rng.randint(-8, 8), rng.randint(1, 8))
         assert norm_eval(spec, u) >= 0
         assert (norm_eval(spec, u) == 0) == (u == Vector())
-        assert norm_eval(spec, u.scale(c)) == abs(c) * norm_eval(spec, u)
-        assert norm_eval(spec, u + v) <= norm_eval(spec, u) + norm_eval(spec, v)
+        scaled = Vector({i: c * x for i, x in u.entries.items()})
+        added = Vector({i: u.entries.get(i, 0) + v.entries.get(i, 0)
+                        for i in {*u.entries, *v.entries}})
+        assert norm_eval(spec, scaled) == abs(c) * norm_eval(spec, u)
+        assert norm_eval(spec, added) <= norm_eval(spec, u) + norm_eval(spec, v)
 
     # 2. unconditional / permutation / spreading invariance
     rng = random.Random(1102)

@@ -278,6 +278,10 @@ def test_sum_enumeration_is_lexicographic(parts, n):
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: BlockFamily(()), "a block family needs at least one barrier",
                  id="empty-family"),
+    pytest.param(lambda: BlockFamily((1,)), "family parts must be barrier descriptors",
+                 id="int-part"),
+    pytest.param(lambda: BlockFamily((Cube(2), FiniteSet((1, 2)))),
+                 "family parts must be barrier descriptors", id="set-part"),
 ])
 def test_input_checks(call, message):
     with pytest.raises(InvalidArgumentError) as exc:

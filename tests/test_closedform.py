@@ -100,13 +100,14 @@ def ref_pair_pair_eight_block_value(a1, a2, a3):
 def combine(sizes, coeffs):
     """Generic-evaluator value of sum(a_i * X_i) on far-apart blocks."""
     spec = section6_spec()
-    v = Vector()
+    entries = {}
     lo = 1
     for size, a in zip(sizes, coeffs):
-        x = Vector({i: 1 for i in range(lo, lo + size)})  # the block's indicator
-        v = v + x.scale(a / norm_eval(spec, x))
+        block = range(lo, lo + size)
+        c = a / norm_eval(spec, Vector({i: 1 for i in block}))  # over the indicator's norm
+        entries.update({i: c for i in block})
         lo += size + 3
-    return norm_eval(spec, v)
+    return norm_eval(spec, Vector(entries))
 
 
 class TestFlatNorm:

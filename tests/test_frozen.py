@@ -1,7 +1,8 @@
-"""The library's frozen dataclasses are built on their first instance.
+"""The library's frozen records are built on their first instance, without ``dataclasses``.
 
 Each one must then behave exactly as the plain ``dataclass(frozen=True)`` it
-replaces: same repr, JSON form, equality and hash, also after a pickle.
+replaces: same fields, repr, JSON form, equality, hash and guard, also after a
+pickle, and whichever thread makes its first instance.
 """
 
 import copy
@@ -12,6 +13,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+import threading
 import types
 from fractions import Fraction as F
 
@@ -19,6 +21,7 @@ import pytest
 
 from blockosc.barriers import Cube, Quotient, Restrict, Schreier
 from blockosc.blocks import Block
+from blockosc.frozen import FrozenInstanceError, frozen
 from blockosc.normspace import AxiomCheck, SupFamily, SupTerm, Vector, mn_norm_spec
 from blockosc.oscillation import OscillationReport
 from blockosc.serialize import to_json
@@ -27,6 +30,8 @@ from blockosc.sets import Arithmetic, CofiniteAfter, FiniteSet, PrefixThen
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 MODULES = ("barriers", "blocks", "models", "normspace", "oscillation", "ramsey", "sets")
+# decorated too, but with their own constructor, equality, hash and repr: see the last tests
+VALUE_TYPES = ("FiniteSet", "Block", "Vector")
 
 
 def fs(*xs):
@@ -92,16 +97,28 @@ def plain_copy(name: str) -> types.ModuleType:
 
 
 def class_pairs():
-    """(library module, plain copy, class name) for every class decorated with ``frozen``."""
+    """(library module, plain copy, class name) for every record decorated with ``frozen``."""
     for name in MODULES:
         lazy, plain = importlib.import_module(f"blockosc.{name}"), plain_copy(name)
         for attr, cls in vars(plain).items():
             if (isinstance(cls, type) and cls.__module__ == plain.__name__
-                    and dataclasses.is_dataclass(cls)):
+                    and dataclasses.is_dataclass(cls) and attr not in VALUE_TYPES):
                 yield lazy, plain, attr
 
 
 PAIRS = list(class_pairs())
+
+
+def plain_json(value):
+    """``to_json`` as it reads a record, read off a plain dataclass: its fields, then each
+    property its class defines."""
+    if isinstance(value, (tuple, list)):
+        return [plain_json(x) for x in value]
+    if not dataclasses.is_dataclass(value):
+        return to_json(value)
+    names = [f.name for f in dataclasses.fields(value)]
+    names += [n for n, a in vars(type(value)).items() if isinstance(a, property)]
+    return {n: plain_json(getattr(value, n)) for n in names}
 
 
 def test_every_decorated_class_has_sample_arguments():
@@ -115,10 +132,9 @@ def test_each_class_behaves_as_a_plain_frozen_dataclass(lazy_module, plain_modul
     lazy_args, plain_args = ((args(lazy_module), args(plain_module)) if callable(args)
                              else (args, args))
     a, b = lazy(*lazy_args), plain(*plain_args)
-    assert dataclasses.is_dataclass(lazy)
-    assert [f.name for f in dataclasses.fields(a)] == [f.name for f in dataclasses.fields(b)]
+    assert lazy._fields == tuple(f.name for f in dataclasses.fields(b)) == lazy.__match_args__
     assert repr(a) == repr(b)
-    assert to_json(a) == to_json(b)
+    assert to_json(a) == plain_json(b)
     assert a == lazy(*lazy_args) and b == plain(*plain_args)
     assert a != b and b != a  # a dataclass equals only instances of its own class
     try:
@@ -128,12 +144,17 @@ def test_each_class_behaves_as_a_plain_frozen_dataclass(lazy_module, plain_modul
             hash(a)
     else:
         assert hash(a) == want == hash(lazy(*lazy_args))
-    field = next(iter(dataclasses.fields(a)), None)
-    for obj in (a, b):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, field.name if field else "x", None)
+    name = lazy._fields[0] if lazy._fields else "x"
+    for op in (lambda obj: setattr(obj, name, None), lambda obj: delattr(obj, name)):
+        with pytest.raises(FrozenInstanceError) as mine:
+            op(a)
+        with pytest.raises(dataclasses.FrozenInstanceError) as theirs:
+            op(b)
+        assert str(mine.value) == str(theirs.value)
     cached = {"__slotnames__"}  # copyreg caches it on a class once any test pickles an instance
-    assert set(vars(lazy)) - {"__reduce__"} - cached == set(vars(plain)) - cached
+    mine = {"_fields", "__reduce__"}
+    theirs = {"__dataclass_fields__", "__dataclass_params__", "__replace__"}  # 3.13 adds the last
+    assert set(vars(lazy)) - mine - cached == set(vars(plain)) - theirs - cached
     assert "__setstate__" not in vars(lazy)
 
 
@@ -142,7 +163,7 @@ def test_each_class_behaves_as_a_plain_frozen_dataclass(lazy_module, plain_modul
 def test_each_record_pickles_and_copies_through_its_constructor(module, name):
     cls, args = getattr(module, name), ARGS[name]
     obj = cls(*(args(module) if callable(args) else args))
-    assert obj.__reduce__() == (cls, tuple(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+    assert obj.__reduce__() == (cls, tuple(getattr(obj, n) for n in cls._fields))
     twins = (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj))
     for twin in twins:
         assert type(twin) is cls and twin == obj and repr(twin) == repr(obj)
@@ -163,25 +184,19 @@ def run_python(code: str) -> str:
     return proc.stdout
 
 
-BUILT_ON_IMPORT = """
-import dataclasses, gc
-import blockosc.cli
-print(sorted(c.__qualname__ for c in gc.get_objects() if isinstance(c, type)
-             and c.__module__.startswith("blockosc.") and dataclasses.is_dataclass(c)))
-"""
-
-
-def test_importing_the_cli_builds_no_dataclass():
-    assert run_python(BUILT_ON_IMPORT).strip() == "[]"
+def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
+    code = "import sys, blockosc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert run_python(code).strip() == "[]"
 
 
 LOAD = """
-import dataclasses, pickle
+import pickle
 from blockosc.barriers import Cube, Restrict, Schreier
+from blockosc.frozen import _first_init
 from blockosc.normspace import SupFamily, mn_norm_spec
 from blockosc.sets import Arithmetic
 loaded = pickle.loads(bytes.fromhex(PAYLOAD))
-print(all(dataclasses.is_dataclass(x) for x in loaded), "_plan" in vars(loaded[0]))
+print(all(type(x).__init__ is not _first_init for x in loaded), "_plan" in vars(loaded[0]))
 fresh = (mn_norm_spec(2, 3), Restrict(Cube(2), Arithmetic(2, 2)), Schreier(), SupFamily(()))
 print(loaded == fresh, [hash(x) for x in loaded] == [hash(x) for x in fresh])
 print(loaded[0]._plan == fresh[0]._plan, [repr(x) for x in loaded])
@@ -198,16 +213,88 @@ def test_objects_pickled_here_load_equal_in_a_fresh_interpreter():
     assert out.splitlines() == ["True False", "True True", f"True {[repr(x) for x in objs]}"]
 
 
+VALUES = ((fs(1), "elements"), (BLOCK, "parts"), (Vector({1: 1}), "entries"))
+
 
 def test_immutable_values_and_records_holding_them_copy_and_pickle():
     # FiniteSet, Block and Vector refuse attribute writes, so each rebuilds
-    # through its checked constructor; the records pickle their fields
+    # through its checked constructor, as the records do
     objs = (fs(1, 3), BLOCK, Vector({1: F(1, 2), 3: -2}), Quotient(Cube(3), fs(2)),
             PrefixThen(fs(1, 2), CofiniteAfter(4)), OscillationReport(*ARGS["OscillationReport"]))
     for obj in objs:
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
             assert repr(twin) == repr(obj)
-    for obj, field in ((fs(1), "elements"), (BLOCK, "parts"), (Vector({1: 1}), "entries")):
-        with pytest.raises(AttributeError, match="is immutable"):
+    for obj, field in VALUES:
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
             setattr(obj, field, None)
+
+
+@pytest.mark.parametrize("obj, field", VALUES, ids=VALUE_TYPES)
+def test_value_types_refuse_deletion(obj, field):
+    with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
+        delattr(obj, field)
+    assert type(obj)(getattr(obj, field)) == obj and hash(obj) == hash(copy.copy(obj))
+
+
+def test_a_derived_record_takes_its_base_fields_then_its_own():
+    def pair(decorate):
+        @decorate
+        class Base:
+            a: int
+
+        @decorate
+        class Derived(Base):
+            b: str = "x"
+
+            def __post_init__(self):
+                if not self.b:
+                    raise ValueError("empty b")
+
+        return Base, Derived
+
+    base, derived = pair(frozen)
+    plain_base, plain_derived = pair(dataclasses.dataclass(frozen=True))
+    d, want = derived(1), plain_derived(1)
+    assert repr(d) == repr(want) == f"{derived.__qualname__}(a=1, b='x')"
+    assert repr(base(2)) == repr(plain_base(2))
+    assert derived._fields == ("a", "b") == tuple(f.name for f in dataclasses.fields(want))
+    assert d == derived(1, "x") == copy.deepcopy(d) and d != base(1) and hash(d) == hash(want)
+    with pytest.raises(ValueError, match="empty b"):
+        derived(1, "")
+
+
+def test_threads_racing_to_a_fresh_class_all_make_their_instances():
+    def make(cls, i, start, failures):
+        try:
+            start.wait(timeout=30)
+            obj = cls(i, [i])
+            assert obj == cls(i, (i,))
+            assert repr(obj) == f"{cls.__qualname__}(a={i}, b=({i},), c=None)"
+        except Exception as exc:  # noqa: BLE001 - every failure is reported below
+            failures.append(f"{type(exc).__name__}: {exc}")
+
+    interval, failures, stuck = sys.getswitchinterval(), [], 0
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(300):
+            @frozen
+            class Rec:
+                a: int
+                b: tuple = ()
+                c: object = None
+
+                def __post_init__(self):
+                    object.__setattr__(self, "b", tuple(self.b))
+
+            start = threading.Barrier(8)
+            threads = [threading.Thread(target=make, args=(Rec, i, start, failures))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            stuck += sum(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stuck == 0 and failures == []

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction as F
 
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 from blockosc.errors import InvalidArgumentError
 from blockosc.normspace import (
+    DegenerateLimitReport,
     LpNorm,
     SupFamily,
     SupTerm,
@@ -43,11 +43,6 @@ class TestVector:
 
     def test_drops_zero_entries(self):
         assert sorted(Vector({1: 0, 2: F(1, 2)}).entries) == [2]
-
-    def test_add_and_scale(self):
-        v = Vector({1: 1}) + Vector({1: 1}) + Vector({2: F(1, 3)})
-        assert v.entries == {1: F(2), 2: F(1, 3)}
-        assert v.scale(F(3)).entries == {1: F(6), 2: F(1)}
 
     def test_equal_vectors_hash_equal(self):
         a = Vector({1: F(1, 2), 3: 2, 5: 0})
@@ -197,7 +192,9 @@ class TestAxioms:
         assert rep.limit_at_e1 == F(1)
         assert rep.collapses_exactly_at_positivity
         a_norm = check_seminorm_axioms(shrinking_pair_norm(2), 2)
-        assert not dataclasses.replace(rep, limit_axioms=a_norm).collapses_exactly_at_positivity
+        other = DegenerateLimitReport(rep.distances, rep.value_at_ones, rep.limit_at_ones,
+                                      rep.limit_at_e1, a_norm)
+        assert not other.collapses_exactly_at_positivity
         assert degenerate_limit_demo(n_max=1).distances == ((1, F(1)),)
 
     def test_degenerate_limit_demo_evaluates_each_grid_point_once(self, monkeypatch):
@@ -227,18 +224,23 @@ def small_vectors(draw):
     return Vector(dict(zip(idx, cs)))
 
 
+def vector_sum(u, v):
+    return Vector({i: u.entries.get(i, 0) + v.entries.get(i, 0) for i in {*u.entries, *v.entries}})
+
+
 @settings(max_examples=150)
 @given(small_vectors(), small_vectors())
 def test_triangle_inequality(u, v):
     spec = section6_spec()
-    assert norm_eval(spec, u + v) <= norm_eval(spec, u) + norm_eval(spec, v)
+    assert norm_eval(spec, vector_sum(u, v)) <= norm_eval(spec, u) + norm_eval(spec, v)
 
 
 @settings(max_examples=150)
 @given(small_vectors(), st.fractions(min_value=-4, max_value=4, max_denominator=6))
 def test_homogeneity(v, lam):
     spec = section6_spec()
-    assert norm_eval(spec, v.scale(lam)) == abs(lam) * norm_eval(spec, v)
+    scaled = Vector({i: lam * x for i, x in v.entries.items()})
+    assert norm_eval(spec, scaled) == abs(lam) * norm_eval(spec, v)
 
 
 @settings(max_examples=100)
@@ -246,7 +248,7 @@ def test_homogeneity(v, lam):
 def test_filtered_specs_still_obey_triangle(v):
     spec = even_pair_fixture()
     w = Vector({i + 1: c for i, c in v.entries.items()})
-    assert norm_eval(spec, v + w) <= norm_eval(spec, v) + norm_eval(spec, w)
+    assert norm_eval(spec, vector_sum(v, w)) <= norm_eval(spec, v) + norm_eval(spec, w)
 
 
 def _ref_root(n, p):

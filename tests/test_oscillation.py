@@ -99,8 +99,8 @@ class TestPsi:
         spec = section6_spec()
         b = stacked_block(2, 8)
         a = (F(2, 3), F(1, 5))
-        v = Vector({1: F(2, 3) / F(3, 2), 2: F(2, 3) / F(3, 2)})
-        v = v + Vector({i: F(1, 5) / F(9, 2) for i in range(3, 11)})
+        v = Vector({1: F(2, 3) / F(3, 2), 2: F(2, 3) / F(3, 2),
+                    **{i: F(1, 5) / F(9, 2) for i in range(3, 11)}})
         assert psi_eval(spec, b, a) == norm_eval(spec, v)
 
     def test_coefficient_count_checked(self):

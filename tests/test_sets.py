@@ -173,6 +173,9 @@ class TestGenerators:
                  id="str-element"),
     pytest.param(lambda: FiniteSet([1, None]), "elements must be integers >= 1, got None",
                  id="none-element"),
+    pytest.param(lambda: FiniteSet(5), "elements must be iterable, got 5", id="int-elements"),
+    pytest.param(lambda: FiniteSet(None), "elements must be iterable, got None",
+                 id="none-elements"),
 ])
 def test_input_checks(call, message):
     with pytest.raises(InvalidArgumentError) as exc:
