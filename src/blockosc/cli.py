@@ -13,6 +13,10 @@ tuple of choices, ``Fraction`` (``parse_rational`` on the raw text at
 ``$.name``), or ``str``: raw JSON text that the handler decodes itself.
 ``(kind, default)`` makes a flag optional.  The handler takes the decoded
 values and returns ``(exit_code, report)``.
+
+A command line that names a subcommand is parsed by that subcommand's parser
+alone.  Group and top-level help, misspellings and leftover arguments go
+through the whole tree, so help and error text are unchanged.
 """
 
 from __future__ import annotations
@@ -325,12 +329,13 @@ _GROUPS = {"barrier": "barrier families", "blocks": "blocks of barrier tuples",
            "ramsey": "finite Ramsey searches", "norm": "norm spec evaluation",
            "oscillation": "block oscillation measurements",
            "model": "limit norms along barrier sequences"}
+_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree of the declared subcommands, built on first use and
-    shared by later calls."""
+    shared by later calls; ``_LEAVES`` keeps each leaf by its command words."""
     top = argparse.ArgumentParser(
         prog="blockosc",
         description="Barrier combinatorics, block norms, and limit models "
@@ -355,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      f"${OUT_DIR_ENV} when set)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(command=cmd)
+        _LEAVES[tuple(cmd.name.split())] = p
     return top
 
 
@@ -364,7 +370,11 @@ _INPUT_ERRORS = (InvalidArgumentError, NoFrontFoundError, InsufficientBlocksErro
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    tree, argv = build_parser(), (sys.argv[1:] if argv is None else argv)
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in _LEAVES), ())
+    args, rest = _LEAVES[words].parse_known_args(argv[len(words):]) if words else (None, [])
+    if args is None or rest:  # no leaf named, or words left over: the whole tree
+        args = tree.parse_args(argv)
     cmd = args.command
     try:
         values = {}

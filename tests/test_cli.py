@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from blockosc import cli
 from blockosc.cli import build_parser, main
+from test_cli_fuzz import VALID, _argv
 
 CUBE1 = '{"type":"cube","k":1}'
 CUBE2 = '{"type":"cube","k":2}'
@@ -644,7 +646,9 @@ class TestVerifySection6:
         assert out == golden.read_text(encoding="utf-8")
 
 
-def test_console_script_installed():
+def test_module_run_and_script_entry_point():
+    """``python -m blockosc.cli`` runs ``main``; the ``blockosc`` script that
+    pyproject.toml declares names the same function."""
     proc = subprocess.run(
         [sys.executable, "-m", "blockosc.cli", "barrier", "rank",
          "--descriptor", '{"type":"sum","parts":[{"type":"cube","k":2},'
@@ -652,6 +656,77 @@ def test_console_script_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["rank"] == "w^5"
+    pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1]
+    assert scripts.split("\n[", 1)[0].strip() == 'blockosc = "blockosc.cli:main"'
+
+
+# ---------------------------------------------------------------------------
+# A command line that names a subcommand is parsed by that subcommand's parser
+# alone.  Every outcome must be the whole tree's, byte for byte.
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, help and refusals included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def _dispatch_shapes(cmd):
+    words = cmd.name.split()
+    valid = [f"--{flag}={value}" for flag, value in VALID[cmd.name].items()]
+    line = words + valid
+    shapes = [line, words, line + ["--format", "xml"], line + ["--bogus", "1"],
+              line + ["extra"], line + ["--"], line + ["--", "extra"],
+              [words[0] + "x", *words[1:], *valid]]
+    for flag in ("-h", "--help", "--h"):
+        shapes += [line + [flag], words + valid[:1] + [flag] + valid[1:]]
+    shapes += [line + ["--" + flag.replace("_", "-"), "notint"]
+               for flag, spec in cmd.flags.items()
+               if (spec[0] if isinstance(spec, tuple) else spec) is int]
+    if len(words) == 2:  # a misspelled action, and both words in one argv word
+        shapes += [[words[0], words[1] + "x", *valid], [cmd.name, *valid]]
+    return shapes
+
+
+@pytest.mark.parametrize("cmd", cli._COMMANDS, ids=lambda cmd: cmd.name)
+def test_leaf_dispatch_matches_the_tree(capsys, monkeypatch, cmd):
+    shapes = _dispatch_shapes(cmd)
+    by_leaf = [outcome(capsys, argv) for argv in shapes]
+    monkeypatch.setattr(cli, "_LEAVES", {})  # every line through the tree
+    by_tree = [outcome(capsys, argv) for argv in shapes]
+    for argv, got, want in zip(shapes, by_leaf, by_tree):
+        assert got == want, argv
+    assert by_tree[0][0] in (0, 1)  # the valid line
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["model"], ["--", "verify-section6"],
+                                  ["barrier", "--help", "members"]], ids=repr)
+def test_lines_naming_no_leaf_match_the_tree(capsys, monkeypatch, argv):
+    got = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_LEAVES", {})
+    assert got == outcome(capsys, argv)
+
+
+def test_a_named_subcommand_skips_the_tree(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsed by the whole tree")
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    for name, flags in VALID.items():
+        assert outcome(capsys, _argv(name, flags))[0] in (0, 1), name
+
+
+@pytest.mark.parametrize("argv", [["barrier", "rank", "--descriptor", CUBE2],
+                                  ["barrier", "--help"]], ids=" ".join)
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    want = outcome(capsys, argv)
+    assert want[0] == 0 and want[1]
+    monkeypatch.setattr(sys, "argv", ["blockosc", *argv])
+    assert outcome(capsys, None) == want
 
 
 @pytest.mark.parametrize("argv", [
