@@ -9,7 +9,7 @@ import pytest
 
 from blockosc import cli
 from blockosc.cli import build_parser, main
-from test_cli_fuzz import VALID, _argv
+from test_cli_fuzz import VALID, _argv, _run
 
 CUBE1 = '{"type":"cube","k":1}'
 CUBE2 = '{"type":"cube","k":2}'
@@ -666,16 +666,6 @@ def test_module_run_and_script_entry_point():
 # alone.  Every outcome must be the whole tree's, byte for byte.
 
 
-def outcome(capsys, argv):
-    """Exit code, stdout and stderr of ``main(argv)``, help and refusals included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    cap = capsys.readouterr()
-    return code, cap.out, cap.err
-
-
 def _dispatch_shapes(cmd):
     words = cmd.name.split()
     valid = [f"--{flag}={value}" for flag, value in VALID[cmd.name].items()]
@@ -694,11 +684,11 @@ def _dispatch_shapes(cmd):
 
 
 @pytest.mark.parametrize("cmd", cli._COMMANDS, ids=lambda cmd: cmd.name)
-def test_leaf_dispatch_matches_the_tree(capsys, monkeypatch, cmd):
+def test_leaf_dispatch_matches_the_tree(monkeypatch, cmd):
     shapes = _dispatch_shapes(cmd)
-    by_leaf = [outcome(capsys, argv) for argv in shapes]
+    by_leaf = [_run(argv) for argv in shapes]
     monkeypatch.setattr(cli, "_LEAVES", {})  # every line through the tree
-    by_tree = [outcome(capsys, argv) for argv in shapes]
+    by_tree = [_run(argv) for argv in shapes]
     for argv, got, want in zip(shapes, by_leaf, by_tree):
         assert got == want, argv
     assert by_tree[0][0] in (0, 1)  # the valid line
@@ -706,27 +696,27 @@ def test_leaf_dispatch_matches_the_tree(capsys, monkeypatch, cmd):
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["model"], ["--", "verify-section6"],
                                   ["barrier", "--help", "members"]], ids=repr)
-def test_lines_naming_no_leaf_match_the_tree(capsys, monkeypatch, argv):
-    got = outcome(capsys, argv)
+def test_lines_naming_no_leaf_match_the_tree(monkeypatch, argv):
+    got = _run(argv)
     monkeypatch.setattr(cli, "_LEAVES", {})
-    assert got == outcome(capsys, argv)
+    assert got == _run(argv)
 
 
-def test_a_named_subcommand_skips_the_tree(capsys, monkeypatch):
+def test_a_named_subcommand_skips_the_tree(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("parsed by the whole tree")
     monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
     for name, flags in VALID.items():
-        assert outcome(capsys, _argv(name, flags))[0] in (0, 1), name
+        assert _run(_argv(name, flags))[0] in (0, 1), name
 
 
 @pytest.mark.parametrize("argv", [["barrier", "rank", "--descriptor", CUBE2],
                                   ["barrier", "--help"]], ids=" ".join)
-def test_main_reads_sys_argv(capsys, monkeypatch, argv):
-    want = outcome(capsys, argv)
+def test_main_reads_sys_argv(monkeypatch, argv):
+    want = _run(argv)
     assert want[0] == 0 and want[1]
     monkeypatch.setattr(sys, "argv", ["blockosc", *argv])
-    assert outcome(capsys, None) == want
+    assert _run(None) == want
 
 
 @pytest.mark.parametrize("argv", [
